@@ -156,6 +156,14 @@ def write_fit(fit, path, meta: dict | None = None) -> None:
     _write(path, lines)
 
 
+def write_fit_curve(curve, fit, path, meta: dict | None = None) -> None:
+    """Purity samples next to the fitted model evaluated at the same times."""
+    lines = [_meta_line(meta or {}), "t,chi,model"]
+    for t, v, mv in zip(curve.times, curve.values, fit.evaluate(curve.times)):
+        lines.append(f"{fmt(t)},{fmt(v)},{fmt(mv)}")
+    _write(path, lines)
+
+
 def write_sweep(rows, path, meta: dict | None = None) -> None:
     lines = [_meta_line(meta or {}), "x0,chi_inf,t1,t2,t3,rms_residual,error"]
     for r in rows:

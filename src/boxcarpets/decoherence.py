@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import CavityConfig, SpectralState, _basis, _check_alpha, _check_positions
+from .spectral import CavityConfig, SpectralState, _ModeBasis, _check_alpha, _check_positions
 
 #: Damping control reproducing beta * tau = (alpha'^2 - alpha^2) / 10.
 DEFAULT_GAMMA = 2.0 / (5.0 * np.pi)
@@ -93,77 +93,78 @@ def damping_factor(
 
 
 def _support(state: SpectralState):
-    """Arrays restricted to modes with nonzero coefficients."""
+    """Coefficients and mode basis restricted to modes with nonzero coefficients."""
     idx = np.nonzero(state.coeffs)[0]
-    c = state.coeffs[idx]
-    alphas = idx + 1
-    k = alphas * (np.pi / state.cfg.L)
-    E = (state.cfg.hbar * k) ** 2 / (2.0 * state.cfg.m)
-    even = alphas % 2 == 1
-    return c, k, E, even
+    return state.coeffs[idx], _ModeBasis(idx + 1, state.cfg.L)
 
 
-def _coherence_matrix(c, E, hbar, t, gamma):
-    """Symmetric matrix c_a c_b cos((E_b - E_a) t / hbar) exp(-beta_ab t)."""
-    z = np.exp(-1j * (E / hbar) * t)
-    cosm = np.outer(z, z.conj()).real
-    W = np.outer(c, c)
-    if gamma > 0.0 and t > 0.0:
-        cosm = cosm * np.exp((-gamma * t / hbar) * np.abs(E[:, None] - E[None, :]))
-    return W * cosm
+class _PairKernel:
+    """Damped pair matrix of one state over its support modes.
+
+    ``kernel(t)`` returns M_ab(t) = c_a c_b exp(-i (E_a - E_b) t / hbar)
+    exp(-gamma t |E_a - E_b| / hbar).  The density is the x = x' reduction
+    of phi M phi^T through Re M, the flux reduces Im M against the mode
+    slopes, and the density matrix keeps the whole of M.  Everything that
+    does not depend on t is formed once per state.
+    """
+
+    def __init__(self, state: SpectralState, gamma: float):
+        cfg = state.cfg
+        self.c, self.basis = _support(state)
+        E = (cfg.hbar * self.basis.k) ** 2 / (2.0 * cfg.m)
+        self.Eh = E / cfg.hbar
+        self.gamma = gamma
+        # complex once here, so that no call casts it again
+        self.W = np.outer(self.c, self.c).astype(complex)
+        if gamma > 0.0:
+            self.absdEh = np.abs(self.Eh[:, None] - self.Eh[None, :])
+
+    def __call__(self, t: float) -> np.ndarray:
+        z = np.exp(-1j * self.Eh * t)
+        M = z[:, None] * z.conj()
+        if self.gamma > 0.0 and t > 0.0:
+            M *= np.exp((-self.gamma * t) * self.absdEh)
+        M *= self.W
+        return M
 
 
-def density_profile(state: SpectralState, x, t: float, gamma: float = 0.0) -> np.ndarray:
-    """Damped pair-sum probability density at positions ``x`` and time ``t``.
+def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: float = 0.0) -> np.ndarray:
+    """Damped pair-sum density on the (t, x) grid; row j holds the profile at times[j].
 
     Sums populations plus all pairwise coherence terms; the spatial damping
     rate never enters because the density lives on the x = x' diagonal.
     """
-    _check_time(t)
-    xv = np.atleast_1d(_check_positions(x, state.cfg))
-    c, k, E, even = _support(state)
-    if c.size == 0:
-        out = np.zeros_like(xv)
-        return out if np.ndim(x) else float(out)
-    phi, _ = _basis(xv, k, even, state.cfg.L)
-    C = _coherence_matrix(c, E, state.cfg.hbar, t, gamma)
-    rho = np.einsum("pm,mn,pn->p", phi, C, phi, optimize=True)
-    rho = _clamp_density(rho)
-    return rho if np.ndim(x) else float(rho[0])
-
-
-def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: float = 0.0) -> np.ndarray:
-    """Density on the (t, x) grid; row j holds the profile at times[j]."""
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     times = np.asarray(times, dtype=float)
     if times.size and times.min() < 0.0:
         raise DomainError("times must be nonnegative")
-    c, k, E, even = _support(state)
+    kernel = _PairKernel(state, gamma)
     out = np.empty((times.size, xv.size))
-    if c.size == 0:
+    if kernel.c.size == 0:
         out.fill(0.0)
         return out
-    phi, _ = _basis(xv, k, even, state.cfg.L)
-    hbar = state.cfg.hbar
+    phi, _ = kernel.basis(xv)
     for j, t in enumerate(times):
-        C = _coherence_matrix(c, E, hbar, float(t), gamma)
+        C = np.ascontiguousarray(kernel(float(t)).real)
         out[j] = ((phi @ C) * phi).sum(axis=1)
     return _clamp_density(out)
 
 
 def decohered_density(state: SpectralState, x, t: float, params: DecoherenceParams):
     """Probability density under coherence damping (diagonal of the density matrix)."""
-    return density_profile(state, x, t, gamma=params.gamma)
+    _check_time(t)
+    rho = density_map(state, x, [t], gamma=params.gamma)[0]
+    return rho if np.ndim(x) else float(rho[0])
 
 
 def asymptotic_density(state: SpectralState, x):
     """Long-time density: the bare population-weighted sum of squared modes."""
     xv = np.atleast_1d(_check_positions(x, state.cfg))
-    c, k, E, even = _support(state)
+    c, basis = _support(state)
     if c.size == 0:
         out = np.zeros_like(xv)
         return out if np.ndim(x) else float(out)
-    phi, _ = _basis(xv, k, even, state.cfg.L)
+    phi, _ = basis(xv)
     rho = phi**2 @ c**2
     return rho if np.ndim(x) else float(rho[0])
 
@@ -204,18 +205,14 @@ def density_matrix_grid(
     _check_time(t)
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     xpv = np.atleast_1d(_check_positions(x_prime, state.cfg))
-    c, k, E, even = _support(state)
     cfg = state.cfg
-    if c.size == 0:
+    kernel = _PairKernel(state, params.gamma)
+    if kernel.c.size == 0:
         values = np.zeros((xv.size, xpv.size), dtype=complex)
         return DensityMatrixGrid(xv, xpv, float(t), values)
-    phi_x, _ = _basis(xv, k, even, cfg.L)
-    phi_xp, _ = _basis(xpv, k, even, cfg.L)
-    u = c * np.exp(-1j * (E / cfg.hbar) * t)
-    M = np.outer(u, u.conj())
-    if params.gamma > 0.0 and t > 0.0:
-        M = M * np.exp((-params.gamma * t / cfg.hbar) * np.abs(E[:, None] - E[None, :]))
-    values = phi_x @ M @ phi_xp.T
+    phi_x, _ = kernel.basis(xv)
+    phi_xp, _ = kernel.basis(xpv)
+    values = phi_x @ kernel(float(t)) @ phi_xp.T
     lam = params.effective_lambda(cfg)
     if lam > 0.0 and t > 0.0:
         values = values * np.exp(-lam * t * (xv[:, None] - xpv[None, :]) ** 2)

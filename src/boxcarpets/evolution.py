@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, density_map, density_profile
+from .decoherence import DecoherenceParams, decohered_density, density_map
 from .errors import DomainError
 from .spectral import CavityConfig, SpectralState, _check_alpha, _check_positions, mode_values
 
@@ -59,8 +59,7 @@ def probability_density(state: SpectralState, x, t: float, params: DecoherencePa
     without, the result equals |wavefunction|^2 to roundoff.  Negative
     roundoff below -1e-12 is rejected, smaller is clamped to zero.
     """
-    gamma = params.gamma if params is not None else 0.0
-    return density_profile(state, x, t, gamma=gamma)
+    return decohered_density(state, x, t, params if params is not None else DecoherenceParams.coherent())
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _support
+from .decoherence import DecoherenceParams, _PairKernel
 from .errors import CarpetError, DomainError, NodeProximityError
 from .evolution import revival_times
 from .spectral import InputSignalSpec, SpectralState, _check_positions
@@ -50,54 +50,25 @@ class _VelocityField:
     """
 
     def __init__(self, state: SpectralState, params: DecoherenceParams | None):
-        c, k, E, even = _support(state)
-        if c.size == 0:
+        self.kernel = _PairKernel(state, params.gamma if params is not None else 0.0)
+        if self.kernel.c.size == 0:
             raise DomainError("velocity field undefined for a state with no nonzero coefficients")
-        cfg = state.cfg
-        self.c = c
-        self.k = k
-        self.even = even
-        self.all_even = bool(even.all())
-        self.all_odd = bool(~even.any())
-        self.Eh = E / cfg.hbar
-        self.gamma = params.gamma if params is not None else 0.0
-        self.hm = cfg.hbar / cfg.m
-        self.amp = np.sqrt(2.0 / cfg.L)
-        if self.gamma > 0.0:
-            self.W = np.outer(c, c)
-            self.absdEh = np.abs(self.Eh[:, None] - self.Eh[None, :])
-
-    def _modes(self, x: np.ndarray):
-        arg = x[:, None] * self.k[None, :]
-        s = np.sin(arg)
-        co = np.cos(arg)
-        if self.all_even:
-            phi = self.amp * co
-            dphi = (-self.amp * self.k) * s
-        elif self.all_odd:
-            phi = self.amp * s
-            dphi = (self.amp * self.k) * co
-        else:
-            phi = self.amp * np.where(self.even, co, s)
-            dphi = np.where(self.even, -s, co) * (self.amp * self.k)
-        return phi, dphi
+        self.hm = state.cfg.hbar / state.cfg.m
 
     def __call__(self, x: np.ndarray, t: float):
-        phi, dphi = self._modes(x)
-        if self.gamma == 0.0:
-            u = self.c * np.exp(-1j * self.Eh * t)
+        kernel = self.kernel
+        phi, dphi = kernel.basis(x)
+        if kernel.gamma == 0.0:
+            # a pure state: two mode sums instead of the pair matrix
+            u = kernel.c * np.exp(-1j * kernel.Eh * t)
             psi = phi @ u
             dpsi = dphi @ u
             den = psi.real**2 + psi.imag**2
             num = psi.real * dpsi.imag - psi.imag * dpsi.real
         else:
-            z = np.exp(-1j * self.Eh * t)
-            zz = np.outer(z, z.conj())
-            damp = np.exp((-self.gamma * t) * self.absdEh)
-            cm = self.W * (zz.real * damp)
-            sm = self.W * (zz.imag * damp)
-            den = ((phi @ cm) * phi).sum(axis=1)
-            num = ((dphi @ sm) * phi).sum(axis=1)
+            M = kernel(t)
+            den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
+            num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
         bad = den < DENSITY_FLOOR
         v = self.hm * num / np.where(bad, 1.0, den)
         v[bad] = 0.0
@@ -418,19 +389,21 @@ class NoncrossingReport:
 def noncrossing_check(trajectories: list[Trajectory], slack: float = 1e-9) -> NoncrossingReport:
     """Verify that seed ordering is preserved at every shared sample time.
 
-    All trajectories must carry identical sample grids; the ``slack``
+    Truncated members are compared on the sample prefix that every member
+    reached, so each grid must be a prefix of the longest one; the ``slack``
     tolerates near-contact of mirror-symmetric paths.
     """
     if len(trajectories) < 2:
         return NoncrossingReport(ok=True)
-    times = trajectories[0].times
-    for tr in trajectories[1:]:
-        if tr.times.shape != times.shape or not np.array_equal(tr.times, times):
+    times = max((tr.times for tr in trajectories), key=np.size)
+    for tr in trajectories:
+        if not np.array_equal(tr.times, times[: tr.times.size]):
             raise DomainError("trajectories do not share a common sample-time grid")
     seeds = np.array([tr.x0 for tr in trajectories])
     if np.any(np.diff(seeds) <= 0.0):
         raise DomainError("trajectories must be ordered by strictly increasing seed")
-    pos = np.vstack([tr.positions for tr in trajectories])
+    shared = min(tr.times.size for tr in trajectories)
+    pos = np.vstack([tr.positions[:shared] for tr in trajectories])
     gaps = np.diff(pos, axis=0)
     bad = gaps < -slack
     if not bad.any():

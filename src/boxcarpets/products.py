@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import csvio
 from .config import RunConfig, serialize_config
-from .decoherence import asymptotic_density, density_matrix_grid
+from .decoherence import density_matrix_grid
 from .energy import correlation_matrix, decay_time_map, fit_purity, purity_curve, sweep_x0
 from .errors import CarpetError
 from .evolution import SpaceTimeGrid, carpet, revival_times
@@ -111,11 +110,7 @@ def _product_fit(config: RunConfig, out: Path, jobs: int) -> list[Path]:
     fit_path = out / "purity_fit.csv"
     csvio.write_fit(fit, fit_path, meta=_meta(config))
     curve_path = out / "purity_fit_curve.csv"
-    model = fit.evaluate(curve.times)
-    lines = [csvio._meta_line(_meta(config)), "t,chi,model"]
-    for t, v, mv in zip(curve.times, curve.values, model):
-        lines.append(f"{csvio.fmt(t)},{csvio.fmt(v)},{csvio.fmt(mv)}")
-    csvio._write(curve_path, lines)
+    csvio.write_fit_curve(curve, fit, curve_path, meta=_meta(config))
     return [fit_path, curve_path]
 
 
@@ -164,8 +159,10 @@ _PRODUCTS = {
 def run(config: RunConfig, parallelism: int = 1) -> dict:
     """Execute the configured products and write ``manifest.json``.
 
-    Returns the manifest: per-product file lists, sha256 checksums, and any
-    per-product failure messages (callers map failures to a nonzero exit).
+    Products run one after another; ``parallelism`` is the worker count for
+    the row chunks of a carpet.  Returns the manifest: per-product file
+    lists, sha256 checksums, and any per-product failure messages (callers
+    map failures to a nonzero exit).
     """
     if not config.output.products:
         raise CarpetError("no products requested")
@@ -173,26 +170,16 @@ def run(config: RunConfig, parallelism: int = 1) -> dict:
     out.mkdir(parents=True, exist_ok=True)
     jobs = max(int(parallelism), 1)
 
-    def execute(name: str):
-        try:
-            return name, [str(p) for p in _PRODUCTS[name](config, out, jobs)], None
-        except Exception as exc:  # collected per product
-            return name, [], f"{type(exc).__name__}: {exc}"
-
-    names = list(config.output.products)
-    if jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(execute, names))
-    else:
-        results = [execute(n) for n in names]
-
     products: dict[str, list[str]] = {}
     failures: dict[str, str] = {}
     checksums: dict[str, str] = {}
-    for name, files, error in results:
+    for name in config.output.products:
+        try:
+            files = [str(p) for p in _PRODUCTS[name](config, out, jobs)]
+        except Exception as exc:  # collected per product
+            files = []
+            failures[name] = f"{type(exc).__name__}: {exc}"
         products[name] = files
-        if error is not None:
-            failures[name] = error
         for f in files:
             checksums[Path(f).name] = hashlib.sha256(Path(f).read_bytes()).hexdigest()
 

@@ -88,37 +88,48 @@ def eigenmode(md: Mode, x, cfg: CavityConfig):
 def mode_values(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
     """Matrix of mode amplitudes, shape (len(x), len(alphas))."""
     xv = np.atleast_1d(_check_positions(x, cfg))
-    alphas = np.asarray(alphas, dtype=int)
-    k = alphas * (np.pi / cfg.L)
-    phi, _ = _basis(xv, k, alphas % 2 == 1, cfg.L)
+    phi, _ = _ModeBasis(alphas, cfg.L)(xv)
     return phi
 
 
 def mode_slopes(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
     """Matrix of spatial derivatives of the modes, same shape as mode_values."""
     xv = np.atleast_1d(_check_positions(x, cfg))
-    alphas = np.asarray(alphas, dtype=int)
-    k = alphas * (np.pi / cfg.L)
-    _, dphi = _basis(xv, k, alphas % 2 == 1, cfg.L)
+    _, dphi = _ModeBasis(alphas, cfg.L)(xv)
     return dphi
 
 
-def _basis(xv: np.ndarray, k: np.ndarray, even: np.ndarray, L: float):
-    # Hot path: no validation, callers guarantee positions inside the box.
-    arg = xv[:, None] * k[None, :]
-    s = np.sin(arg)
-    c = np.cos(arg)
-    amp = np.sqrt(2.0 / L)
-    if even.all():
-        phi = amp * c
-        dphi = (-amp * k) * s
-    elif not even.any():
-        phi = amp * s
-        dphi = (amp * k) * c
-    else:
-        phi = amp * np.where(even, c, s)
-        dphi = np.where(even, -s, c) * (amp * k)
-    return phi, dphi
+class _ModeBasis:
+    """Sin/cos evaluator of a fixed set of modes and their slopes.
+
+    The parity case (all even, all odd or mixed) and the amplitudes are
+    resolved once here, because evaluation sits on the hot path of every
+    density, density-matrix and velocity sum.
+    """
+
+    def __init__(self, alphas: np.ndarray, L: float):
+        alphas = np.asarray(alphas, dtype=int)
+        self.k = alphas * (np.pi / L)
+        even = alphas % 2 == 1
+        self.amp = np.sqrt(2.0 / L)
+        if even.all():
+            self.parity = "even"
+            self.slope = -self.amp * self.k
+        else:
+            self.parity = "odd" if not even.any() else "mixed"
+            self.slope = self.amp * self.k
+        self.even = even
+
+    def __call__(self, xv: np.ndarray):
+        # Hot path: no validation, callers guarantee positions inside the box.
+        arg = xv[:, None] * self.k[None, :]
+        s = np.sin(arg)
+        c = np.cos(arg)
+        if self.parity == "even":
+            return self.amp * c, self.slope * s
+        if self.parity == "odd":
+            return self.amp * s, self.slope * c
+        return self.amp * np.where(self.even, c, s), np.where(self.even, -s, c) * self.slope
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import boxcarpets as bc
+from boxcarpets.decoherence import density_map
 from boxcarpets.errors import DomainError
 
 from conftest import make_state
@@ -160,3 +161,47 @@ def test_single_mode_density_never_decoheres(cfg, rev, ref_params):
     d0 = bc.decohered_density(state, x, 0.0, ref_params)
     dt = bc.decohered_density(state, x, 5 * rev.tau, ref_params)
     assert np.allclose(d0, dt, atol=1e-14)
+
+
+# -- one pair kernel against a plain double loop over modes -------------------
+
+
+def _double_loop_density_and_velocity(state, x, t, params):
+    """Density and velocity summed pair by pair from the scalar public pieces."""
+    cfg = state.cfg
+    support = [int(a) for a in state.alphas if state.coeffs[a - 1] != 0.0]
+    phi = {a: bc.eigenmode(bc.mode(a, cfg), x, cfg) for a in support}
+    dphi = {a: bc.mode_slopes([a], x, cfg)[:, 0] for a in support}
+    den = np.zeros_like(x)
+    num = np.zeros_like(x)
+    for a in support:
+        for b in support:
+            weight = state.coeffs[a - 1] * state.coeffs[b - 1] * bc.damping_factor(a, b, 0.0, 0.0, t, params, cfg)
+            phase = (bc.eigenenergy(a, cfg) - bc.eigenenergy(b, cfg)) * t / cfg.hbar
+            den += weight * np.cos(phase) * phi[a] * phi[b]
+            num -= weight * np.sin(phase) * dphi[a] * phi[b]
+    return den, (cfg.hbar / cfg.m) * num / den
+
+
+@pytest.mark.parametrize("t_tau", [0.0, 0.37, 3.0])
+@pytest.mark.parametrize("gamma", [0.0, bc.DEFAULT_GAMMA, 0.3])
+@pytest.mark.parametrize("which", ["mixed", "state20", "double125"])
+def test_pair_kernel_matches_double_loop(request, cfg, rev, which, gamma, t_tau):
+    if which == "mixed":
+        state = make_state(cfg, [0.7, 0.5, 0.0, 0.3, 0.4])
+    else:
+        state = request.getfixturevalue(which)
+    params = bc.DecoherenceParams(gamma=gamma)
+    t = t_tau * rev.tau
+    x = np.linspace(-24.0, 24.0, 97)
+    den, vel = _double_loop_density_and_velocity(state, x, t, params)
+
+    assert np.max(np.abs(density_map(state, x, [t], gamma=gamma)[0] - den)) < 1e-13
+    assert np.max(np.abs(bc.decohered_density(state, x, t, params) - den)) < 1e-13
+    diag = np.diagonal(bc.density_matrix_grid(state, x, x, t, params).values)
+    assert np.max(np.abs(diag.real - den)) < 1e-13
+    assert np.max(np.abs(diag.imag)) < 1e-13
+    mask = den > 1e-4 * den.max()
+    got = bc.velocity(state, x[mask], t, params)
+    # absolute roundoff in the flux and density sums grows by 1 / density in their ratio
+    assert np.all(np.abs(got - vel[mask]) <= 1e-14 * (1.0 + np.abs(vel[mask])) / den[mask])

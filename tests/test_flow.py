@@ -210,6 +210,19 @@ def test_noncrossing_rejects_mismatched_grids():
         bc.noncrossing_check([a, b])
 
 
+def test_noncrossing_compares_truncated_members_on_shared_prefix():
+    times = np.linspace(0.0, 1.0, 5)
+    left = bc.Trajectory(x0=-1.0, times=times, positions=np.array([-1.0, -0.9, -0.8, -0.7, -0.6]))
+    right = bc.Trajectory(x0=1.0, times=times, positions=np.array([1.0, 0.9, 0.8, 0.7, 0.6]))
+    stopped = bc.Trajectory(x0=0.0, times=times[:2], positions=np.array([0.0, 0.1]), status="step-floor-hit")
+    assert bc.noncrossing_check([left, stopped, right]).ok
+    crossed = bc.Trajectory(x0=0.0, times=times[:2], positions=np.array([0.0, -0.95]), status="step-floor-hit")
+    report = bc.noncrossing_check([left, crossed, right])
+    assert not report.ok
+    assert report.time == pytest.approx(0.25)
+    assert report.pair == (0, 1)
+
+
 def test_integrator_guards():
     # synthetic right-hand side: unit drift into a forbidden zone past x = 1,
     # where the density floor signal fires and the component gets truncated
