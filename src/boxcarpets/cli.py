@@ -17,14 +17,14 @@ from .products import run
 def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (INI-style)")
-    common.add_argument("--out", metavar="DIR", help="output directory")
+    common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     common.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads for carpet rows")
     common.add_argument("--seed-count", type=int, metavar="N", help="trajectory ensemble size")
     common.add_argument("--gamma", type=float, metavar="X", help="energy-pair damping control")
     common.add_argument("--lambda", dest="lam", metavar="{0|formula|X}", help="spatial damping rate")
     common.add_argument("--x0", type=float, metavar="X", help="signal center")
     common.add_argument("--kind", choices=("single", "double"), help="signal kind")
-    common.add_argument("--tmax", type=float, metavar="MULT_TAU", help="time span in units of tau")
+    common.add_argument("--tmax", dest="tmax_tau", type=float, metavar="MULT_TAU", help="time span in units of tau")
     common.add_argument("--renormalize", action="store_true", default=None,
                         help="rescale truncated coefficients to unit norm")
     return common
@@ -52,33 +52,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # every flag but these is an apply_overrides keyword (its dest)
+    overrides = {name: value for name, value in vars(args).items()
+                 if value is not None and name not in ("command", "config", "jobs")}
     try:
         config = parse_config_file(args.config) if args.config else parse_config("")
-        overrides = {}
-        if args.x0 is not None:
-            overrides["x0"] = args.x0
-        if args.kind is not None:
-            overrides["kind"] = args.kind
-        if args.gamma is not None:
-            overrides["gamma"] = args.gamma
-        if args.lam is not None:
-            overrides["lam"] = args.lam
-        if args.tmax is not None:
-            overrides["tmax_tau"] = args.tmax
-        if args.seed_count is not None:
-            overrides["seed_count"] = args.seed_count
-        if args.out is not None:
-            overrides["out_dir"] = args.out
-        if args.renormalize is not None:
-            overrides["renormalize"] = args.renormalize
-        if getattr(args, "quantity", None) is not None:
-            overrides["quantity"] = args.quantity
-        overrides["products"] = (args.command,)
-        config = apply_overrides(config, **overrides)
-    except (ConfigError, DomainError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        config = apply_overrides(config, products=(args.command,), **overrides)
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

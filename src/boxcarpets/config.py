@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import io
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -34,10 +35,10 @@ class GridSpec:
     def __post_init__(self):
         if self.x_points < 2 or self.t_points < 2:
             raise DomainError("grid needs at least 2 points per axis")
-        if self.t_max_tau <= 0.0:
-            raise DomainError("grid t_max_tau must be positive")
-        if any(s < 0.0 for s in self.snapshots_tau):
-            raise DomainError("snapshot times must be nonnegative")
+        if not 0.0 < self.t_max_tau < np.inf:
+            raise DomainError(f"grid t_max_tau must be positive and finite, got {self.t_max_tau!r}")
+        if not all(0.0 <= s < np.inf for s in self.snapshots_tau):
+            raise DomainError(f"grid snapshots_tau must be nonnegative and finite, got {self.snapshots_tau!r}")
 
 
 @dataclass(frozen=True)
@@ -49,8 +50,12 @@ class SweepSpec:
     step: float = 0.5
 
     def __post_init__(self):
-        if self.step <= 0.0:
-            raise DomainError("sweep step must be positive")
+        if not 0.0 < self.step < np.inf:
+            raise DomainError(f"sweep step must be positive and finite, got {self.step!r}")
+        for name in ("start", "stop"):
+            value = getattr(self, name)
+            if value is not None and not np.isfinite(value):
+                raise DomainError(f"sweep {name} must be finite, got {value!r}")
 
     def values(self, kind: str) -> np.ndarray:
         start = self.start if self.start is not None else (0.0 if kind == "single" else 5.0)
@@ -71,8 +76,8 @@ class FitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.span_tau <= 0.0 or self.samples < 50 or self.restarts < 1:
-            raise DomainError("fit needs span_tau > 0, samples >= 50, restarts >= 1")
+        if not 0.0 < self.span_tau < np.inf or self.samples < 50 or self.restarts < 1 or self.seed < 0:
+            raise DomainError("fit needs finite span_tau > 0, samples >= 50, restarts >= 1, seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -82,6 +87,7 @@ class OutputSpec:
     quantity: str = "density"
 
     def __post_init__(self):
+        object.__setattr__(self, "products", tuple(self.products))
         for p in self.products:
             if p not in PRODUCT_NAMES:
                 raise DomainError(f"unknown product {p!r}; expected one of {PRODUCT_NAMES}")
@@ -108,7 +114,9 @@ class RunConfig:
             raise DomainError("n_modes must be >= 1")
 
 
-# Section -> {key: parser}; the parsers also carry the validation context.
+_DEFAULT = RunConfig()
+
+
 def _as_bool(text: str) -> bool:
     t = text.strip().lower()
     if t in ("true", "yes", "on", "1"):
@@ -118,21 +126,67 @@ def _as_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _as_name_list(text: str) -> tuple[str, ...]:
+    return tuple(tok.strip() for tok in text.split(",") if tok.strip())
+
+
 def _as_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
+    return tuple(float(tok) for tok in _as_name_list(text))
 
 
-_SCHEMA = {
-    "cavity": {"m": float, "hbar": float, "l": float},
-    "signal": {"kind": str, "x0": float, "w": float},
-    "modes": {"count": int, "renormalize": _as_bool},
-    "deco": {"gamma": float, "lambda": str},
-    "grid": {"x_points": int, "t_points": int, "tmax_tau": float, "snapshots_tau": _as_float_list},
-    "ensemble": {"count": int, "seeding": str, "seeds": _as_float_list},
-    "sweep": {"start": float, "stop": float, "step": float},
-    "fit": {"span_tau": float, "samples": int, "restarts": int, "seed": int},
-    "output": {"products": str, "dir": str, "quantity": str},
+# One row per config key: section, key as written, dotted RunConfig attribute,
+# value parser.  Parsing, serialization and overrides all walk this table, and
+# the rows' order is the order of the serialized text.
+_FIELDS = (
+    ("cavity", "m", "cavity.m", float),
+    ("cavity", "hbar", "cavity.hbar", float),
+    ("cavity", "L", "cavity.L", float),
+    ("signal", "kind", "signal.kind", str),
+    ("signal", "x0", "signal.x0", float),
+    ("signal", "w", "signal.w", float),
+    ("modes", "count", "n_modes", int),
+    ("modes", "renormalize", "renormalize", _as_bool),
+    ("deco", "gamma", "deco.gamma", float),
+    ("deco", "lambda", "deco.lam", str),  # resolved by parse_lambda in _update
+    ("grid", "x_points", "grid.x_points", int),
+    ("grid", "t_points", "grid.t_points", int),
+    ("grid", "tmax_tau", "grid.t_max_tau", float),
+    ("grid", "snapshots_tau", "grid.snapshots_tau", _as_float_list),
+    ("ensemble", "count", "ensemble.count", int),
+    ("ensemble", "seeding", "ensemble.seeding", str),
+    ("ensemble", "seeds", "ensemble.seeds", _as_float_list),
+    ("sweep", "start", "sweep.start", float),
+    ("sweep", "stop", "sweep.stop", float),
+    ("sweep", "step", "sweep.step", float),
+    ("fit", "span_tau", "fit.span_tau", float),
+    ("fit", "samples", "fit.samples", int),
+    ("fit", "restarts", "fit.restarts", int),
+    ("fit", "seed", "fit.seed", int),
+    ("output", "products", "output.products", _as_name_list),
+    ("output", "dir", "output.directory", str),
+    ("output", "quantity", "output.quantity", str),
+)
+# configparser lowercases keys as it reads them
+_KEYS = {(section, key.lower()): (attr, parse) for section, key, attr, parse in _FIELDS}
+_SECTIONS = {section for section, *_ in _FIELDS}
+
+# apply_overrides keyword -> table attribute
+_OVERRIDES = {
+    "x0": "signal.x0",
+    "kind": "signal.kind",
+    "gamma": "deco.gamma",
+    "lam": "deco.lam",
+    "tmax_tau": "grid.t_max_tau",
+    "seed_count": "ensemble.count",
+    "out_dir": "output.directory",
+    "quantity": "output.quantity",
+    "products": "output.products",
+    "renormalize": "renormalize",
 }
+
+
+def _get(config: RunConfig, attr: str):
+    return reduce(getattr, attr.split("."), config)
 
 
 def parse_lambda(text: str) -> tuple[float, str]:
@@ -145,6 +199,30 @@ def parse_lambda(text: str) -> tuple[float, str]:
     except ValueError:
         raise ConfigError(f"deco.lambda must be 'formula' or a number, got {text!r}") from None
     return value, "off"
+
+
+def _update(config: RunConfig, values: dict[str, object]) -> RunConfig:
+    """Set each dotted attribute of ``values`` on ``config``; every touched spec
+    is rebuilt once, so its own invariants are checked again."""
+    values = dict(values)
+    if "deco.lam" in values:
+        values["deco.lam"], values["deco.lambda_mode"] = parse_lambda(str(values["deco.lam"]))
+    if "ensemble.seeds" in values or "ensemble.count" in values:
+        # a seed list implies explicit seeding; a bare count (or an empty
+        # list) replaces any explicit seed list
+        seeds = values["ensemble.seeds"] = values.get("ensemble.seeds") or None
+        values.setdefault("ensemble.seeding", "explicit" if seeds else "uniform")
+    specs: dict[str, dict[str, object]] = {}
+    for attr, value in values.items():
+        spec, _, name = attr.rpartition(".")
+        specs.setdefault(spec, {})[name] = value
+    top = specs.pop("", {})
+    try:
+        for spec, fields in specs.items():
+            top[spec] = replace(getattr(config, spec), **fields)
+        return replace(config, **top)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def parse_config(text: str) -> RunConfig:
@@ -170,75 +248,19 @@ def parse_config(text: str) -> RunConfig:
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
 
-    values: dict[str, dict[str, object]] = {}
+    values = {}
     for section in parser.sections():
-        if section not in _SCHEMA:
+        if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
         for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
+            if (section, key) not in _KEYS:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
+            attr, parse = _KEYS[section, key]
             try:
-                values.setdefault(section, {})[key] = _SCHEMA[section][key](raw)
-            except (ValueError, DomainError) as exc:
+                values[attr] = parse(raw)
+            except ValueError as exc:
                 raise ConfigError(f"invalid value for {section}.{key}: {exc}") from None
-
-    def pick(section: str, key: str, default):
-        return values.get(section, {}).get(key, default)
-
-    try:
-        cavity = CavityConfig(
-            m=pick("cavity", "m", 1.0), hbar=pick("cavity", "hbar", 1.0), L=pick("cavity", "l", 50.0)
-        )
-        signal = InputSignalSpec(
-            kind=pick("signal", "kind", "single"),
-            x0=pick("signal", "x0", 0.0),
-            w=pick("signal", "w", 10.0),
-        )
-        lam_raw = pick("deco", "lambda", "formula")
-        lam, lam_mode = parse_lambda(lam_raw) if isinstance(lam_raw, str) else (lam_raw, "off")
-        deco = DecoherenceParams(gamma=pick("deco", "gamma", DEFAULT_GAMMA), lam=lam, lambda_mode=lam_mode)
-        grid = GridSpec(
-            x_points=pick("grid", "x_points", 1001),
-            t_points=pick("grid", "t_points", 1001),
-            t_max_tau=pick("grid", "tmax_tau", 8.0),
-            snapshots_tau=tuple(pick("grid", "snapshots_tau", (0.0, 0.5, 1.0, 20.0))),
-        )
-        seeds = values.get("ensemble", {}).get("seeds")
-        ensemble = EnsembleSpec(
-            count=pick("ensemble", "count", 20),
-            seeding=pick("ensemble", "seeding", "explicit" if seeds else "uniform"),
-            seeds=tuple(seeds) if seeds else None,
-        )
-        sweep = SweepSpec(
-            start=pick("sweep", "start", None), stop=pick("sweep", "stop", None), step=pick("sweep", "step", 0.5)
-        )
-        fit = FitSpec(
-            span_tau=pick("fit", "span_tau", 10.0),
-            samples=pick("fit", "samples", 200),
-            restarts=pick("fit", "restarts", 20),
-            seed=pick("fit", "seed", 0),
-        )
-        products_raw = pick("output", "products", "")
-        products = tuple(p.strip() for p in products_raw.split(",") if p.strip())
-        output = OutputSpec(
-            products=products,
-            directory=pick("output", "dir", "out"),
-            quantity=pick("output", "quantity", "density"),
-        )
-        return RunConfig(
-            cavity=cavity,
-            signal=signal,
-            n_modes=pick("modes", "count", 50),
-            renormalize=pick("modes", "renormalize", False),
-            deco=deco,
-            grid=grid,
-            ensemble=ensemble,
-            sweep=sweep,
-            fit=fit,
-            output=output,
-        )
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
+    return _update(_DEFAULT, values)
 
 
 def parse_config_file(path) -> RunConfig:
@@ -246,101 +268,41 @@ def parse_config_file(path) -> RunConfig:
         return parse_config(fh.read())
 
 
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ",".join(_text(v) for v in value)
+    return value if isinstance(value, str) else repr(value)
+
+
 def serialize_config(config: RunConfig) -> str:
     """Emit configuration text that parses back to an equal ``RunConfig``."""
-    lam = "formula" if config.deco.lambda_mode == "formula" else repr(config.deco.lam)
-    lines = [
-        "[cavity]",
-        f"m = {config.cavity.m!r}",
-        f"hbar = {config.cavity.hbar!r}",
-        f"L = {config.cavity.L!r}",
-        "",
-        "[signal]",
-        f"kind = {config.signal.kind}",
-        f"x0 = {config.signal.x0!r}",
-        f"w = {config.signal.w!r}",
-        "",
-        "[modes]",
-        f"count = {config.n_modes}",
-        f"renormalize = {str(config.renormalize).lower()}",
-        "",
-        "[deco]",
-        f"gamma = {config.deco.gamma!r}",
-        f"lambda = {lam}",
-        "",
-        "[grid]",
-        f"x_points = {config.grid.x_points}",
-        f"t_points = {config.grid.t_points}",
-        f"tmax_tau = {config.grid.t_max_tau!r}",
-        "snapshots_tau = " + ",".join(repr(s) for s in config.grid.snapshots_tau),
-        "",
-        "[ensemble]",
-        f"count = {config.ensemble.count}",
-        f"seeding = {config.ensemble.seeding}",
-    ]
-    if config.ensemble.seeds:
-        lines.append("seeds = " + ",".join(repr(s) for s in config.ensemble.seeds))
-    lines += [
-        "",
-        "[sweep]",
-    ]
-    if config.sweep.start is not None:
-        lines.append(f"start = {config.sweep.start!r}")
-    if config.sweep.stop is not None:
-        lines.append(f"stop = {config.sweep.stop!r}")
-    lines += [
-        f"step = {config.sweep.step!r}",
-        "",
-        "[fit]",
-        f"span_tau = {config.fit.span_tau!r}",
-        f"samples = {config.fit.samples}",
-        f"restarts = {config.fit.restarts}",
-        f"seed = {config.fit.seed}",
-        "",
-        "[output]",
-    ]
-    if config.output.products:
-        lines.append("products = " + ",".join(config.output.products))
-    lines += [
-        f"dir = {config.output.directory}",
-        f"quantity = {config.output.quantity}",
-    ]
-    return "\n".join(lines) + "\n"
+    blocks: dict[str, list[str]] = {}
+    for section, key, attr, _ in _FIELDS:
+        block = blocks.setdefault(section, [f"[{section}]"])
+        value = _get(config, attr)
+        if attr == "deco.lam" and config.deco.lambda_mode == "formula":
+            value = "formula"
+        # a missing key parses to the default, so an empty default is left out
+        if value is None or (isinstance(value, tuple) and not value and not _get(_DEFAULT, attr)):
+            continue
+        block.append(f"{key} = {_text(value)}")
+    return "\n\n".join("\n".join(block) for block in blocks.values()) + "\n"
 
 
 def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
     """Apply CLI-style overrides, revalidating the affected pieces."""
-    cfg = config
-    try:
-        if "x0" in overrides or "kind" in overrides:
-            kind = overrides.get("kind", cfg.signal.kind)
-            x0 = overrides.get("x0", cfg.signal.x0)
-            if "x0" not in overrides and kind != cfg.signal.kind:
-                # a bare kind switch keeps x0 only when it stays valid;
-                # otherwise fall back to the smallest admissible center
-                candidate = InputSignalSpec(kind=kind, x0=x0, w=cfg.signal.w)
-                try:
-                    candidate.validate(cfg.cavity)
-                except DomainError:
-                    x0 = 0.0 if kind == "single" else cfg.signal.w / 2.0
-            cfg = replace(cfg, signal=InputSignalSpec(kind=kind, x0=x0, w=cfg.signal.w))
-        if "gamma" in overrides or "lam" in overrides:
-            lam, mode = cfg.deco.lam, cfg.deco.lambda_mode
-            if "lam" in overrides:
-                lam, mode = parse_lambda(str(overrides["lam"]))
-            cfg = replace(cfg, deco=DecoherenceParams(gamma=overrides.get("gamma", cfg.deco.gamma), lam=lam, lambda_mode=mode))
-        if "tmax_tau" in overrides:
-            cfg = replace(cfg, grid=replace(cfg.grid, t_max_tau=overrides["tmax_tau"]))
-        if "seed_count" in overrides:
-            cfg = replace(cfg, ensemble=EnsembleSpec(count=overrides["seed_count"]))
-        if "out_dir" in overrides:
-            cfg = replace(cfg, output=replace(cfg.output, directory=overrides["out_dir"]))
-        if "quantity" in overrides:
-            cfg = replace(cfg, output=replace(cfg.output, quantity=overrides["quantity"]))
-        if "products" in overrides:
-            cfg = replace(cfg, output=replace(cfg.output, products=tuple(overrides["products"])))
-        if "renormalize" in overrides:
-            cfg = replace(cfg, renormalize=overrides["renormalize"])
-    except DomainError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    unknown = sorted(set(overrides) - set(_OVERRIDES))
+    if unknown:
+        raise ConfigError(f"unknown override {', '.join(unknown)}; expected one of {', '.join(_OVERRIDES)}")
+    values = {_OVERRIDES[name]: value for name, value in overrides.items()}
+    kind = values.get("signal.kind", config.signal.kind)
+    if kind != config.signal.kind and "signal.x0" not in values:
+        # a bare kind switch keeps x0 only when it stays valid;
+        # otherwise fall back to the smallest admissible center
+        try:
+            replace(config.signal, kind=kind).validate(config.cavity)
+        except DomainError:
+            values["signal.x0"] = 0.0 if kind == "single" else config.signal.w / 2.0
+    return _update(config, values)

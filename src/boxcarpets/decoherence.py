@@ -136,8 +136,8 @@ def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: f
     """
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0.0:
-        raise DomainError("times must be nonnegative")
+    if not np.all((times >= 0.0) & np.isfinite(times)):
+        raise DomainError("times must be nonnegative and finite")
     kernel = _PairKernel(state, gamma)
     out = np.empty((times.size, xv.size))
     if kernel.c.size == 0:

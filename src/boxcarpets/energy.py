@@ -235,11 +235,14 @@ def sweep_x0(
     samples: int = 200,
     restarts: int = DEFAULT_FIT_RESTARTS,
     seed: int = 0,
+    renormalize: bool = False,
 ) -> list[SweepRow]:
     """Asymptotic purity and fitted decay times across signal centers.
 
-    Invalid centers (truncated or overlapping signals) produce an error row
-    and the sweep continues.  Deterministic for fixed inputs.
+    ``renormalize`` rescales each truncated state to unit norm, as
+    ``RunConfig.renormalize`` does for the other products.  Invalid centers
+    (truncated or overlapping signals) produce an error row and the sweep
+    continues.  Deterministic for fixed inputs.
     """
     from .decoherence import DEFAULT_GAMMA
 
@@ -251,6 +254,8 @@ def sweep_x0(
         try:
             spec = InputSignalSpec(kind=kind, x0=float(x0), w=w)
             state = decompose(spec, cfg, N)
+            if renormalize:
+                state = state.renormalized()
             chi_inf = purity_asymptote(state)
             fit = fit_purity(purity_curve(state, span, params, samples=samples), restarts=restarts, seed=seed)
             rows.append(

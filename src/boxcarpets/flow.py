@@ -101,8 +101,8 @@ def velocity_map(
     """Velocity on the (t, x) grid; node-floor positions are set to zero."""
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     times = np.asarray(times, dtype=float)
-    if times.size and times.min() < 0.0:
-        raise DomainError("times must be nonnegative")
+    if not np.all((times >= 0.0) & np.isfinite(times)):
+        raise DomainError("times must be nonnegative and finite")
     field = _VelocityField(state, params)
     out = np.empty((times.size, xv.size))
     for j, t in enumerate(times):
@@ -150,6 +150,8 @@ class EnsembleSpec:
             if not self.seeds:
                 raise DomainError("explicit seeding requires a non-empty seed list")
             seeds = tuple(float(s) for s in self.seeds)
+            if not np.all(np.isfinite(seeds)):
+                raise DomainError(f"explicit seeds must be finite, got {seeds!r}")
             if np.any(np.diff(seeds) <= 0.0):
                 raise DomainError("explicit seeds must be strictly increasing")
             object.__setattr__(self, "seeds", seeds)
@@ -389,8 +391,8 @@ class NoncrossingReport:
 def noncrossing_check(trajectories: list[Trajectory], slack: float = 1e-9) -> NoncrossingReport:
     """Verify that seed ordering is preserved at every shared sample time.
 
-    Truncated members are compared on the sample prefix that every member
-    reached, so each grid must be a prefix of the longest one; the ``slack``
+    At each sample, neighbouring members among those still running are
+    compared, so each grid must be a prefix of the longest one; the ``slack``
     tolerates near-contact of mirror-symmetric paths.
     """
     if len(trajectories) < 2:
@@ -402,13 +404,17 @@ def noncrossing_check(trajectories: list[Trajectory], slack: float = 1e-9) -> No
     seeds = np.array([tr.x0 for tr in trajectories])
     if np.any(np.diff(seeds) <= 0.0):
         raise DomainError("trajectories must be ordered by strictly increasing seed")
-    shared = min(tr.times.size for tr in trajectories)
-    pos = np.vstack([tr.positions[:shared] for tr in trajectories])
-    gaps = np.diff(pos, axis=0)
-    bad = gaps < -slack
-    if not bad.any():
-        return NoncrossingReport(ok=True)
-    pair_idx, time_idx = np.nonzero(bad)
-    j = int(time_idx.min())
-    i = int(pair_idx[time_idx == j].min())
-    return NoncrossingReport(ok=False, time=float(times[j]), pair=(i, i + 1))
+    # the running set changes only where a member stops: one block per stop
+    sizes = np.array([tr.times.size for tr in trajectories])
+    start = 0
+    for stop in np.unique(sizes):
+        running = np.flatnonzero(sizes >= stop)
+        pos = np.vstack([trajectories[i].positions[start:stop] for i in running])
+        pair_idx, time_idx = np.nonzero(np.diff(pos, axis=0) < -slack)
+        if time_idx.size:
+            j = int(time_idx.min())
+            k = int(pair_idx[time_idx == j].min())
+            pair = (int(running[k]), int(running[k + 1]))
+            return NoncrossingReport(ok=False, time=float(times[start + j]), pair=pair)
+        start = stop
+    return NoncrossingReport(ok=True)

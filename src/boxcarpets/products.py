@@ -126,6 +126,7 @@ def _product_sweep(config: RunConfig, out: Path, jobs: int) -> list[Path]:
         samples=config.fit.samples,
         restarts=config.fit.restarts,
         seed=config.fit.seed,
+        renormalize=config.renormalize,
     )
     path = out / "sweep.csv"
     csvio.write_sweep(rows, path, meta=_meta(config))

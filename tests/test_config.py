@@ -1,3 +1,7 @@
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -5,6 +9,49 @@ from hypothesis import given, settings, strategies as st
 import boxcarpets as bc
 from boxcarpets.config import FitSpec, GridSpec, OutputSpec, SweepSpec
 from boxcarpets.errors import ConfigError, DomainError
+
+REFERENCE_TEXT = """\
+[cavity]
+m = 1.0
+hbar = 1.0
+L = 50.0
+
+[signal]
+kind = single
+x0 = 0.0
+w = 10.0
+
+[modes]
+count = 50
+renormalize = false
+
+[deco]
+gamma = 0.12732395447351627
+lambda = formula
+
+[grid]
+x_points = 1001
+t_points = 1001
+tmax_tau = 8.0
+snapshots_tau = 0.0,0.5,1.0,20.0
+
+[ensemble]
+count = 20
+seeding = uniform
+
+[sweep]
+step = 0.5
+
+[fit]
+span_tau = 10.0
+samples = 200
+restarts = 20
+seed = 0
+
+[output]
+dir = out
+quantity = density
+"""
 
 
 def test_empty_text_yields_reference_defaults():
@@ -55,6 +102,24 @@ def test_bad_values_name_the_key():
     assert "lambda" in str(err.value)
     with pytest.raises(ConfigError):
         bc.parse_config("[output]\nproducts = carpet,frieze\n")
+    # non-finite or out-of-range values are configuration errors, not product failures
+    for section, key, value, name in [
+        ("grid", "tmax_tau", "inf", "t_max_tau"),
+        ("grid", "tmax_tau", "nan", "t_max_tau"),
+        ("grid", "snapshots_tau", "0, nan", "snapshots_tau"),
+        ("grid", "snapshots_tau", "0, inf", "snapshots_tau"),
+        ("sweep", "start", "-inf", "start"),
+        ("sweep", "stop", "nan", "stop"),
+        ("sweep", "step", "nan", "step"),
+        ("sweep", "step", "inf", "step"),
+        ("fit", "span_tau", "inf", "span_tau"),
+        ("fit", "seed", "-1", "seed"),
+        ("ensemble", "seeds", "-1, nan", "seeds"),
+        ("ensemble", "seeds", "-1, inf", "seeds"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            bc.parse_config(f"[{section}]\n{key} = {value}\n")
+        assert name in str(err.value), (section, key, value)
 
 
 def test_lambda_forms():
@@ -72,7 +137,16 @@ def test_explicit_seeds():
 
 def test_round_trip_of_defaults():
     config = bc.parse_config("")
+    assert config == bc.RunConfig()
+    # this text goes into every manifest.json
+    assert bc.serialize_config(config) == REFERENCE_TEXT
     assert bc.parse_config(bc.serialize_config(config)) == config
+
+
+def test_readme_example_config_is_the_reference():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    (block,) = re.findall(r"```ini\n(.*?)```", readme, flags=re.S)
+    assert bc.parse_config(block) == bc.parse_config("")
 
 
 @settings(max_examples=25, deadline=None)
@@ -82,15 +156,26 @@ def test_round_trip_of_defaults():
     gamma=st.floats(min_value=0.0, max_value=2.0),
     nx=st.integers(min_value=2, max_value=500),
     products=st.lists(st.sampled_from(["carpet", "purity", "fit"]), unique=True),
+    lam=st.one_of(st.just("formula"), st.floats(min_value=0.0, max_value=1.0)),
+    renormalize=st.booleans(),
+    seeds=st.one_of(st.none(), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4, unique=True)),
+    bounds=st.tuples(st.one_of(st.none(), st.floats(0.0, 5.0)), st.one_of(st.none(), st.floats(5.0, 20.0))),
+    snapshots=st.lists(st.floats(0.0, 30.0), max_size=3),
 )
-def test_round_trip_property(x0, kind, gamma, nx, products):
+def test_round_trip_property(x0, kind, gamma, nx, products, lam, renormalize, seeds, bounds, snapshots):
     if kind == "double" and x0 < 5.0:
         x0 = 5.0
     base = bc.parse_config("")
-    config = bc.apply_overrides(base, x0=x0, kind=kind, gamma=gamma, products=tuple(products))
-    import dataclasses
-
-    config = dataclasses.replace(config, grid=dataclasses.replace(config.grid, x_points=nx))
+    config = bc.apply_overrides(
+        base, x0=x0, kind=kind, gamma=gamma, lam=lam, renormalize=renormalize, products=tuple(products)
+    )
+    ensemble = config.ensemble if seeds is None else bc.EnsembleSpec(seeding="explicit", seeds=tuple(sorted(seeds)))
+    config = dataclasses.replace(
+        config,
+        grid=dataclasses.replace(config.grid, x_points=nx, snapshots_tau=tuple(snapshots)),
+        ensemble=ensemble,
+        sweep=bc.SweepSpec(start=bounds[0], stop=bounds[1]),
+    )
     assert bc.parse_config(bc.serialize_config(config)) == config
 
 
@@ -111,6 +196,14 @@ def test_apply_overrides_validates():
     assert cfg2.deco.gamma == 0.0
     assert cfg2.grid.t_max_tau == 4.0
     assert cfg2.ensemble.count == 12
+    # a bare count replaces an explicit seed list
+    seeded = bc.parse_config("[ensemble]\nseeds = -2.0, 0.5, 3.25\n")
+    assert bc.apply_overrides(seeded, seed_count=5).ensemble == bc.EnsembleSpec(count=5)
+    with pytest.raises(ConfigError) as err:
+        bc.apply_overrides(base, tmax=4.0)
+    assert "tmax" in str(err.value)
+    with pytest.raises(ConfigError):
+        bc.apply_overrides(base, tmax_tau=float("inf"))
 
 
 def test_spec_dataclass_validation():
@@ -118,6 +211,23 @@ def test_spec_dataclass_validation():
         GridSpec(x_points=1)
     with pytest.raises(DomainError):
         GridSpec(t_max_tau=0.0)
+    for bad in [
+        lambda: GridSpec(t_max_tau=np.inf),
+        lambda: GridSpec(t_max_tau=np.nan),
+        lambda: GridSpec(snapshots_tau=(0.0, np.nan)),
+        lambda: GridSpec(snapshots_tau=(np.inf,)),
+        lambda: SweepSpec(step=np.nan),
+        lambda: SweepSpec(step=np.inf),
+        lambda: SweepSpec(start=np.nan),
+        lambda: SweepSpec(stop=np.inf),
+        lambda: FitSpec(span_tau=np.inf),
+        lambda: FitSpec(span_tau=np.nan),
+        lambda: FitSpec(seed=-1),
+        lambda: bc.EnsembleSpec(seeding="explicit", seeds=(0.0, np.nan)),
+        lambda: bc.EnsembleSpec(seeding="explicit", seeds=(0.0, np.inf)),
+    ]:
+        with pytest.raises(DomainError):
+            bad()
     with pytest.raises(DomainError):
         SweepSpec(step=0.0)
     with pytest.raises(DomainError):

@@ -17,6 +17,13 @@ def test_params_validation():
         bc.DecoherenceParams(lambda_mode="auto")
 
 
+def test_density_map_rejects_negative_and_nonfinite_times(state0):
+    x = np.linspace(-5.0, 5.0, 3)
+    for times in ([np.nan], [0.0, np.inf], [-1.0]):
+        with pytest.raises(DomainError):
+            density_map(state0, x, times, gamma=0.1)
+
+
 def test_localization_rate(cfg):
     assert bc.localization_rate(cfg) == pytest.approx(2.0 * np.pi / 125000.0, rel=1e-15)
     p = bc.DecoherenceParams(gamma=0.0, lam=123.0, lambda_mode="formula")

@@ -193,6 +193,16 @@ def test_sweep_shapes_and_trends(cfg):
     assert all(r.t1 < r.t2 < r.t3 for r in ok_rows)
 
 
+def test_sweep_renormalize(cfg):
+    # a w = 2 lobe loses about 3% of its norm to the 50-mode truncation
+    state = bc.decompose(bc.InputSignalSpec("single", 4.0, 2.0), cfg, 50)
+    rows = [bc.sweep_x0("single", [4.0], cfg, w=2.0, samples=50, restarts=2, renormalize=flag)[0]
+            for flag in (False, True)]
+    assert rows[0].chi_inf == bc.purity_asymptote(state)
+    assert rows[1].chi_inf == bc.purity_asymptote(state.renormalized())
+    assert rows[1].chi_inf > rows[0].chi_inf
+
+
 def test_sweep_double_dip(cfg, state0):
     rows = bc.sweep_x0("double", np.array([10.0, 12.5, 15.0]), cfg, restarts=4)
     by_x0 = {r.x0: r for r in rows}

@@ -103,6 +103,13 @@ def test_node_proximity_raises(cfg, rev):
         bc.velocity(state, 0.0, t_node)
 
 
+def test_velocity_map_rejects_negative_and_nonfinite_times(state0, ref_params):
+    x = np.linspace(-5.0, 5.0, 3)
+    for times in ([np.nan], [0.0, np.inf], [-1.0]):
+        with pytest.raises(DomainError):
+            bc.velocity_map(state0, x, times, ref_params)
+
+
 def test_velocity_map_matches_pointwise(state0, rev, ref_params):
     x = np.linspace(-20.0, 20.0, 31)
     times = np.array([0.0, 0.2 * rev.tau, rev.tau])
@@ -221,6 +228,12 @@ def test_noncrossing_compares_truncated_members_on_shared_prefix():
     assert not report.ok
     assert report.time == pytest.approx(0.25)
     assert report.pair == (0, 1)
+    # the full-length members are still compared after the stopped one ends
+    late = bc.Trajectory(x0=1.0, times=times, positions=np.array([1.0, 0.9, 0.8, -0.8, -0.9]))
+    report = bc.noncrossing_check([left, stopped, late])
+    assert not report.ok
+    assert report.time == pytest.approx(0.75)
+    assert report.pair == (0, 2)
 
 
 def test_integrator_guards():

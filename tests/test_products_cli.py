@@ -149,6 +149,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "x0" in capsys.readouterr().err
     assert main(["purity", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["purity", "--x0", "40", "--out", str(tmp_path)]) == 2
+    # non-finite settings stop before any product runs
+    assert main(["carpet", "--tmax", "inf", "--out", str(tmp_path)]) == 2
+    assert main(["purity", "--gamma", "nan", "--out", str(tmp_path)]) == 2
+    bad.write_text("[sweep]\nstep = nan\n")
+    assert main(["sweep", "--config", str(bad), "--out", str(tmp_path)]) == 2
+    assert "step" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_cli_product_failure_exit_code(tmp_path, capsys):
