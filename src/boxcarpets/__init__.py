@@ -72,9 +72,7 @@ from .spectral import (
     Mode,
     SpectralState,
     decompose,
-    decompose_double,
     decompose_numeric,
-    decompose_single,
     eigenenergy,
     eigenmode,
     input_signal,

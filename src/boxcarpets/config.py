@@ -43,7 +43,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Signal-center range for sweeps; bounds default per signal kind."""
+    """Signal-center range for sweeps; unset bounds span the signal's valid centers."""
 
     start: float | None = None
     stop: float | None = None
@@ -57,13 +57,21 @@ class SweepSpec:
             if value is not None and not np.isfinite(value):
                 raise DomainError(f"sweep {name} must be finite, got {value!r}")
 
-    def values(self, kind: str) -> np.ndarray:
-        start = self.start if self.start is not None else (0.0 if kind == "single" else 5.0)
-        stop = self.stop if self.stop is not None else 20.0
+    def values(self, signal: InputSignalSpec | str, cavity: CavityConfig | None = None) -> np.ndarray:
+        """Centers from start to stop in steps, never past stop.
+
+        ``signal`` may be a bare kind, which stands for that kind at the
+        default width; ``cavity`` defaults to the reference box.
+        """
+        if isinstance(signal, str):
+            signal = InputSignalSpec(kind=signal)
+        lo, hi = signal.center_range(cavity or CavityConfig())
+        start = lo if self.start is None else self.start
+        stop = hi if self.stop is None else self.stop
         if stop < start:
             raise DomainError("sweep stop must not precede start")
-        n = int(round((stop - start) / self.step)) + 1
-        return start + self.step * np.arange(n)
+        n = int(np.floor((stop - start) / self.step * (1.0 + 1e-9))) + 1
+        return np.minimum(start + self.step * np.arange(n), stop)
 
 
 @dataclass(frozen=True)
@@ -247,6 +255,9 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"duplicate section [{exc.section}]", line=exc.lineno) from None
     except configparser.Error as exc:
         raise ConfigError(str(exc)) from None
+    # configparser would copy [DEFAULT] keys into every section
+    if parser.defaults():
+        raise ConfigError("unknown section [DEFAULT]")
 
     values = {}
     for section in parser.sections():
@@ -269,11 +280,16 @@ def parse_config_file(path) -> RunConfig:
 
 
 def _text(value) -> str:
-    if isinstance(value, bool):
-        return str(value).lower()
+    # numpy scalars are written as the Python numbers they hold
+    if isinstance(value, (bool, np.bool_)):
+        return str(bool(value)).lower()
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
     if isinstance(value, tuple):
         return ",".join(_text(v) for v in value)
-    return value if isinstance(value, str) else repr(value)
+    return str(value)
 
 
 def serialize_config(config: RunConfig) -> str:
@@ -301,8 +317,9 @@ def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
     if kind != config.signal.kind and "signal.x0" not in values:
         # a bare kind switch keeps x0 only when it stays valid;
         # otherwise fall back to the smallest admissible center
+        switched = replace(config.signal, kind=kind)
         try:
-            replace(config.signal, kind=kind).validate(config.cavity)
+            switched.validate(config.cavity)
         except DomainError:
-            values["signal.x0"] = 0.0 if kind == "single" else config.signal.w / 2.0
+            values["signal.x0"] = switched.center_range(config.cavity)[0]
     return _update(config, values)

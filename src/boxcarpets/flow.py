@@ -196,19 +196,12 @@ def integrate_trajectory(
 ) -> Trajectory:
     """Integrate a single streamline seeded at ``x0`` up to ``t_end``.
 
-    Adaptive Dormand-Prince stepping with per-step relative tolerance
-    ``tol``; the path either reaches ``t_end`` (status 'completed') or is
-    truncated at a node with status 'step-floor-hit'.
+    Any seed inside the box is accepted, also one outside the signal
+    support.  Adaptive Dormand-Prince stepping with per-step relative
+    tolerance ``tol``; the path either reaches ``t_end`` (status
+    'completed') or is truncated at a node with status 'step-floor-hit'.
     """
-    return integrate_ensemble(
-        state,
-        EnsembleSpec(seeding="explicit", seeds=(float(x0),)),
-        t_end,
-        params=params,
-        tol=tol,
-        sample_times=sample_times,
-        _skip_support_check=True,
-    )[0]
+    return _integrate(state, np.array([float(x0)]), t_end, params, tol, sample_times)[0]
 
 
 def integrate_ensemble(
@@ -218,29 +211,29 @@ def integrate_ensemble(
     params: DecoherenceParams | None = None,
     tol: float = 1e-8,
     sample_times: np.ndarray | None = None,
-    _skip_support_check: bool = False,
 ) -> list[Trajectory]:
     """Integrate an ensemble of streamlines on a common sample-time grid.
 
+    Seeds are resolved against the signal support (``ensemble_seeds``).
     Trajectories never interact; they are advanced together with a shared
     adaptive step whose per-step error is bounded by ``tol`` for every
     member individually, and sample times are hit exactly by step clipping.
     Failures are reported per trajectory through its status.
     """
+    if state.signal is not None:
+        seeds = ensemble_seeds(spec, state.signal)
+    elif spec.seeding == "uniform":
+        raise DomainError("uniform seeding requires a state with a known input signal")
+    else:
+        seeds = np.asarray(spec.seeds, dtype=float)
+    return _integrate(state, seeds, t_end, params, tol, sample_times)
+
+
+def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajectory]:
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
     if tol <= 0.0:
         raise DomainError(f"tol must be positive, got {tol!r}")
-
-    if spec.seeding == "uniform" or not _skip_support_check:
-        if state.signal is None:
-            if spec.seeding == "uniform":
-                raise DomainError("uniform seeding requires a state with a known input signal")
-            seeds = np.asarray(spec.seeds, dtype=float)
-        else:
-            seeds = ensemble_seeds(spec, state.signal)
-    else:
-        seeds = np.asarray(spec.seeds, dtype=float)
     _check_positions(seeds, state.cfg)
 
     if sample_times is None:

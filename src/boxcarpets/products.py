@@ -117,7 +117,7 @@ def _product_fit(config: RunConfig, out: Path, jobs: int) -> list[Path]:
 def _product_sweep(config: RunConfig, out: Path, jobs: int) -> list[Path]:
     rows = sweep_x0(
         config.signal.kind,
-        config.sweep.values(config.signal.kind),
+        config.sweep.values(config.signal, config.cavity),
         config.cavity,
         N=config.n_modes,
         gamma=config.deco.gamma,

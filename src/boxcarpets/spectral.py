@@ -6,10 +6,10 @@ with odd alpha are even about the center, modes with even alpha are odd.
 An input signal released inside the cavity is represented by the vector of
 its real projection coefficients onto that basis (a ``SpectralState``).
 
-Two signal families are supported: a single half-cosine lobe of width w
-centered at x0, and the even superposition of such a lobe with its mirror
-image.  Both admit closed-form coefficients; ``decompose_numeric`` provides
-the quadrature route used to cross-check them.
+A signal is a weighted list of half-cosine lobes of width w
+(``InputSignalSpec.lobes``): one lobe centered at x0, or the even mirror
+pair at -x0 and +x0.  ``decompose`` sums one closed form over the lobes;
+``decompose_numeric`` provides the quadrature route used to cross-check it.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ from .quadrature import simpson_weights
 # Relative detuning below which a mode is treated as exactly resonant with
 # the signal wavenumber (removable singularity of the closed forms).
 RESONANCE_RTOL = 1e-9
+
+_SQRT_HALF = np.sqrt(0.5)
 
 
 @dataclass(frozen=True)
@@ -134,10 +136,11 @@ class _ModeBasis:
 
 @dataclass(frozen=True)
 class InputSignalSpec:
-    """Shape of the injected signal: a half-cosine lobe or a mirror pair.
+    """Shape of the injected signal: half-cosine lobes of width w.
 
-    ``single``: one lobe of width w centered at x0.
-    ``double``: the even superposition of lobes centered at +x0 and -x0.
+    ``single``: one lobe centered at x0.
+    ``double``: the even superposition of lobes centered at -x0 and +x0.
+    Everything kind-specific follows from the lobe list ``lobes``.
     """
 
     kind: str = "single"
@@ -157,45 +160,50 @@ class InputSignalSpec:
         """Internal wavenumber of the half-cosine profile, pi / w."""
         return np.pi / self.w
 
-    def validate(self, cfg: CavityConfig) -> None:
-        """Check that the signal fits inside the box without truncation or overlap."""
-        half = cfg.half_width
+    @property
+    def lobes(self) -> tuple[tuple[float, float], ...]:
+        """(center, weight) of each lobe; the weights keep the signal normalized."""
         if self.kind == "single":
-            if abs(self.x0) + self.w / 2.0 > half:
+            return ((self.x0, 1.0),)
+        return ((-self.x0, _SQRT_HALF), (self.x0, _SQRT_HALF))
+
+    def center_range(self, cfg: CavityConfig) -> tuple[float, float]:
+        """Smallest and largest valid nonnegative x0 for this kind and width."""
+        # mirror lobes at -x0 and +x0 sit 2 x0 apart
+        smallest = 0.0 if len(self.lobes) == 1 else self.w / 2.0
+        return smallest, cfg.half_width - self.w / 2.0
+
+    def validate(self, cfg: CavityConfig) -> None:
+        """Check that every lobe fits inside the box and neighbouring lobes do not overlap."""
+        limit = self.center_range(cfg)[1]
+        centers = [c for c, _ in self.lobes]
+        for c in centers:
+            if abs(c) > limit:
                 raise DomainError(
-                    f"single signal truncated by the walls: |x0| + w/2 = "
-                    f"{abs(self.x0) + self.w / 2.0} exceeds L/2 = {half} (x0={self.x0})"
+                    f"{self.kind} signal truncated by the walls: a lobe at {c} needs "
+                    f"|center| <= L/2 - w/2 = {limit} (x0={self.x0})"
                 )
-        else:
-            if self.x0 < self.w / 2.0:
+        for left, right in zip(centers, centers[1:]):
+            if right - left < self.w:
                 raise DomainError(
-                    f"double signal lobes overlap: x0 = {self.x0} is below w/2 = {self.w / 2.0}"
-                )
-            if self.x0 + self.w / 2.0 > half:
-                raise DomainError(
-                    f"double signal truncated by the walls: x0 + w/2 = "
-                    f"{self.x0 + self.w / 2.0} exceeds L/2 = {half} (x0={self.x0})"
+                    f"{self.kind} signal lobes overlap: centers {left} and {right} are closer "
+                    f"than w = {self.w} (x0={self.x0})"
                 )
 
     def support(self) -> tuple[tuple[float, float], ...]:
-        """Intervals where the signal is nonzero, ordered left to right."""
+        """Intervals where the signal is nonzero, one per lobe."""
         h = self.w / 2.0
-        if self.kind == "single":
-            return ((self.x0 - h, self.x0 + h),)
-        return ((-self.x0 - h, -self.x0 + h), (self.x0 - h, self.x0 + h))
+        return tuple((c - h, c + h) for c, _ in self.lobes)
 
 
 def input_signal(spec: InputSignalSpec, x) -> np.ndarray:
     """Sample the signal profile at positions ``x`` (zero outside its support)."""
     xv = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.zeros_like(xv)
-    if spec.kind == "single":
-        centers, amp = (spec.x0,), np.sqrt(2.0 / spec.w)
-    else:
-        centers, amp = (-spec.x0, spec.x0), np.sqrt(1.0 / spec.w)
-    for c in centers:
+    amp = np.sqrt(2.0 / spec.w)
+    for c, weight in spec.lobes:
         mask = np.abs(xv - c) <= spec.w / 2.0
-        out[mask] += amp * np.cos(np.pi * (xv[mask] - c) / spec.w)
+        out[mask] += weight * amp * np.cos(np.pi * (xv[mask] - c) / spec.w)
     return out if np.ndim(x) else float(out)
 
 
@@ -257,66 +265,32 @@ def norm_deficit(state: SpectralState) -> float:
     return max(deficit, 0.0)
 
 
-def decompose_single(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> SpectralState:
-    """Closed-form coefficients of a single half-cosine lobe.
-
-    Modes whose wavenumber matches the lobe wavenumber k0 = pi/w (alpha * w
-    equal to L) take the resonant branch sqrt(w/L) * cos-or-sin(k0 x0); all
-    others use the detuned projection formula.
-    """
-    if spec.kind != "single":
-        raise DomainError(f"decompose_single requires kind='single', got {spec.kind!r}")
-    spec.validate(cfg)
-    N = _check_count(N)
-    coeffs = np.zeros(N)
-    k0 = spec.k0
-    for i, alpha in enumerate(range(1, N + 1)):
-        ka = alpha * np.pi / cfg.L
-        even = alpha % 2 == 1
-        trig = np.cos(ka * spec.x0) if even else np.sin(ka * spec.x0)
-        if _resonant(alpha, spec.w, cfg.L):
-            coeffs[i] = np.sqrt(spec.w / cfg.L) * (np.cos(k0 * spec.x0) if even else np.sin(k0 * spec.x0))
-        else:
-            coeffs[i] = 4.0 / np.sqrt(spec.w * cfg.L) * k0 / (k0**2 - ka**2) * trig * np.cos(ka * spec.w / 2.0)
-    return SpectralState(cfg, coeffs, spec)
-
-
-def decompose_double(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> SpectralState:
-    """Closed-form coefficients of the mirror-pair signal.
-
-    The profile is even about the center, so every odd-parity coefficient
-    vanishes identically; even-parity coefficients carry a sqrt(2) weight
-    relative to the single-lobe case.
-    """
-    if spec.kind != "double":
-        raise DomainError(f"decompose_double requires kind='double', got {spec.kind!r}")
-    spec.validate(cfg)
-    N = _check_count(N)
-    coeffs = np.zeros(N)
-    k0 = spec.k0
-    for i, alpha in enumerate(range(1, N + 1)):
-        if alpha % 2 == 0:
-            continue
-        ka = alpha * np.pi / cfg.L
-        if _resonant(alpha, spec.w, cfg.L):
-            coeffs[i] = np.sqrt(2.0 * spec.w / cfg.L) * np.cos(k0 * spec.x0)
-        else:
-            coeffs[i] = (
-                4.0
-                * np.sqrt(2.0 / (spec.w * cfg.L))
-                * k0
-                / (k0**2 - ka**2)
-                * np.cos(ka * spec.x0)
-                * np.cos(ka * spec.w / 2.0)
-            )
-    return SpectralState(cfg, coeffs, spec)
-
-
 def decompose(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> SpectralState:
-    """Dispatch to the closed-form decomposition matching ``spec.kind``."""
-    if spec.kind == "single":
-        return decompose_single(spec, cfg, N)
-    return decompose_double(spec, cfg, N)
+    """Closed-form coefficients of a signal: the weighted sum of its lobes.
+
+    A lobe centered at c projects onto mode alpha as
+    4 / sqrt(w L) * k0 / (k0^2 - k_alpha^2) * trig(k_alpha c) * cos(k_alpha w / 2),
+    with k0 = pi/w and trig the mode's cos (even parity) or sin (odd parity).
+    Modes resonant with the lobe (alpha * w equal to L) take the limit
+    sqrt(w/L) * trig(k0 c) instead.
+    """
+    spec.validate(cfg)
+    N = _check_count(N)
+    alphas = np.arange(1, N + 1)
+    even = alphas % 2 == 1
+    ka = alphas * np.pi / cfg.L
+    k0 = spec.k0
+    resonant = np.abs(alphas * spec.w - cfg.L) < RESONANCE_RTOL * cfg.L
+    # the resonant entries of the detuned form are discarded; 1 avoids 0/0
+    detuning = np.where(resonant, 1.0, k0**2 - ka**2)
+    terms = []
+    for c, weight in spec.lobes:
+        trig = np.where(even, np.cos(ka * c), np.sin(ka * c))
+        detuned = 4.0 / np.sqrt(spec.w * cfg.L) * k0 / detuning * trig * np.cos(ka * spec.w / 2.0)
+        at_resonance = np.sqrt(spec.w / cfg.L) * np.where(even, np.cos(k0 * c), np.sin(k0 * c))
+        terms.append(weight * np.where(resonant, at_resonance, detuned))
+    # starting from the first term (not from zeros) keeps the sign of -0.0
+    return SpectralState(cfg, sum(terms[1:], terms[0]), spec)
 
 
 def decompose_numeric(x: np.ndarray, signal: np.ndarray, cfg: CavityConfig, N: int = 50) -> SpectralState:
@@ -345,10 +319,6 @@ def oracle_grid(cfg: CavityConfig, points: int = 4001) -> np.ndarray:
     if points < 3:
         raise DomainError("oracle grid needs at least 3 points")
     return np.linspace(-cfg.half_width, cfg.half_width, points)
-
-
-def _resonant(alpha: int, w: float, L: float) -> bool:
-    return abs(alpha * w - L) < RESONANCE_RTOL * L
 
 
 def _check_alpha(alpha) -> int:

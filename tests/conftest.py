@@ -17,18 +17,18 @@ def rev(cfg):
 @pytest.fixture(scope="session")
 def state0(cfg):
     """Center-symmetric single lobe, the reference state."""
-    return bc.decompose_single(bc.InputSignalSpec("single", 0.0, 10.0), cfg, 50)
+    return bc.decompose(bc.InputSignalSpec("single", 0.0, 10.0), cfg, 50)
 
 
 @pytest.fixture(scope="session")
 def state20(cfg):
     """Asymmetric single lobe at x0 = 20."""
-    return bc.decompose_single(bc.InputSignalSpec("single", 20.0, 10.0), cfg, 50)
+    return bc.decompose(bc.InputSignalSpec("single", 20.0, 10.0), cfg, 50)
 
 
 @pytest.fixture(scope="session")
 def double125(cfg):
-    return bc.decompose_double(bc.InputSignalSpec("double", 12.5, 10.0), cfg, 50)
+    return bc.decompose(bc.InputSignalSpec("double", 12.5, 10.0), cfg, 50)
 
 
 @pytest.fixture(scope="session")

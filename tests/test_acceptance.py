@@ -35,9 +35,9 @@ def test_criterion_02_symmetric_revival(cfg, state0, rev, x_grid):
     worst = 0.0
     for state in (
         state0,
-        bc.decompose_double(bc.InputSignalSpec("double", 12.5, 10.0), cfg, 50),
-        bc.decompose_double(bc.InputSignalSpec("double", 18.0, 10.0), cfg, 50),
-        bc.decompose_double(bc.InputSignalSpec("double", 5.0, 10.0), cfg, 50),
+        bc.decompose(bc.InputSignalSpec("double", 12.5, 10.0), cfg, 50),
+        bc.decompose(bc.InputSignalSpec("double", 18.0, 10.0), cfg, 50),
+        bc.decompose(bc.InputSignalSpec("double", 5.0, 10.0), cfg, 50),
     ):
         d0 = bc.probability_density(state, x_grid, 0.0)
         dt = bc.probability_density(state, x_grid, rev.tau)
@@ -61,7 +61,7 @@ def test_criterion_04_coefficient_oracle(cfg):
             analytic = bc.decompose(spec, cfg, 50).coeffs
             oracle = bc.decompose_numeric(grid, bc.input_signal(spec, grid), cfg, 50).coeffs
             worst = max(worst, float(np.max(np.abs(analytic - oracle))))
-    resonant = bc.decompose_single(bc.InputSignalSpec("single", 0.0, 10.0), cfg, 50).coeffs[4]
+    resonant = bc.decompose(bc.InputSignalSpec("single", 0.0, 10.0), cfg, 50).coeffs[4]
     res_ok = abs(resonant - np.sqrt(0.2)) < 1e-12
     report(4, "coefficient-oracle", worst < 1e-8 and res_ok, f"max |analytic - quadrature| {worst:.2e}, c5(0) = {resonant:.6f}")
 
@@ -81,8 +81,8 @@ def test_criterion_06_asymptotic_purity_values(cfg, state0, double125):
     chi_center = bc.purity_asymptote(state0)
     in_band = 0.20 <= chi_center <= 0.25
     match = abs(bc.purity_asymptote(double125) - chi_center)
-    single18 = bc.purity_asymptote(bc.decompose_single(bc.InputSignalSpec("single", 18.0, 10.0), cfg, 50))
-    double18 = bc.purity_asymptote(bc.decompose_double(bc.InputSignalSpec("double", 18.0, 10.0), cfg, 50))
+    single18 = bc.purity_asymptote(bc.decompose(bc.InputSignalSpec("single", 18.0, 10.0), cfg, 50))
+    double18 = bc.purity_asymptote(bc.decompose(bc.InputSignalSpec("double", 18.0, 10.0), cfg, 50))
     ratio = double18 / single18
     ok = in_band and match < 1e-9 and 1.7 <= ratio <= 2.1
     report(6, "asymptotic-purity-values", ok, f"chi_inf(0) = {chi_center:.4f}, |double(12.5) - single(0)| = {match:.1e}, ratio(18) = {ratio:.3f}")

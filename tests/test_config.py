@@ -82,6 +82,10 @@ def test_unknown_keys_and_sections_rejected():
         bc.parse_config("[signal]\ncolor = red\n")
     with pytest.raises(ConfigError):
         bc.parse_config("[paint]\nkind = single\n")
+    # configparser would otherwise copy [DEFAULT] keys into every section
+    with pytest.raises(ConfigError) as err:
+        bc.parse_config("[DEFAULT]\nm = 2\n\n[cavity]\n")
+    assert "[DEFAULT]" in str(err.value)
 
 
 def test_syntax_error_reports_line_number():
@@ -161,13 +165,27 @@ def test_readme_example_config_is_the_reference():
     seeds=st.one_of(st.none(), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4, unique=True)),
     bounds=st.tuples(st.one_of(st.none(), st.floats(0.0, 5.0)), st.one_of(st.none(), st.floats(5.0, 20.0))),
     snapshots=st.lists(st.floats(0.0, 30.0), max_size=3),
+    count=st.integers(min_value=1, max_value=40),
+    numpy_scalars=st.booleans(),
 )
-def test_round_trip_property(x0, kind, gamma, nx, products, lam, renormalize, seeds, bounds, snapshots):
+def test_round_trip_property(
+    x0, kind, gamma, nx, products, lam, renormalize, seeds, bounds, snapshots, count, numpy_scalars
+):
     if kind == "double" and x0 < 5.0:
         x0 = 5.0
+    if numpy_scalars:
+        # numpy scalars are written as the Python numbers they hold
+        x0, gamma, count, renormalize = np.float64(x0), np.float64(gamma), np.int64(count), np.bool_(renormalize)
     base = bc.parse_config("")
     config = bc.apply_overrides(
-        base, x0=x0, kind=kind, gamma=gamma, lam=lam, renormalize=renormalize, products=tuple(products)
+        base,
+        x0=x0,
+        kind=kind,
+        gamma=gamma,
+        lam=lam,
+        renormalize=renormalize,
+        products=tuple(products),
+        seed_count=count,
     )
     ensemble = config.ensemble if seeds is None else bc.EnsembleSpec(seeding="explicit", seeds=tuple(sorted(seeds)))
     config = dataclasses.replace(
@@ -237,3 +255,34 @@ def test_spec_dataclass_validation():
     assert SweepSpec().values("single")[0] == 0.0
     assert SweepSpec().values("double")[0] == 5.0
     assert SweepSpec(start=0.0, stop=20.0, step=0.5).values("single").size == 41
+
+
+@pytest.mark.parametrize(
+    "kind, w, L",
+    [
+        ("single", 10.0, 50.0),
+        ("double", 10.0, 50.0),
+        ("double", 12.0, 50.0),
+        ("single", 2.0, 50.0),
+        ("double", 2.0, 50.0),
+        ("double", 3.7, 37.3),
+        ("single", 0.7, 10.1),
+    ],
+)
+def test_default_sweep_spans_the_valid_centers(kind, w, L):
+    cavity = bc.CavityConfig(L=L)
+    signal = bc.InputSignalSpec(kind, 0.0, w)
+    lo, hi = signal.center_range(cavity)
+    values = SweepSpec().values(signal, cavity)
+    assert values[0] == lo
+    assert 0.0 <= hi - values[-1] < 0.5
+    for x0 in values:
+        dataclasses.replace(signal, x0=float(x0)).validate(cavity)
+
+
+def test_sweep_values_never_pass_stop():
+    assert SweepSpec().values("single").size == 41
+    assert SweepSpec().values("double").size == 31
+    assert list(SweepSpec(start=0.0, stop=0.8, step=0.5).values("single")) == [0.0, 0.5]
+    tenths = SweepSpec(start=0.0, stop=0.3, step=0.1).values("single")
+    assert tenths.size == 4 and tenths[-1] == 0.3

@@ -51,7 +51,7 @@ def test_purity_gamma_time_scale_property(state0, rev):
 def test_offcenter_singles_sit_below_reference(cfg, state0):
     ref = bc.purity_asymptote(state0)
     for x0 in (2.0, 6.0, 12.5, 18.0, 20.0):
-        st = bc.decompose_single(bc.InputSignalSpec("single", x0, 10.0), cfg, 50)
+        st = bc.decompose(bc.InputSignalSpec("single", x0, 10.0), cfg, 50)
         assert bc.purity_asymptote(st) < ref
 
 
@@ -60,8 +60,8 @@ def test_double_at_quarter_box_matches_centered_single(state0, double125):
 
 
 def test_double_roughly_twice_single_at_18(cfg):
-    single = bc.decompose_single(bc.InputSignalSpec("single", 18.0, 10.0), cfg, 50)
-    double = bc.decompose_double(bc.InputSignalSpec("double", 18.0, 10.0), cfg, 50)
+    single = bc.decompose(bc.InputSignalSpec("single", 18.0, 10.0), cfg, 50)
+    double = bc.decompose(bc.InputSignalSpec("double", 18.0, 10.0), cfg, 50)
     ratio = bc.purity_asymptote(double) / bc.purity_asymptote(single)
     assert 1.7 <= ratio <= 2.1
 

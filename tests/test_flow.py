@@ -127,6 +127,14 @@ def test_center_seed_never_moves(state0, rev):
     assert np.all(tr.positions == 0.0)
 
 
+def test_single_seed_may_lie_outside_the_signal_support(state0, rev):
+    # an ensemble draws its seeds from the support [-5, 5]; one streamline may start anywhere
+    tr = bc.integrate_trajectory(state0, 8.0, 0.05 * rev.tau)
+    assert tr.x0 == 8.0 and tr.positions[0] == 8.0
+    with pytest.raises(DomainError):
+        bc.integrate_ensemble(state0, bc.EnsembleSpec(seeding="explicit", seeds=(8.0,)), 0.05 * rev.tau)
+
+
 def test_mirror_seeds_give_mirror_paths(state0, rev):
     spec = bc.EnsembleSpec(seeding="explicit", seeds=(-2.0, 2.0))
     left, right = bc.integrate_ensemble(state0, spec, 0.5 * rev.tau)

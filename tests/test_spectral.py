@@ -76,20 +76,31 @@ def test_center_ground_coefficient_frozen_oracle_value(state0):
 @pytest.mark.parametrize("x0", ORACLE_X0_SINGLE)
 def test_single_matches_oracle(cfg, x0):
     spec = bc.InputSignalSpec("single", x0, 10.0)
-    analytic = bc.decompose_single(spec, cfg, 50).coeffs
+    analytic = bc.decompose(spec, cfg, 50).coeffs
     assert np.max(np.abs(analytic - oracle_coeffs(spec, cfg))) < 1e-8
 
 
 @pytest.mark.parametrize("x0", ORACLE_X0_DOUBLE)
 def test_double_matches_oracle(cfg, x0):
     spec = bc.InputSignalSpec("double", x0, 10.0)
-    analytic = bc.decompose_double(spec, cfg, 50).coeffs
+    analytic = bc.decompose(spec, cfg, 50).coeffs
     assert np.max(np.abs(analytic - oracle_coeffs(spec, cfg))) < 1e-8
+
+
+@pytest.mark.parametrize("N", [50, 800])
+@pytest.mark.parametrize("w, x0", [(10.0, 5.0), (10.0, 12.5), (10.0, 20.0), (2.0, 1.0), (2.0, 7.3), (2.0, 24.0)])
+def test_double_is_the_normalized_sum_of_mirror_lobes(cfg, N, w, x0):
+    # w = 10 puts alpha = 5 on the resonant branch
+    double = bc.decompose(bc.InputSignalSpec("double", x0, w), cfg, N).coeffs
+    plus = bc.decompose(bc.InputSignalSpec("single", x0, w), cfg, N).coeffs
+    minus = bc.decompose(bc.InputSignalSpec("single", -x0, w), cfg, N).coeffs
+    assert np.max(np.abs(double - (plus + minus) / np.sqrt(2.0))) <= 1e-15 * np.max(np.abs(double))
+    assert np.all(double[1::2] == 0.0)
 
 
 def test_double_odd_modes_vanish_identically(cfg):
     for x0 in ORACLE_X0_DOUBLE:
-        state = bc.decompose_double(bc.InputSignalSpec("double", x0, 10.0), cfg, 50)
+        state = bc.decompose(bc.InputSignalSpec("double", x0, 10.0), cfg, 50)
         assert np.all(state.coeffs[1::2] == 0.0)
 
 
@@ -100,11 +111,11 @@ def test_double_half_quarter_magnitudes_match_centered_single(state0, double125)
 def test_double_zero_sets_at_special_centers(cfg):
     # At x0 = L/6 modes 2, 3, 4 drop out (3 through the center cosine); the
     # resonant alpha = 5 coefficient survives.  At x0 = 15 modes 4, 5, 6 drop.
-    sixth = bc.decompose_double(bc.InputSignalSpec("double", 50.0 / 6.0, 10.0), cfg, 50).coeffs
+    sixth = bc.decompose(bc.InputSignalSpec("double", 50.0 / 6.0, 10.0), cfg, 50).coeffs
     assert abs(sixth[1]) == 0.0 and abs(sixth[3]) == 0.0
     assert abs(sixth[2]) < 1e-12
     assert sixth[4] < -0.5
-    fifteen = bc.decompose_double(bc.InputSignalSpec("double", 15.0, 10.0), cfg, 50).coeffs
+    fifteen = bc.decompose(bc.InputSignalSpec("double", 15.0, 10.0), cfg, 50).coeffs
     assert abs(fifteen[3]) == 0.0 and abs(fifteen[5]) == 0.0
     assert abs(fifteen[4]) < 1e-12
 
@@ -117,8 +128,8 @@ def test_mirror_map(steps):
     x0 = steps * 0.05
     if abs(x0) + 5.0 > 25.0:
         x0 = np.sign(x0) * 20.0
-    plus = bc.decompose_single(bc.InputSignalSpec("single", x0, 10.0), cfg, 50).coeffs
-    minus = bc.decompose_single(bc.InputSignalSpec("single", -x0, 10.0), cfg, 50).coeffs
+    plus = bc.decompose(bc.InputSignalSpec("single", x0, 10.0), cfg, 50).coeffs
+    minus = bc.decompose(bc.InputSignalSpec("single", -x0, 10.0), cfg, 50).coeffs
     assert np.allclose(minus[0::2], plus[0::2], atol=1e-15)
     assert np.allclose(minus[1::2], -plus[1::2], atol=1e-15)
 
@@ -136,28 +147,23 @@ def test_oracle_agreement_property(x0_steps, w_steps):
         x0 = np.sign(x0) * (25.0 - w / 2.0)
         x0 = round(x0 / 0.05) * 0.05
     spec = bc.InputSignalSpec("single", x0, w)
-    analytic = bc.decompose_single(spec, cfg, 50).coeffs
+    analytic = bc.decompose(spec, cfg, 50).coeffs
     assert np.max(np.abs(analytic - oracle_coeffs(spec, cfg))) < 1e-8
 
 
 def test_invariant_violations_rejected(cfg):
     with pytest.raises(DomainError):
-        bc.decompose_single(bc.InputSignalSpec("single", 20.5, 10.0), cfg, 50)
+        bc.decompose(bc.InputSignalSpec("single", 20.5, 10.0), cfg, 50)
     with pytest.raises(DomainError):
-        bc.decompose_double(bc.InputSignalSpec("double", 3.0, 10.0), cfg, 50)  # overlap
+        bc.decompose(bc.InputSignalSpec("double", 3.0, 10.0), cfg, 50)  # overlap
     with pytest.raises(DomainError):
-        bc.decompose_double(bc.InputSignalSpec("double", 21.0, 10.0), cfg, 50)  # truncated
+        bc.decompose(bc.InputSignalSpec("double", 21.0, 10.0), cfg, 50)  # truncated
+    with pytest.raises(DomainError):
+        bc.decompose(bc.InputSignalSpec("double", -12.5, 10.0), cfg, 50)  # mirrored lobes swap sides
     with pytest.raises(DomainError):
         bc.InputSignalSpec("triple", 0.0, 10.0)
     with pytest.raises(DomainError):
         bc.InputSignalSpec("single", 0.0, -1.0)
-
-
-def test_kind_dispatch_guard(cfg):
-    with pytest.raises(DomainError):
-        bc.decompose_single(bc.InputSignalSpec("double", 12.5, 10.0), cfg, 50)
-    with pytest.raises(DomainError):
-        bc.decompose_double(bc.InputSignalSpec("single", 0.0, 10.0), cfg, 50)
 
 
 # -- numeric projection ----------------------------------------------------
@@ -192,7 +198,7 @@ def test_norm_deficit_reference(state0):
 
 def test_norm_deficit_decreases_with_truncation_depth(cfg):
     spec = bc.InputSignalSpec("single", 0.0, 10.0)
-    deficits = [bc.norm_deficit(bc.decompose_single(spec, cfg, n)) for n in (1, 5, 25, 50, 200)]
+    deficits = [bc.norm_deficit(bc.decompose(spec, cfg, n)) for n in (1, 5, 25, 50, 200)]
     assert all(a >= b for a, b in zip(deficits, deficits[1:]))
     assert deficits[0] == pytest.approx(1.0 - C1_X0_ZERO**2, abs=1e-9)
 
