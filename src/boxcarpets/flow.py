@@ -26,19 +26,20 @@ from .spectral import InputSignalSpec, SpectralState, _check_positions
 DENSITY_FLOOR = 1e-12
 
 # Dormand-Prince 5(4) pair; the propagated solution is 5th order and the
-# last stage is the first evaluation of the next step (FSAL).
-_RK_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_RK_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_RK_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-_RK_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+# last stage is the first evaluation of the next step (FSAL).  Row 6 of the
+# stage matrix is the 5th-order weight vector, so the last stage input is the
+# new solution; _RK_E weighs all seven slopes for the embedded error.
+_RK_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_RK_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
+])
+_RK_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
 
 
 class _VelocityField:
@@ -61,10 +62,11 @@ class _VelocityField:
         if kernel.gamma == 0.0:
             # a pure state: two mode sums instead of the pair matrix
             u = kernel.c * np.exp(-1j * kernel.Eh * t)
-            psi = phi @ u
-            dpsi = dphi @ u
-            den = psi.real**2 + psi.imag**2
-            num = psi.real * dpsi.imag - psi.imag * dpsi.real
+            ur = u.view(float).reshape(-1, 2)  # (real, imag) columns: no complex cast of phi
+            re, im = (phi @ ur).T
+            dre, dim = (dphi @ ur).T
+            den = re**2 + im**2
+            num = re * dim - im * dre
         else:
             M = kernel(t)
             den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
@@ -232,8 +234,8 @@ def integrate_ensemble(
 def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajectory]:
     if not np.isfinite(t_end) or t_end <= 0.0:
         raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
-    if tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol!r}")
+    if not np.isfinite(tol) or tol <= 0.0:
+        raise DomainError(f"tol must be positive and finite, got {tol!r}")
     _check_positions(seeds, state.cfg)
 
     if sample_times is None:
@@ -241,6 +243,8 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     sample_times = np.asarray(sample_times, dtype=float)
     if sample_times.ndim != 1 or sample_times.size < 1:
         raise DomainError("sample_times must be a non-empty 1-D array")
+    if not np.all(np.isfinite(sample_times)):
+        raise DomainError("sample_times must be finite")
     if np.any(np.diff(sample_times) <= 0.0):
         raise DomainError("sample_times must be strictly increasing")
     if sample_times[0] < 0.0 or sample_times[-1] > t_end * (1 + 1e-12):
@@ -255,7 +259,7 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
         t_end=float(t_end),
         rtol=float(tol),
         atol=float(tol) * 1e-2,
-        max_step=tau / 2000.0,
+        h_start=tau / 16000.0,
         h_floor=tau * 1e-12,
         half_width=state.cfg.half_width,
     )
@@ -271,11 +275,14 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     return trajectories
 
 
-def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, max_step, h_floor, half_width):
+def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floor, half_width):
     """Shared-step adaptive RK45 over a batch of independent scalar ODEs.
 
-    Returns the positions recorded at the sample times (NaN once a component
-    is frozen) and the per-component freeze time (inf when completed).
+    The step is bounded only by the embedded error estimate, the next sample
+    time and ``t_end``; ``h_start`` is the first step and the step after a
+    member is frozen.  Returns the positions recorded at the sample times
+    (NaN once a component is frozen) and the per-component freeze time (inf
+    when completed).
     """
     n = y0.size
     y = y0.astype(float).copy()
@@ -289,12 +296,13 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, max_step, h_flo
         recorded[si] = y
         si += 1
 
-    k1, bad = field(y, t)
+    K = np.empty((7, n))  # stage slopes; row 0 is the FSAL slope at (t, y)
+    K[0], bad = field(y, t)
     if bad.any():
         freeze_time[bad] = t
         active &= ~bad
 
-    h = max_step / 8.0
+    h = h_start
     facold = 1e-4
     growth_cap = 5.0
     steps = 0
@@ -305,7 +313,7 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, max_step, h_flo
         if t_end - t <= 1e-14 * max(t_end, 1.0):
             t = t_end  # remaining gap is roundoff
             continue
-        h = min(h, max_step, t_end - t)
+        h = min(h, t_end - t)
         target = None
         if si < ns and sample_times[si] - t <= h * (1 + 1e-12):
             target = sample_times[si]
@@ -315,30 +323,28 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, max_step, h_flo
                 si += 1
                 continue
 
-        ks = [k1]
         floor_mask = None
         for i in range(1, 7):
-            yi = y + h * sum(a * kk for a, kk in zip(_RK_A[i], ks))
-            vi, bad = field(yi, t + _RK_C[i] * h)
+            yi = y + h * (_RK_A[i, :i] @ K[:i])
+            K[i], bad = field(yi, t + _RK_C[i] * h)
             hit = bad & active
             if hit.any():
                 floor_mask = hit
                 break
-            ks.append(vi)
 
         if floor_mask is not None:
             # node proximity: halve the step; at the floor, truncate the offenders
             if h <= h_floor:
                 freeze_time[floor_mask] = t
                 active &= ~floor_mask
-                h = max_step / 8.0
+                h = h_start
             else:
                 h *= 0.5
             growth_cap = 1.0
             continue
 
-        y5 = y + h * sum(b * kk for b, kk in zip(_RK_B, ks[:6]))
-        err = h * sum(e * kk for e, kk in zip(_RK_E, ks))
+        y5 = yi  # the last stage input is the 5th-order solution
+        err = h * (_RK_E @ K)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
         ratios = np.abs(err) / scale
         enorm = float(ratios[active].max())
@@ -349,9 +355,9 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, max_step, h_flo
             if over.any():
                 # reflect roundoff-level overshoot back inside the box
                 y = np.where(over, np.sign(y) * (2.0 * half_width) - y, y)
-                k1, _ = field(y, target if target is not None else t + h)
+                K[0], _ = field(y, target if target is not None else t + h)
             else:
-                k1 = ks[6]
+                K[0] = K[6]
             t = target if target is not None else t + h
             if target is not None:
                 recorded[si, active] = y[active]
@@ -365,7 +371,7 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, max_step, h_flo
                 drivers = active & (ratios > 1.0)
                 freeze_time[drivers] = t
                 active &= ~drivers
-                h = max_step / 8.0
+                h = h_start
             else:
                 h *= max(0.2, 0.9 * enorm**-0.2)
             growth_cap = 1.0

@@ -3,6 +3,7 @@ import pytest
 
 import boxcarpets as bc
 from boxcarpets.errors import DomainError, NodeProximityError
+from boxcarpets import flow
 from boxcarpets.flow import _integrate_batch
 
 from conftest import make_state
@@ -258,7 +259,7 @@ def test_integrator_guards():
         t_end=3.0,
         rtol=1e-8,
         atol=1e-10,
-        max_step=0.05,
+        h_start=0.05 / 8.0,
         h_floor=1e-9,
         half_width=100.0,
     )
@@ -284,3 +285,57 @@ def test_integrate_inputs_validated(state0):
         bc.integrate_trajectory(state0, 30.0, 1.0)
     with pytest.raises(DomainError):
         bc.integrate_ensemble(state0, bc.EnsembleSpec(count=3), 10.0, sample_times=np.array([0.0, 20.0]))
+    # a NaN tolerance rejects every step and never freezes a member; inf accepts every step
+    for tol in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            bc.integrate_trajectory(state0, 1.0, 1.0, tol=tol)
+    for samples in ([0.0, np.nan, 1.0], [0.0, 0.5, np.nan]):
+        with pytest.raises(DomainError):
+            bc.integrate_trajectory(state0, 1.0, 1.0, sample_times=np.array(samples))
+
+
+@pytest.mark.parametrize("x0", [0.0, 20.0])
+@pytest.mark.parametrize("damped", [True, False], ids=["damped", "coherent"])
+def test_default_tolerance_tracks_a_tight_reference(cfg, rev, x0, damped):
+    # uniform seeds plus seeds near the lobe edges, where the density is small
+    signal = bc.InputSignalSpec("single", x0, 10.0)
+    state = bc.decompose(signal, cfg, 50)
+    ((lo, hi),) = signal.support()
+    edges = [lo + 0.01, lo + 0.1, hi - 0.1, hi - 0.01]
+    seeds = np.union1d(bc.ensemble_seeds(bc.EnsembleSpec(count=12), signal), edges)
+    spec = bc.EnsembleSpec(seeding="explicit", seeds=tuple(seeds))
+    params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA) if damped else None
+    # the coherent field is tolerance-limited, so its reference is the costly one
+    t_end = (2.0 if damped else 0.25) * rev.tau
+    samples = np.linspace(0.0, t_end, 41)
+    runs = [
+        bc.integrate_ensemble(state, spec, t_end, params=params, tol=tol, sample_times=samples)
+        for tol in (1e-8, 1e-11)
+    ]
+    for run in runs:
+        assert all(tr.status == "completed" for tr in run)
+        assert bc.noncrossing_check(run).ok
+    deviation = max(float(np.max(np.abs(a.positions - b.positions))) for a, b in zip(*runs))
+    assert deviation <= (1e-6 if damped else 1e-3)
+
+
+def test_damped_ensemble_work_is_tolerance_bound(monkeypatch):
+    # the damped field is smooth: a step cap, not the error control, would set its work
+    config = bc.parse_config("")
+    state = bc.build_state(config)
+    t_end = config.grid.t_max_tau * bc.revival_times(config.cavity).tau
+    samples = np.linspace(0.0, t_end, config.grid.t_points)
+    calls = 0
+
+    def counting_batch(field, *args, **kwargs):
+        def counted(x, t):
+            nonlocal calls
+            calls += 1
+            return field(x, t)
+
+        return _integrate_batch(counted, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "_integrate_batch", counting_batch)
+    run = bc.integrate_ensemble(state, config.ensemble, t_end, params=config.deco, sample_times=samples)
+    assert len(run) == 20 and all(tr.status == "completed" for tr in run)
+    assert calls < 20_000
