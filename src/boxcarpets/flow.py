@@ -6,10 +6,16 @@ transported.  In one dimension the flow map is order-preserving, so
 trajectories seeded in increasing order must stay ordered (the noncrossing
 rule checked by ``noncrossing_check``).
 
-Near density nodes the field diverges.  The integrator treats a density
-below ``DENSITY_FLOOR`` as a node-proximity signal: the step is rejected
-and halved, and once the step floor is reached the affected trajectory is
-returned truncated with status ``step-floor-hit`` instead of blowing up.
+A coherent (gamma = 0) streamline keeps the probability to its left
+constant, F(x(t), t) = F(x0, 0), and F has a closed form; those paths are
+solved as quantiles of F at each sample time, with no time stepping.
+
+Damped paths are integrated.  Near density nodes the field diverges.  The
+integrator treats a density below ``DENSITY_FLOOR`` as a node-proximity
+signal: the step is rejected and halved, and once the step floor is reached
+the affected trajectory is returned truncated with status ``step-floor-hit``
+instead of blowing up.  In both routes a seed whose density is below the
+floor stops at t = 0 with that status.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ from .evolution import revival_times
 from .spectral import InputSignalSpec, SpectralState, _check_positions
 
 DENSITY_FLOOR = 1e-12
+_QUANTILE_ITERATIONS = 200  # per sample; bisection alone needs ~40 across the box
 
 # Dormand-Prince 5(4) pair; the propagated solution is 5th order and the
 # last stage is the first evaluation of the next step (FSAL).  Row 6 of the
@@ -51,9 +58,7 @@ class _VelocityField:
     """
 
     def __init__(self, state: SpectralState, params: DecoherenceParams | None):
-        self.kernel = _PairKernel(state, params.gamma if params is not None else 0.0)
-        if self.kernel.c.size == 0:
-            raise DomainError("velocity field undefined for a state with no nonzero coefficients")
+        self.kernel = _flow_kernel(state, params.gamma if params is not None else 0.0)
         self.hm = state.cfg.hbar / state.cfg.m
 
     def __call__(self, x: np.ndarray, t: float):
@@ -75,6 +80,53 @@ class _VelocityField:
         v = self.hm * num / np.where(bad, 1.0, den)
         v[bad] = 0.0
         return v, bad
+
+
+def _flow_kernel(state: SpectralState, gamma: float) -> _PairKernel:
+    kernel = _PairKernel(state, gamma)
+    if kernel.c.size == 0:
+        raise DomainError("velocity field undefined for a state with no nonzero coefficients")
+    return kernel
+
+
+class _Cumulative:
+    """Closed-form cumulative probability F(x, t) of a coherent state and its density.
+
+    With y = x + L/2, R = Re M(t) and B_ab = A_ab / k_b, where
+    A_ab = 1/(k_a - k_b) - 1/(k_a + k_b) off the diagonal and 0 on it,
+
+        F = y tr(R) / L - sum_a R_aa phi_a phi'_a / (2 k_a^2) + sum_ab phi_a (R o B)_ab phi'_b
+
+    and dF/dx = rho = phi R phi^T.  At gamma = 0 the diagonal of R is c^2 at
+    every t, so only the off-diagonal part is rebuilt per time.
+    """
+
+    def __init__(self, state: SpectralState):
+        self.kernel = _flow_kernel(state, 0.0)
+        k = self.kernel.basis.k
+        with np.errstate(divide="ignore"):
+            A = 1.0 / (k[:, None] - k[None, :]) - 1.0 / (k[:, None] + k[None, :])
+        np.fill_diagonal(A, 0.0)
+        self.B = A / k[None, :]
+        self.diag = self.kernel.c**2 / (2.0 * k**2)
+        self.total = float(np.sum(self.kernel.c**2))  # tr R, conserved at gamma = 0
+        self.half_width = state.cfg.half_width
+        self._t = None
+
+    def __call__(self, x: np.ndarray, t: float):
+        if t != self._t:
+            R = self.kernel(t).real
+            # one product gives both reductions: [R | R o B]
+            self._RB = np.hstack([R, R * self.B])
+            self._t = t
+        phi, dphi = self.kernel.basis(x)
+        n = self.diag.size
+        P = phi @ self._RB
+        rho = (P[:, :n] * phi).sum(axis=1)
+        y = x + self.half_width
+        F = y * (self.total / (2.0 * self.half_width)) - (phi * dphi) @ self.diag
+        F += (P[:, n:] * dphi).sum(axis=1)
+        return F, rho
 
 
 def velocity(state: SpectralState, x, t: float, params: DecoherenceParams | None = None):
@@ -126,6 +178,8 @@ class Trajectory:
         p = np.asarray(self.positions, dtype=float)
         if t.shape != p.shape or t.ndim != 1:
             raise DomainError("trajectory times and positions must be matching 1-D arrays")
+        if not (np.isfinite(self.x0) and np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
+            raise DomainError("trajectory seed, times and positions must be finite")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise DomainError("trajectory times must be strictly increasing")
         if self.status not in ("completed", "step-floor-hit"):
@@ -161,6 +215,9 @@ class EnsembleSpec:
         else:
             if self.seeds is not None:
                 raise DomainError("uniform seeding does not take an explicit seed list")
+            if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
+                raise DomainError(f"ensemble count must be an integer, got {self.count!r}")
+            object.__setattr__(self, "count", int(self.count))
             if self.count < 1:
                 raise DomainError(f"ensemble count must be >= 1, got {self.count}")
 
@@ -199,9 +256,13 @@ def integrate_trajectory(
     """Integrate a single streamline seeded at ``x0`` up to ``t_end``.
 
     Any seed inside the box is accepted, also one outside the signal
-    support.  Adaptive Dormand-Prince stepping with per-step relative
-    tolerance ``tol``; the path either reaches ``t_end`` (status
-    'completed') or is truncated at a node with status 'step-floor-hit'.
+    support.  At gamma = 0 the path is the quantile of the closed-form
+    cumulative probability at each sample time, solved to the position
+    tolerance ``tol * 1e-2``; for gamma > 0 it comes from adaptive
+    Dormand-Prince stepping with per-step relative tolerance ``tol``.  The
+    path either reaches ``t_end`` (status 'completed') or is truncated at a
+    node with status 'step-floor-hit'; at gamma = 0 only a seed on a node
+    (density below ``DENSITY_FLOOR``) is, at t = 0.
     """
     return _integrate(state, np.array([float(x0)]), t_end, params, tol, sample_times)[0]
 
@@ -217,10 +278,13 @@ def integrate_ensemble(
     """Integrate an ensemble of streamlines on a common sample-time grid.
 
     Seeds are resolved against the signal support (``ensemble_seeds``).
-    Trajectories never interact; they are advanced together with a shared
-    adaptive step whose per-step error is bounded by ``tol`` for every
-    member individually, and sample times are hit exactly by step clipping.
-    Failures are reported per trajectory through its status.
+    Trajectories never interact.  At gamma = 0 every member is solved at
+    each sample time from the conservation of the probability to its left
+    (see ``integrate_trajectory``), with no time stepping.  For gamma > 0
+    they are advanced together with a shared adaptive step whose per-step
+    error is bounded by ``tol`` for every member individually, and sample
+    times are hit exactly by step clipping.  Failures are reported per
+    trajectory through its status.
     """
     if state.signal is not None:
         seeds = ensemble_seeds(spec, state.signal)
@@ -250,19 +314,22 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     if sample_times[0] < 0.0 or sample_times[-1] > t_end * (1 + 1e-12):
         raise DomainError("sample_times must lie within [0, t_end]")
 
-    tau = revival_times(state.cfg).tau
-    field = _VelocityField(state, params)
-    recorded, freeze_time = _integrate_batch(
-        field,
-        seeds,
-        sample_times,
-        t_end=float(t_end),
-        rtol=float(tol),
-        atol=float(tol) * 1e-2,
-        h_start=tau / 16000.0,
-        h_floor=tau * 1e-12,
-        half_width=state.cfg.half_width,
-    )
+    if params is None or params.gamma == 0.0:
+        xtol = float(tol) * 1e-2
+        recorded, freeze_time = _quantile_batch(_Cumulative(state), seeds, sample_times, xtol)
+    else:
+        tau = revival_times(state.cfg).tau
+        recorded, freeze_time = _integrate_batch(
+            _VelocityField(state, params),
+            seeds,
+            sample_times,
+            t_end=float(t_end),
+            rtol=float(tol),
+            atol=float(tol) * 1e-2,
+            h_start=tau / 16000.0,
+            h_floor=tau * 1e-12,
+            half_width=state.cfg.half_width,
+        )
 
     trajectories = []
     for i, seed in enumerate(seeds):
@@ -273,6 +340,69 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
             Trajectory(x0=float(seed), times=sample_times[mask], positions=col[mask], status=status)
         )
     return trajectories
+
+
+def _quantile_batch(cumulative, x0, sample_times, xtol):
+    """Coherent streamlines as quantiles: solve F(x, t_j) = F(x0, 0) per sample time.
+
+    Same return pair as ``_integrate_batch``.  A seed whose density is below
+    the node floor stops at t = 0; every other member completes.
+    """
+    n = x0.size
+    recorded = np.full((sample_times.size, n), np.nan)
+    freeze_time = np.full(n, np.inf)
+    target, rho0 = cumulative(x0, 0.0)
+    live = rho0 >= DENSITY_FLOOR
+    freeze_time[~live] = 0.0
+    x, target = x0[live], target[live]
+    for j, t in enumerate(sample_times):
+        if t <= 0.0:
+            recorded[j] = x0
+            continue
+        if x.size:
+            x = _solve_quantile(cumulative, x, target, float(t), xtol)
+        recorded[j, live] = x
+    return recorded, freeze_time
+
+
+def _solve_quantile(cumulative, x, target, t, xtol):
+    """Vectorized safeguarded Newton for F(x, t) = target, warm-started at ``x``.
+
+    F increases with x (dF/dx = rho >= 0), so the sign of each residual
+    shrinks a per-member bracket that starts as the whole box.  A member
+    stops when its residual is at F's roundoff floor (x kept), when its
+    Newton step is at most ``xtol`` (step taken, before the bracket test, so
+    that a converged step rounding onto a bracket end is not undone), or
+    when its bracket is narrower than ``xtol``.  A Newton step that leaves
+    the bracket is replaced by bisection.
+    """
+    hw = cumulative.half_width
+    x = x.copy()
+    lo = np.full(x.size, -hw)
+    hi = np.full(x.size, hw)
+    # roundoff of F grows with the y tr(R) / L term
+    floor_scale = 4.0 * np.finfo(float).eps * cumulative.total / (2.0 * hw)
+    todo = np.arange(x.size)
+    for _ in range(_QUANTILE_ITERATIONS):
+        xi = x[todo]
+        F, rho = cumulative(xi, t)
+        r = F - target[todo]
+        lo_i = np.where(r < 0.0, xi, lo[todo])
+        hi_i = np.where(r > 0.0, xi, hi[todo])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            dx = np.where(rho > 0.0, -r / rho, np.inf)
+        at_floor = np.abs(r) <= floor_scale * (xi + hw)
+        converged = ~at_floor & (np.abs(dx) <= xtol)
+        newton = xi + dx
+        inside = (newton > lo_i) & (newton < hi_i)
+        narrow = ~at_floor & ~converged & (hi_i - lo_i <= xtol)
+        xn = np.where(inside | converged, newton, 0.5 * (lo_i + hi_i))
+        xn = np.where(at_floor, xi, np.clip(xn, -hw, hw))
+        x[todo], lo[todo], hi[todo] = xn, lo_i, hi_i
+        todo = todo[~(at_floor | converged | narrow)]
+        if todo.size == 0:
+            return x
+    raise CarpetError("quantile solve did not converge (iteration budget exhausted)")
 
 
 def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floor, half_width):

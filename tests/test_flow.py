@@ -157,6 +157,11 @@ def test_uniform_seeding_layout(state0, double125):
 def test_seeding_validation(state0):
     with pytest.raises(DomainError):
         bc.EnsembleSpec(count=0)
+    # a fractional count would place a seed on a lobe edge or a lobe centre
+    for count in (2.5, 3.7, 3.0, True, "3"):
+        with pytest.raises(DomainError):
+            bc.EnsembleSpec(count=count)
+    assert bc.EnsembleSpec(count=np.int64(3)).count == 3
     with pytest.raises(DomainError):
         bc.EnsembleSpec(seeding="explicit", seeds=(2.0, 1.0))
     with pytest.raises(DomainError):
@@ -274,6 +279,18 @@ def test_trajectory_validation():
         bc.Trajectory(x0=0.0, times=np.array([0.0, 0.0]), positions=np.array([0.0, 0.0]))
     with pytest.raises(DomainError):
         bc.Trajectory(x0=0.0, times=np.array([0.0, 1.0]), positions=np.array([0.0, 0.0]), status="lost")
+    times = np.array([0.0, 1.0])
+    for x0, t, p in [
+        (np.nan, times, np.array([0.0, 0.0])),
+        (np.inf, times, np.array([0.0, 0.0])),
+        (0.0, times, np.array([0.0, np.nan])),
+        (0.0, times, np.array([-np.inf, 0.0])),
+        (0.0, np.array([np.nan]), np.array([0.0])),
+        (0.0, np.array([0.0, np.inf]), np.array([0.0, 0.0])),
+    ]:
+        # a NaN member would pass the ordering check against any neighbour
+        with pytest.raises(DomainError):
+            bc.Trajectory(x0=x0, times=t, positions=p)
 
 
 def test_integrate_inputs_validated(state0):
@@ -339,3 +356,74 @@ def test_damped_ensemble_work_is_tolerance_bound(monkeypatch):
     run = bc.integrate_ensemble(state, config.ensemble, t_end, params=config.deco, sample_times=samples)
     assert len(run) == 20 and all(tr.status == "completed" for tr in run)
     assert calls < 20_000
+
+
+@pytest.mark.parametrize("kind, x0", [("single", 0.0), ("single", 20.0), ("double", 12.5)])
+def test_coherent_quantiles_match_the_ode_oracle(cfg, rev, kind, x0):
+    # uniform seeds plus seeds 0.01 and 0.1 inside each lobe edge, where the density is small
+    signal = bc.InputSignalSpec(kind, x0, 10.0)
+    state = bc.decompose(signal, cfg, 50)
+    edges = [e for lo, hi in signal.support() for e in (lo + 0.01, lo + 0.1, hi - 0.1, hi - 0.01)]
+    seeds = np.union1d(bc.ensemble_seeds(bc.EnsembleSpec(count=12), signal), edges)
+    spec = bc.EnsembleSpec(seeding="explicit", seeds=tuple(seeds))
+    t_end = 0.2 * rev.tau  # the oracle's cost sets the horizon
+    samples = np.linspace(0.0, t_end, 41)
+    run = bc.integrate_ensemble(state, spec, t_end, sample_times=samples)
+    assert all(tr.status == "completed" for tr in run)
+    assert bc.noncrossing_check(run).ok
+    reference, freeze = _integrate_batch(
+        flow._VelocityField(state, None),
+        seeds,
+        samples,
+        t_end=t_end,
+        rtol=1e-12,
+        atol=1e-14,
+        h_start=rev.tau / 16000.0,
+        h_floor=rev.tau * 1e-12,
+        half_width=cfg.half_width,
+    )
+    assert np.all(np.isinf(freeze))
+    positions = np.array([tr.positions for tr in run]).T
+    assert float(np.max(np.abs(positions - reference))) <= 1e-8
+    # mirror-symmetric states: mirror seeds give mirror paths
+    if kind == "double" or x0 == 0.0:
+        assert np.allclose(positions, -positions[:, ::-1], atol=1e-9)
+
+
+def test_coherent_ensemble_work_is_sample_bound(monkeypatch):
+    # the quantile solve has no time steps: its work is a few evaluations per sample
+    config = bc.parse_config("")
+    state = bc.build_state(config)
+    t_end = config.grid.t_max_tau * bc.revival_times(config.cavity).tau
+    samples = np.linspace(0.0, t_end, config.grid.t_points)
+    calls = 0
+    evaluate = flow._Cumulative.__call__
+
+    def counted(self, x, t):
+        nonlocal calls
+        calls += 1
+        return evaluate(self, x, t)
+
+    monkeypatch.setattr(flow._Cumulative, "__call__", counted)
+    run = bc.integrate_ensemble(state, config.ensemble, t_end, sample_times=samples)
+    assert len(run) == 20 and all(tr.status == "completed" for tr in run)
+    assert calls < 15_000
+
+
+def test_coherent_members_at_nodes(cfg, rev):
+    # a seed on a permanent node (pure mode 2 at x = 0) stops at t = 0
+    state = make_state(cfg, [0.0, 1.0])
+    tr = bc.integrate_trajectory(state, 0.0, rev.tau)
+    assert tr.status == "step-floor-hit"
+    assert tr.times.tolist() == [0.0] and tr.positions.tolist() == [0.0]
+    assert bc.integrate_trajectory(state, 3.0, rev.tau).status == "completed"
+    # equal-weight modes 1 and 3: the density at x = 0 vanishes at t = pi / omega_13,
+    # and the member there passes through that instantaneous node
+    state = make_state(cfg, [np.sqrt(0.5), 0.0, np.sqrt(0.5)])
+    t_node = np.pi / bc.frequency(1, 3, cfg)
+    samples = np.linspace(0.0, 2.0 * t_node, 9)
+    assert bc.probability_density(state, 0.0, samples[4]) < flow.DENSITY_FLOOR
+    tr = bc.integrate_trajectory(state, 0.0, 2.0 * t_node, sample_times=samples)
+    assert tr.status == "completed"
+    assert np.array_equal(tr.times, samples)
+    assert np.all(tr.positions == 0.0)
