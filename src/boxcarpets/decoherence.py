@@ -65,8 +65,12 @@ def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityCon
     """Coherence decay rate of the (alpha, alpha') pair, gamma * |E' - E| / hbar."""
     a = _check_alpha(alpha)
     b = _check_alpha(alpha_prime)
-    scale = cfg.hbar * np.pi**2 / (2.0 * cfg.m * cfg.L**2)
-    return params.gamma * scale * abs(b**2 - a**2)
+    return params.gamma * _beat_unit(cfg) * abs(b**2 - a**2)
+
+
+def _beat_unit(cfg: CavityConfig) -> float:
+    """(E_alpha' - E_alpha) / hbar per unit of alpha'^2 - alpha^2."""
+    return cfg.hbar * np.pi**2 / (2.0 * cfg.m * cfg.L**2)
 
 
 def damping_factor(
@@ -128,25 +132,121 @@ class _PairKernel:
         return M
 
 
+# exp(-x) is exactly 0.0 in double precision for every x above this
+_EXP_UNDERFLOW = 750.0
+
+
+class _BeatSeries:
+    """The pair matrix of one state folded onto its beat wavenumbers.
+
+    With theta = pi (x + L/2) / L every mode is
+    phi_a = s_a sqrt(2/L) sin(alpha_a theta), s_a = (-1)^floor(alpha_a / 2),
+    so products of two modes are cosines of the beat wavenumbers
+    n = alpha_b -+ alpha_a, and
+
+        rho = sum_n C_n(t) cos(n theta),   sum_ab phi'_a Im M_ab phi_b = sum_n S_n(t) sin(n theta)
+
+    for n = 0 .. 2 alpha_max.  Each support pair a < b, with
+    w = (2/L) s_a s_b c_a c_b and the damped phase q = exp(-gamma omega t)
+    (cos omega t, sin omega t), omega = (E_b - E_a) / hbar, adds w q_cos to
+    C at alpha_b - alpha_a, subtracts it at alpha_a + alpha_b, and adds
+    w q_sin (k_a + k_b) / 2 to S at alpha_b - alpha_a and w q_sin (k_a - k_b) / 2
+    at alpha_a + alpha_b; the populations add c_a^2 / L to C_0 and
+    subtract it at 2 alpha_a.  A row costs one fold over the pairs plus one
+    product with a table built once per grid (``tables``).
+
+    The pairs are sorted by omega, so the ones whose damping underflows to
+    exactly zero form a tail that is skipped without changing a bit.
+    """
+
+    def __init__(self, state: SpectralState, gamma: float):
+        cfg = state.cfg
+        alpha = state.alphas[state.coeffs != 0.0]
+        c = state.coeffs[alpha - 1]
+        sc = np.where(alpha // 2 % 2 == 0, c, -c)
+        a, b = np.triu_indices(alpha.size, 1)
+        beat = alpha[b] ** 2 - alpha[a] ** 2
+        order = np.argsort(beat, kind="stable")
+        a, b = a[order], b[order]
+        self.omega = _beat_unit(cfg) * beat[order]
+        self.minus = alpha[b] - alpha[a]
+        self.plus = alpha[a] + alpha[b]
+        self.w = (2.0 / cfg.L) * sc[a] * sc[b]
+        self.size = 2 * int(alpha.max(initial=0)) + 1
+        self.base = np.zeros(self.size)
+        self.base[0] = np.sum(c**2) / cfg.L
+        self.base[2 * alpha] = -(c**2) / cfg.L
+        self.gamma = gamma
+        self.half_width = cfg.half_width
+
+    def coefficients(self, t: float, flux: bool = False):
+        """C(t), and with ``flux`` also S(t), each of length ``size``."""
+        p = self.omega.size
+        damped = self.gamma > 0.0 and t > 0.0
+        if damped:
+            p = int(np.searchsorted(self.omega, _EXP_UNDERFLOW / (self.gamma * t), side="right"))
+        omega, minus, plus, w = self.omega[:p], self.minus[:p], self.plus[:p], self.w[:p]
+        if damped:
+            w = w * np.exp((-self.gamma * t) * omega)
+        phase = omega * t
+        q = np.cos(phase) * w
+        C = self.base + np.bincount(minus, q, self.size) - np.bincount(plus, q, self.size)
+        if not flux:
+            return C
+        q = np.sin(phase) * w
+        # (k_a + k_b) / 2 = half_k (alpha_a + alpha_b), (k_a - k_b) / 2 = -half_k (alpha_b - alpha_a)
+        half_k = np.pi / (4.0 * self.half_width)
+        S = half_k * (np.bincount(minus, q * plus, self.size) - np.bincount(plus, q * minus, self.size))
+        return C, S
+
+    def tables(self, x: np.ndarray, flux: bool = False):
+        """Tables of shape (size, len(x)): rho = C @ table, and with ``flux``
+        the flux numerator is S @ sine.
+
+        Each point is evaluated from its nearer wall, where the carpet has a
+        node.  Left of the center rho = -2 sum_n C_n sin^2(n theta / 2),
+        since sum_n C_n = 0.  Right of it, with theta_w = pi (L/2 - x) / L,
+        cos(n theta) = (-1)^n cos(n theta_w), sum_n (-1)^n C_n = 0 and
+        sin(n theta) = -(-1)^n sin(n theta_w).  So the density and flux
+        near a wall are sums of small terms, not cancellations of order-one
+        ones.
+        """
+        right = x > 0.0
+        half = np.where(right, self.half_width - x, x + self.half_width) * (np.pi / (4.0 * self.half_width))
+        n = np.arange(self.size, dtype=float)[:, None]
+        table = np.empty((self.size, x.size))
+        np.multiply(n, half, out=table)
+        np.sin(table, out=table)
+        np.square(table, out=table)
+        table *= -2.0
+        odd = table[1::2]
+        np.negative(odd, out=odd, where=right)
+        if not flux:
+            return table
+        sine = np.empty((self.size, x.size))
+        np.multiply(n, 2.0 * half, out=sine)
+        np.sin(sine, out=sine)
+        even = sine[0::2]
+        np.negative(even, out=even, where=right)
+        return table, sine
+
+
 def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: float = 0.0) -> np.ndarray:
     """Damped pair-sum density on the (t, x) grid; row j holds the profile at times[j].
 
-    Sums populations plus all pairwise coherence terms; the spatial damping
-    rate never enters because the density lives on the x = x' diagonal.
+    Sums populations plus all pairwise coherence terms, folded onto the
+    beat wavenumbers (``_BeatSeries``); the spatial damping rate never
+    enters because the density lives on the x = x' diagonal.
     """
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & np.isfinite(times)):
         raise DomainError("times must be nonnegative and finite")
-    kernel = _PairKernel(state, gamma)
+    series = _BeatSeries(state, gamma)
+    table = series.tables(xv)
     out = np.empty((times.size, xv.size))
-    if kernel.c.size == 0:
-        out.fill(0.0)
-        return out
-    phi, _ = kernel.basis(xv)
     for j, t in enumerate(times):
-        C = np.ascontiguousarray(kernel(float(t)).real)
-        out[j] = ((phi @ C) * phi).sum(axis=1)
+        out[j] = series.coefficients(float(t)) @ table
     return _clamp_density(out)
 
 

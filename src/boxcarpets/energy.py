@@ -158,8 +158,14 @@ def fit_purity(curve: PurityCurve, restarts: int = DEFAULT_FIT_RESTARTS, seed: i
         coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
         return coef, design @ coef - vals
 
+    def timescales(theta):
+        # a log-timescale past ~709 overflows to an infinite timescale, whose
+        # design column is the constant one: no warning, same values
+        with np.errstate(over="ignore"):
+            return np.exp(theta)
+
     def residual(theta):
-        return solve_amplitudes(np.exp(theta))[1]
+        return solve_amplitudes(timescales(theta))[1]
 
     rng = np.random.default_rng(seed)
     base = np.log(np.geomspace(span / 100.0, span, 3))
@@ -172,7 +178,7 @@ def fit_purity(curve: PurityCurve, restarts: int = DEFAULT_FIT_RESTARTS, seed: i
             continue
         rms = float(np.sqrt(np.mean(sol.fun**2)))
         if best is None or rms < best[0]:
-            best = (rms, np.exp(sol.x))
+            best = (rms, timescales(sol.x))
 
     if best is None:
         raise FitFailure("no restart converged")

@@ -74,6 +74,8 @@ class SpaceTimeGrid:
         tv = np.asarray(self.t, dtype=float)
         if xv.ndim != 1 or tv.ndim != 1 or xv.size < 1 or tv.size < 1:
             raise DomainError("grid axes must be non-empty 1-D arrays")
+        if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(tv))):
+            raise DomainError("grid axes must be finite")
         if np.any(np.diff(xv) <= 0.0) or np.any(np.diff(tv) <= 0.0):
             raise DomainError("grid axes must be strictly increasing")
         if tv[0] < 0.0:
@@ -85,8 +87,8 @@ class SpaceTimeGrid:
 
     @classmethod
     def regular(cls, cfg: CavityConfig, nx: int, nt: int, t_max: float) -> "SpaceTimeGrid":
-        if nx < 1 or nt < 1 or t_max < 0.0:
-            raise DomainError("grid needs nx >= 1, nt >= 1 and t_max >= 0")
+        if nx < 1 or nt < 1 or not 0.0 <= t_max < np.inf:
+            raise DomainError("grid needs nx >= 1, nt >= 1 and a finite t_max >= 0")
         x = np.linspace(-cfg.half_width, cfg.half_width, nx)
         t = np.linspace(0.0, t_max, nt)
         return cls(x=x, t=t)
@@ -106,6 +108,8 @@ class CarpetGrid:
             raise DomainError("carpet values must have shape (len(t), len(x))")
         if self.quantity not in ("density", "velocity"):
             raise DomainError(f"quantity must be 'density' or 'velocity', got {self.quantity!r}")
+        if not np.all(np.isfinite(v)):
+            raise DomainError("carpet values must be finite")
         if self.quantity == "density" and v.size and v.min() < 0.0:
             raise DomainError("density carpet values must be nonnegative")
         v.setflags(write=False)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _PairKernel
+from .decoherence import DecoherenceParams, _BeatSeries, _PairKernel
 from .errors import CarpetError, DomainError, NodeProximityError
 from .evolution import revival_times
 from .spectral import InputSignalSpec, SpectralState, _check_positions
@@ -62,8 +62,11 @@ class _VelocityField:
         self.hm = state.cfg.hbar / state.cfg.m
 
     def __call__(self, x: np.ndarray, t: float):
+        return self.at(*self.kernel.basis(x), t)
+
+    def at(self, phi: np.ndarray, dphi: np.ndarray, t: float):
+        """The field from the support modes and slopes already evaluated at the points."""
         kernel = self.kernel
-        phi, dphi = kernel.basis(x)
         if kernel.gamma == 0.0:
             # a pure state: two mode sums instead of the pair matrix
             u = kernel.c * np.exp(-1j * kernel.Eh * t)
@@ -76,17 +79,25 @@ class _VelocityField:
             M = kernel(t)
             den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
             num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
-        bad = den < DENSITY_FLOOR
-        v = self.hm * num / np.where(bad, 1.0, den)
-        v[bad] = 0.0
-        return v, bad
+        return _flux_ratio(self.hm, num, den)
+
+
+def _flux_ratio(hm: float, num: np.ndarray, den: np.ndarray):
+    """Velocity hbar/m * num / den, and the mask of node-floor points where it is set to 0."""
+    bad = den < DENSITY_FLOOR
+    v = hm * num / np.where(bad, 1.0, den)
+    v[bad] = 0.0
+    return v, bad
 
 
 def _flow_kernel(state: SpectralState, gamma: float) -> _PairKernel:
-    kernel = _PairKernel(state, gamma)
-    if kernel.c.size == 0:
+    _require_support(state)
+    return _PairKernel(state, gamma)
+
+
+def _require_support(state: SpectralState) -> None:
+    if not np.any(state.coeffs):
         raise DomainError("velocity field undefined for a state with no nonzero coefficients")
-    return kernel
 
 
 class _Cumulative:
@@ -152,15 +163,32 @@ def velocity(state: SpectralState, x, t: float, params: DecoherenceParams | None
 def velocity_map(
     state: SpectralState, x: np.ndarray, times: np.ndarray, params: DecoherenceParams | None = None
 ) -> np.ndarray:
-    """Velocity on the (t, x) grid; node-floor positions are set to zero."""
+    """Velocity on the (t, x) grid; node-floor positions are set to zero.
+
+    At gamma = 0 each row is the two mode sums of ``velocity``, from one
+    evaluation of the basis: |psi|^2 keeps its relative accuracy where the
+    density is small.  Damped rows are beat-wavenumber series
+    (``_BeatSeries``).
+    """
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & np.isfinite(times)):
         raise DomainError("times must be nonnegative and finite")
-    field = _VelocityField(state, params)
     out = np.empty((times.size, xv.size))
+    gamma = params.gamma if params is not None else 0.0
+    if gamma == 0.0:
+        field = _VelocityField(state, params)
+        phi, dphi = field.kernel.basis(xv)
+        for j, t in enumerate(times):
+            out[j], _ = field.at(phi, dphi, float(t))
+        return out
+    _require_support(state)
+    series = _BeatSeries(state, gamma)
+    table, sine = series.tables(xv, flux=True)
+    hm = state.cfg.hbar / state.cfg.m
     for j, t in enumerate(times):
-        out[j], _ = field(xv, float(t))
+        C, S = series.coefficients(float(t), flux=True)
+        out[j], _ = _flux_ratio(hm, S @ sine, C @ table)
     return out
 
 

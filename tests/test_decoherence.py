@@ -212,3 +212,49 @@ def test_pair_kernel_matches_double_loop(request, cfg, rev, which, gamma, t_tau)
     got = bc.velocity(state, x[mask], t, params)
     # absolute roundoff in the flux and density sums grows by 1 / density in their ratio
     assert np.all(np.abs(got - vel[mask]) <= 1e-14 * (1.0 + np.abs(vel[mask])) / den[mask])
+
+
+# -- carpets against a long-double pair sum ------------------------------------
+
+
+def _long_double_density_and_velocity(state, x, t, gamma):
+    """Density and velocity as plain pair sums in extended precision."""
+    cfg = state.cfg
+    ld = np.longdouble
+    L, hbar, m = ld(cfg.L), ld(cfg.hbar), ld(cfg.m)
+    support = state.coeffs != 0.0
+    alpha = state.alphas[support]
+    c = state.coeffs[support].astype(ld)
+    k = alpha.astype(ld) * (np.arccos(ld(-1)) / L)
+    arg = (x.astype(ld) + L / 2)[:, None] * k
+    sign = np.where(alpha // 2 % 2 == 0, ld(1), ld(-1))
+    phi = np.sqrt(2 / L) * sign * np.sin(arg)
+    dphi = np.sqrt(2 / L) * sign * k * np.cos(arg)
+    dE = (hbar / (2 * m)) * (k[:, None] ** 2 - k[None, :] ** 2)
+    W = np.outer(c, c) * np.exp(-ld(gamma) * ld(t) * np.abs(dE))
+    den = np.einsum("xa,ab,xb->x", phi, W * np.cos(dE * ld(t)), phi)
+    num = np.einsum("xa,ab,xb->x", dphi, -W * np.sin(dE * ld(t)), phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vel = (hbar / m) * num / den
+    return den.astype(float), vel.astype(float)
+
+
+@pytest.mark.parametrize("gamma", [0.0, bc.DEFAULT_GAMMA, 0.3])
+@pytest.mark.parametrize("which", ["mixed", "state0", "state20", "double125"])
+def test_carpets_match_long_double_pair_sum(request, cfg, rev, which, gamma):
+    if which == "mixed":
+        state = make_state(cfg, [0.7, 0.5, 0.0, 0.3, 0.4])
+    else:
+        state = request.getfixturevalue(which)
+    # the walls, points just inside them and the center, where both halves meet
+    x = np.unique(np.concatenate([np.linspace(-25.0, 25.0, 401), [-24.99, -24.95, 0.0, 24.95, 24.99]]))
+    times = np.array([0.0, 0.37, 1.0, 3.0]) * rev.tau
+    rho = density_map(state, x, times, gamma=gamma)
+    vel = bc.velocity_map(state, x, times, bc.DecoherenceParams(gamma=gamma))
+    for j, t in enumerate(times):
+        den, ref = _long_double_density_and_velocity(state, x, t, gamma)
+        assert np.max(np.abs(rho[j] - den)) <= 1e-13 * den.max()
+        if gamma > 0.0:
+            keep = den > 1e-6 * den.max()
+            err = np.abs(vel[j, keep] - ref[keep]) / np.maximum(1.0, np.abs(ref[keep]))
+            assert err.max() <= 1e-13

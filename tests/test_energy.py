@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -154,6 +156,21 @@ def test_fit_of_reference_curve_is_tight(state0, rev, ref_params):
     assert fit.residual < 1e-3
     assert fit.timescales[0] < fit.timescales[1] < fit.timescales[2]
     assert fit.chi0 == pytest.approx(bc.purity_asymptote(state0), abs=0.02)
+
+
+def test_fit_keeps_timescale_overflow_silent(cfg, rev, ref_params):
+    # at this curve and seed a restart drives a log-timescale past exp's range
+    state = bc.decompose(bc.InputSignalSpec("single", 16.751, 2.0), cfg, 100)
+    curve = bc.purity_curve(state, 10 * rev.tau, ref_params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fit = bc.fit_purity(curve, seed=7)
+    assert [str(w.message) for w in caught] == []
+    # so warnings-as-errors cannot skip a restart and move the fit
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = bc.fit_purity(curve, seed=7)
+    assert strict == fit
 
 
 def test_fit_rejects_constant_curve():

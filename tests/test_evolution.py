@@ -142,9 +142,10 @@ def test_carpet_initial_row_and_symmetry(cfg, state0, rev):
 
 def test_carpet_jobs_do_not_change_values(cfg, state20, rev, ref_params):
     grid = bc.SpaceTimeGrid.regular(cfg, 101, 37, 0.5 * rev.tau)
-    one = bc.carpet(state20, grid, params=ref_params, jobs=1)
-    four = bc.carpet(state20, grid, params=ref_params, jobs=4)
-    assert np.array_equal(one.values, four.values)
+    for quantity in ("density", "velocity"):
+        one = bc.carpet(state20, grid, quantity, params=ref_params, jobs=1)
+        four = bc.carpet(state20, grid, quantity, params=ref_params, jobs=4)
+        assert np.array_equal(one.values, four.values)
 
 
 def test_velocity_carpet_starts_at_rest(cfg, state20, rev):
@@ -165,3 +166,14 @@ def test_grid_validation():
         bc.CarpetGrid(grid=grid, values=np.zeros((4, 11)), quantity="density")
     with pytest.raises(DomainError):
         bc.CarpetGrid(grid=grid, values=np.zeros((5, 11)), quantity="speed")
+    # non-finite axes and values: NaN fails every ordering test, so each needs its own check
+    for x, t in (([0.0, np.nan], [0.0, 1.0]), ([0.0, 1.0], [np.nan, 1.0]), ([0.0, 1.0], [0.0, np.inf])):
+        with pytest.raises(DomainError):
+            bc.SpaceTimeGrid(x=np.array(x), t=np.array(t))
+    for nt, t_max in ((5, np.nan), (5, np.inf), (1, np.nan)):
+        with pytest.raises(DomainError):
+            bc.SpaceTimeGrid.regular(cfg, 11, nt, t_max)
+    for quantity in ("density", "velocity"):
+        with pytest.raises(DomainError):
+            bc.CarpetGrid(grid=grid, values=np.full((5, 11), np.nan), quantity=quantity)
+

@@ -119,6 +119,14 @@ def test_velocity_map_matches_pointwise(state0, rev, ref_params):
         assert np.allclose(rows[j], bc.velocity(state0, x, float(t), ref_params), atol=1e-14)
 
 
+def test_coherent_velocity_map_is_velocity_row_by_row(state20, rev):
+    x = np.linspace(-20.0, 20.0, 31)
+    times = np.array([0.2, 0.55, 1.0, 2.7]) * rev.tau  # no point on a node
+    rows = bc.velocity_map(state20, x, times)
+    for j, t in enumerate(times):
+        assert np.array_equal(rows[j], bc.velocity(state20, x, float(t)))
+
+
 # -- integration -------------------------------------------------------------
 
 
