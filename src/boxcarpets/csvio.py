@@ -7,6 +7,8 @@ produce byte-identical files.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .decoherence import DecoherenceParams
@@ -19,9 +21,24 @@ def fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _data_lines(first, rows):
+    """Lines 'first_i,row_i...' with every value written as ``fmt`` writes it.
+
+    One '%' template serves the whole file: '%.17g' and ``fmt`` give the same
+    text for every float, nan, the infinities, -0 and subnormals included.
+    The lines are made one at a time, as ``_write`` writes them, so a large
+    grid is never held as text in memory.
+    """
+    rows = np.asarray(rows, dtype=float)
+    first = np.asarray(first, dtype=float).tolist()
+    tmpl = "%.17g," + ",".join(["%.17g"] * rows.shape[1])
+    return (tmpl % (lead, *row.tolist()) for lead, row in zip(first, rows))
+
+
 def _write(path, lines) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for line in lines:
+            fh.write(line + "\n")
 
 
 def _meta_line(pairs: dict) -> str:
@@ -83,18 +100,14 @@ def write_carpet(cp: CarpetGrid, path, meta: dict | None = None) -> None:
     """First data row lists the x grid, each following row is t then values."""
     lines = [_meta_line({"quantity": cp.quantity, **(meta or {})})]
     lines.append("t," + ",".join(fmt(x) for x in cp.grid.x))
-    for t, row in zip(cp.grid.t, cp.values):
-        lines.append(fmt(t) + "," + ",".join(fmt(v) for v in row))
-    _write(path, lines)
+    _write(path, itertools.chain(lines, _data_lines(cp.grid.t, cp.values)))
 
 
 def write_plane(x, x_prime, values, path, meta: dict | None = None) -> None:
     """Real-valued matrix over two position axes (density-matrix planes)."""
     lines = [_meta_line(meta or {})]
     lines.append("x," + ",".join(fmt(v) for v in np.atleast_1d(x_prime)))
-    for xi, row in zip(np.atleast_1d(x), np.asarray(values)):
-        lines.append(fmt(xi) + "," + ",".join(fmt(v) for v in row))
-    _write(path, lines)
+    _write(path, itertools.chain(lines, _data_lines(np.atleast_1d(x), values)))
 
 
 def write_mode_matrix(matrix: np.ndarray, path, meta: dict | None = None) -> None:
@@ -124,9 +137,7 @@ def write_ensemble(trajectories, sample_times, path, meta_path, meta: dict | Non
             raise DomainError("trajectory samples do not align with the common grid")
     lines = [_meta_line(meta or {})]
     lines.append("t," + ",".join(f"x_{j}" for j in range(1, n + 1)))
-    for t, row in zip(sample_times, cols):
-        lines.append(fmt(t) + "," + ",".join(fmt(v) for v in row))
-    _write(path, lines)
+    _write(path, itertools.chain(lines, _data_lines(sample_times, cols)))
 
     side = ["# index,x0,status,last_time"]
     for j, tr in enumerate(trajectories, start=1):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,6 +69,54 @@ def test_double_roughly_twice_single_at_18(cfg):
     assert 1.7 <= ratio <= 2.1
 
 
+@pytest.fixture(scope="module")
+def wide_state(cfg):
+    """A narrow off-center lobe on 800 modes, every one of them populated."""
+    return bc.decompose(bc.InputSignalSpec("single", 15.166, 2.0), cfg, 800)
+
+
+def _long_double_purity(state, times, gamma):
+    """Pair sum chi = sum_a p_a^2 + 2 sum_{a<b} p_a p_b exp(-2 gamma (E_b - E_a) t / hbar)."""
+    ld = np.longdouble
+    cfg = state.cfg
+    p = state.coeffs.astype(ld) ** 2
+    E = (ld(cfg.hbar) * ld(np.pi) * state.alphas.astype(ld) / ld(cfg.L)) ** 2 / (2 * ld(cfg.m))
+    out = []
+    for t in times:
+        rate = 2 * ld(gamma) * ld(t) / ld(cfg.hbar)
+        chi = np.sum(p * p)
+        for b in range(1, p.size):
+            chi += 2 * p[b] * np.sum(p[:b] * np.exp(-rate * (E[b] - E[:b])))
+        out.append(chi)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("gamma", [0.0, bc.DEFAULT_GAMMA, 0.3])
+def test_purity_matches_long_double_pair_sum(state0, state20, double125, wide_state, rev, gamma):
+    times = np.array([0.0, 1e-3, 0.37, 10.0, 1e4]) * rev.tau
+    params = bc.DecoherenceParams(gamma=gamma)
+    for state in (state0, state20, double125, wide_state):
+        chi = bc.purity(state, times, params)
+        assert np.max(np.abs(chi - _long_double_purity(state, times, gamma))) <= 2e-15
+        if gamma > 0.0:
+            # every step damping underflows: only the populations remain
+            assert abs(chi[-1] - bc.purity_asymptote(state)) <= 1e-15
+    curve = bc.purity_curve(wide_state, 10.0 * rev.tau, params)
+    assert np.all(np.diff(curve.values) <= 0.0)
+
+
+def test_purity_never_builds_a_mode_pair_matrix(wide_state, rev, ref_params):
+    # an N x N float64 array at N = 800 takes 5.1 MB
+    times = np.concatenate([[0.0], np.geomspace(1e-2 * rev.tau, 10.0 * rev.tau, 199)])
+    tracemalloc.start()
+    try:
+        bc.purity(wide_state, times, ref_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
 def test_quadrature_oracle_agreement(state0, rev, ref_params):
     for t in (0.0, rev.tau):
         closed = bc.purity(state0, t, ref_params)
@@ -92,8 +141,12 @@ def test_correlation_matrix_structure(state0):
     assert np.trace(corr) == pytest.approx(1.0 - bc.norm_deficit(state0), abs=1e-12)
 
 
-def test_decay_time_map(cfg, rev):
+def test_decay_time_map(cfg, rev, ref_params):
     times = bc.decay_time_map(cfg, bc.DEFAULT_GAMMA, 50)
+    # the same rate as beta, from the exact integer beat
+    rates = [[bc.beta(a, b, ref_params, cfg) for b in range(1, 51)] for a in range(1, 51)]
+    with np.errstate(divide="ignore"):
+        assert np.array_equal(times, 1.0 / np.array(rates))
     assert times[0, 2] == pytest.approx(rev.tau / 0.8, rel=1e-12)
     assert np.all(np.isinf(np.diag(times)))
     assert times[0, 2] > times[0, 4] > times[0, 40]
@@ -114,7 +167,14 @@ def test_purity_curve_sampling(state0, rev, ref_params):
     assert np.allclose(np.diff(linear.times), linear.times[1] - linear.times[0])
 
 
-def test_purity_curve_validation():
+def test_purity_curve_validation(state0, ref_params):
+    for t_max in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(DomainError, match="t_max"):
+            bc.purity_curve(state0, t_max, ref_params)
+    for samples in (2.5, True, "60", 1):
+        with pytest.raises(DomainError, match="samples"):
+            bc.purity_curve(state0, 100.0, ref_params, samples=samples)
+    assert bc.purity_curve(state0, 100.0, ref_params, samples=np.int64(60)).times.size == 60
     with pytest.raises(DomainError):
         bc.PurityCurve(times=np.array([0.0, 1.0]), values=np.array([0.5, 0.6]))
     with pytest.raises(DomainError):
@@ -228,9 +288,14 @@ def test_sweep_double_dip(cfg, state0):
     assert by_x0[12.5].chi_inf < by_x0[15.0].chi_inf
 
 
-def test_single_mode_state_edge_cases(cfg, ref_params):
+def test_single_mode_state_edge_cases(cfg, rev, ref_params):
     state = make_state(cfg, [1.0])
     assert bc.purity(state, 3.0, ref_params) == pytest.approx(1.0, abs=1e-14)
+    # one populated mode has no pairs: exactly its squared population, at any time
+    for coeffs in ([0.6], [0.0, 0.0, 0.7, 0.0]):
+        p = max(coeffs) ** 2
+        chi = bc.purity(make_state(cfg, coeffs), np.array([0.0, 0.37 * rev.tau, 1e4 * rev.tau]), ref_params)
+        assert np.all(chi == p**2)
     assert bc.purity_asymptote(state) == 1.0
     with pytest.raises(DomainError):
         bc.purity(state, -1.0, ref_params)

@@ -121,6 +121,18 @@ def test_float_format_round_trips():
         assert float(csvio.fmt(v)) == v
 
 
+def test_data_rows_match_fmt_byte_for_byte(tmp_path):
+    # the writers format whole rows with one '%.17g' template; it must give fmt's text
+    edge = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1e300, -1e-300,
+            1 / 3, 0.1, 2.0 / (5.0 * np.pi), -123456.789, 1e16, 12345678901234567.0]
+    values = np.array([edge, edge[::-1]])
+    x = np.array([-0.0, 1 / 3])
+    csvio.write_plane(x, np.arange(len(edge)), values, tmp_path / "p.csv")
+    lines = (tmp_path / "p.csv").read_text().splitlines()[2:]
+    assert lines == [csvio.fmt(xi) + "," + ",".join(csvio.fmt(v) for v in row) for xi, row in zip(x, values)]
+    assert lines[0].split(",")[:5] == ["-0", "nan", "inf", "-inf", "-0"]
+
+
 # -- command line -------------------------------------------------------------
 
 
