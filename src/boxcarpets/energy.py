@@ -15,7 +15,12 @@ integer alpha_b^2 - alpha_{b-1}^2 times ``decoherence._beat_unit``, the same
 unit as ``beta``; a step whose damping underflows to zero restarts the sum.
 A quadrature route integrating |rho(x, x'; t)|^2 over the box square
 provides the independent cross-check.  Decay curves are summarized by
-fitting a baseline plus three exponentials with distinct timescales.
+fitting a baseline plus three exponentials with distinct timescales.  The
+fit is a variable projection (Golub & Pereyra 1973): the baseline and
+amplitudes are the least-squares solution of the linear design for given
+log-timescales, and Levenberg-Marquardt moves the log-timescales on the
+projected residual with its exact Jacobian, both from one SVD of the
+design per point.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import leastsq
 
 from .decoherence import DecoherenceParams, _beat_unit, density_matrix_grid
 from .errors import DomainError, FitFailure
@@ -92,6 +97,8 @@ class PurityCurve:
         v = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise DomainError("purity curve needs matching 1-D time and value arrays")
+        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
+            raise DomainError("purity curve times and values must be finite")
         if np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
             raise DomainError("purity curve times must be nonnegative and strictly increasing")
         if np.any(v <= 0.0) or np.any(v > 1.0 + 1e-9):
@@ -154,16 +161,69 @@ class PurityFit:
         return out
 
 
+def _timescales(theta):
+    # a log-timescale past ~709 overflows to an infinite timescale, whose
+    # design column is the constant one: no warning, same values
+    with np.errstate(over="ignore"):
+        return np.exp(theta)
+
+
+def _project(theta, dt, vals, floor):
+    """Variable projection of the three-exponential fit at log-timescales ``theta``.
+
+    The design is X = [1, E_1, E_2, E_3] with E_j = exp(-dt / s_j) and
+    s_j = exp(theta_j), each s_j floored at ``floor``.  One thin SVD
+    X = U S V^T, truncated at ``lstsq``'s default cutoff eps max(T, 4) s_max,
+    gives the pseudo-inverse, so rank-deficient designs (an overflowed
+    constant column, near-equal timescales) solve as ``lstsq`` solves them.
+    Returns the coefficients c = X^+ y, the residual r = X c - y and its
+    exact Jacobian in theta (Golub & Pereyra 1973),
+
+        J_j = P_perp (D_j c_j) - (X^+)^T e_j (D_j^T r),   D_j = E_j dt / s_j,
+
+    with P_perp = 1 - U U^T and D_j = 0 where the floor binds.
+    """
+    s = _timescales(theta)
+    # the search may drive a timescale toward zero; floor it so the design
+    # column degrades to a spike instead of NaNs, with zero derivative
+    free = s >= floor
+    rate = dt[:, None] / np.maximum(s, floor)
+    X = np.ones((dt.size, 4))
+    np.exp(-rate, out=X[:, 1:])
+    U, sv, Vt = np.linalg.svd(X, full_matrices=False)
+    rank = np.count_nonzero(sv > np.finfo(float).eps * max(X.shape) * sv[0])
+    U, Vt, inv = U[:, :rank], Vt[:rank], 1.0 / sv[:rank]
+    c = Vt.T @ (inv * (U.T @ vals))
+    r = X @ c - vals
+    D = X[:, 1:] * rate * free
+    Dc = D * c[1:]
+    pinv_t = U @ (inv[:, None] * Vt[:, 1:])
+    J = Dc - U @ (U.T @ Dc) - pinv_t * (r @ D)
+    return c, r, J
+
+
+def _check_restarts(restarts) -> int:
+    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
+        raise DomainError(f"fit restarts must be an integer >= 1, got {restarts!r}")
+    return int(restarts)
+
+
 def fit_purity(curve: PurityCurve, restarts: int = DEFAULT_FIT_RESTARTS, seed: int = 0) -> PurityFit:
     """Fit a baseline plus three exponentials to a purity curve.
 
     The onset time is pinned to the first sample, removing its degeneracy
-    with the amplitudes.  For each candidate triple of timescales the
-    baseline and amplitudes come from a linear solve; damped least squares
-    then refines the log-timescales, restarted from jittered log-spaced
-    initial guesses.  Raises ``FitFailure`` (best candidate attached) when
-    no restart produces a valid, strictly ordered fit.
+    with the amplitudes.  Variable projection: for each candidate triple of
+    log-timescales the baseline and amplitudes come from one SVD solve of
+    the linear design, and Levenberg-Marquardt refines the log-timescales
+    on the projected residual with its exact Golub-Pereyra Jacobian (no
+    finite differences), restarted from jittered log-spaced initial
+    guesses.  MINPACK asks for the residual and the Jacobian at the same
+    point, so one cached projection serves both.  Raises ``DomainError``
+    for a ``restarts`` count that is not an integer >= 1, and
+    ``FitFailure`` (best candidate attached) when no restart produces a
+    valid, strictly ordered fit.
     """
+    restarts = _check_restarts(restarts)
     times = curve.times
     vals = curve.values
     if times.size < 50:
@@ -173,41 +233,45 @@ def fit_purity(curve: PurityCurve, restarts: int = DEFAULT_FIT_RESTARTS, seed: i
     span = float(dt[-1])
     if (vals.max() - vals.min()) <= 1e-12 * max(vals.max(), 1e-300):
         raise FitFailure("curve shows no decay to fit")
+    floor = span * 1e-12
 
-    def solve_amplitudes(ts):
-        # the search may drive a timescale toward zero; floor it so the
-        # design column degrades to a spike instead of NaNs
-        ts = np.maximum(ts, span * 1e-12)
-        design = np.column_stack([np.ones_like(dt)] + [np.exp(-dt / s) for s in ts])
-        coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
-        return coef, design @ coef - vals
+    last = [None, None]
 
-    def timescales(theta):
-        # a log-timescale past ~709 overflows to an infinite timescale, whose
-        # design column is the constant one: no warning, same values
-        with np.errstate(over="ignore"):
-            return np.exp(theta)
-
-    def residual(theta):
-        return solve_amplitudes(timescales(theta))[1]
+    def project(theta):
+        if last[0] is None or not np.array_equal(theta, last[0]):
+            last[:] = [theta.copy(), _project(theta, dt, vals, floor)]
+        return last[1]
 
     rng = np.random.default_rng(seed)
     base = np.log(np.geomspace(span / 100.0, span, 3))
     best = None
-    for i in range(max(restarts, 1)):
+    for i in range(restarts):
         theta0 = base if i == 0 else base + rng.uniform(-1.5, 1.5, size=3)
+        # MINPACK's lmder, the solver and gtol of least_squares(method="lm"),
+        # with the exact Jacobian; a NaN step makes the SVD fail, which ends
+        # only this restart
         try:
-            sol = least_squares(residual, theta0, method="lm", xtol=1e-14, ftol=1e-14, max_nfev=4000)
-        except Exception:
+            theta, _, info, _, _ = leastsq(
+                lambda th: project(th)[1],
+                theta0,
+                Dfun=lambda th: project(th)[2],
+                full_output=True,
+                xtol=1e-14,
+                ftol=1e-14,
+                gtol=1e-8,
+                maxfev=4000,
+            )
+        except np.linalg.LinAlgError:
             continue
-        rms = float(np.sqrt(np.mean(sol.fun**2)))
+        rms = float(np.sqrt(np.mean(info["fvec"] ** 2)))
         if best is None or rms < best[0]:
-            best = (rms, timescales(sol.x))
+            best = (rms, theta)
 
     if best is None:
         raise FitFailure("no restart converged")
-    rms, ts = best
-    coef, _ = solve_amplitudes(ts)
+    rms, theta = best
+    coef = project(theta)[0]
+    ts = _timescales(theta)
     order = np.argsort(ts)
     ts = tuple(float(s) for s in ts[order])
     amps = tuple(float(a) for a in coef[1:][order])
@@ -272,9 +336,12 @@ def sweep_x0(
     ``renormalize`` rescales each truncated state to unit norm, as
     ``RunConfig.renormalize`` does for the other products.  Invalid centers
     (truncated or overlapping signals) produce an error row and the sweep
-    continues.  Deterministic for fixed inputs.
+    continues; a bad ``restarts`` count raises ``DomainError`` before any
+    center is computed.  Deterministic for fixed inputs.
     """
     from .decoherence import DEFAULT_GAMMA
+
+    _check_restarts(restarts)
 
     g = DEFAULT_GAMMA if gamma is None else float(gamma)
     params = DecoherenceParams(gamma=g)

@@ -3,8 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 import boxcarpets as bc
+from boxcarpets import energy
 from boxcarpets.errors import DomainError, FitFailure
 
 from conftest import make_state
@@ -181,6 +183,9 @@ def test_purity_curve_validation(state0, ref_params):
         bc.PurityCurve(times=np.array([1.0, 0.0]), values=np.array([0.6, 0.5]))
     with pytest.raises(DomainError):
         bc.PurityCurve(times=np.array([0.0, 1.0]), values=np.array([0.5, -0.1]))
+    for times, values in (([0.0, np.nan], [0.6, 0.5]), ([0.0, np.inf], [0.6, 0.5]), ([0.0, 1.0], [0.6, np.nan])):
+        with pytest.raises(DomainError, match="finite"):
+            bc.PurityCurve(times=np.array(times), values=np.array(values))
 
 
 def _synthetic_curve(chi0, amps, scales, span, n=200):
@@ -251,6 +256,121 @@ def test_purity_fit_validation():
         bc.PurityFit(chi0=0.2, amplitudes=(0.1, 0.1, 0.1), timescales=(2.0, 1.0, 3.0), t0=0.0, residual=0.0)
     with pytest.raises(DomainError):
         bc.PurityFit(chi0=-0.1, amplitudes=(0.1, 0.1, 0.1), timescales=(1.0, 2.0, 3.0), t0=0.0, residual=0.0)
+
+
+def test_projection_jacobian_matches_central_differences(state0, rev, ref_params):
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    dt, vals = curve.times, curve.values
+    floor = dt[-1] * 1e-12
+    base = np.log(np.geomspace(dt[-1] / 100.0, dt[-1], 3))
+    points = {
+        "base": base,
+        "jittered": base + np.random.default_rng(3).uniform(-1.5, 1.5, size=3),
+        "near-equal": np.log([10.0, 10.5, 200.0]),
+        "overflow": np.array([base[0], base[1], 710.0]),
+    }
+    h = 1e-6
+    for name, theta in points.items():
+        c, r, J = energy._project(theta, dt, vals, floor)
+        assert c.shape == (4,) and r.shape == dt.shape and J.shape == (dt.size, 3)
+        fd = np.empty_like(J)
+        for j in range(3):
+            step = np.zeros(3)
+            step[j] = h
+            plus = energy._project(theta + step, dt, vals, floor)[1]
+            minus = energy._project(theta - step, dt, vals, floor)[1]
+            fd[:, j] = (plus - minus) / (2 * h)
+        scale = np.max(np.abs(J))
+        assert np.max(np.abs(J - fd)) <= 1e-6 * scale, name
+    # the overflowed timescale is the constant column: no derivative at all
+    assert np.all(np.isfinite(J)) and np.all(J[:, 2] == 0.0)
+
+
+def _finite_difference_fit(curve, restarts=20, seed=0):
+    """The fit before its analytic Jacobian: one lstsq per residual, 2-point differences.
+
+    Returns the best rms and the sorted timescales.
+    """
+    dt = curve.times - curve.times[0]
+    span = float(dt[-1])
+
+    def residual(theta):
+        with np.errstate(over="ignore"):
+            ts = np.maximum(np.exp(theta), span * 1e-12)
+        design = np.column_stack([np.ones_like(dt)] + [np.exp(-dt / s) for s in ts])
+        coef, *_ = np.linalg.lstsq(design, curve.values, rcond=None)
+        return design @ coef - curve.values
+
+    rng = np.random.default_rng(seed)
+    base = np.log(np.geomspace(span / 100.0, span, 3))
+    best = None
+    for i in range(restarts):
+        theta0 = base if i == 0 else base + rng.uniform(-1.5, 1.5, size=3)
+        sol = least_squares(residual, theta0, jac="2-point", method="lm", xtol=1e-14, ftol=1e-14, max_nfev=4000)
+        rms = float(np.sqrt(np.mean(sol.fun**2)))
+        if best is None or rms < best[0]:
+            with np.errstate(over="ignore"):
+                best = (rms, np.sort(np.exp(sol.x)))
+    return best
+
+
+@pytest.mark.parametrize(
+    "kind, x0, w, N",
+    [("single", 0.0, 10.0, 50), ("single", 12.5, 10.0, 50), ("single", 20.0, 10.0, 50),
+     ("double", 12.5, 10.0, 50), ("single", 15.166, 2.0, 800)],
+)
+def test_fit_matches_finite_difference_fit(cfg, rev, ref_params, kind, x0, w, N):
+    state = bc.decompose(bc.InputSignalSpec(kind, x0, w), cfg, N)
+    curve = bc.purity_curve(state, 10 * rev.tau, ref_params)
+    fit = bc.fit_purity(curve)
+    rms, timescales = _finite_difference_fit(curve)
+    assert fit.residual == pytest.approx(rms, rel=1e-12, abs=0.0)
+    assert np.allclose(fit.timescales, timescales, rtol=1e-6, atol=0.0)
+
+
+def test_fit_work_is_one_factorization_per_point(state0, rev, ref_params, monkeypatch):
+    # the finite-difference route made 1,636 lstsq solves on this curve
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    bc.fit_purity(curve, seed=0)
+    assert 0 < len(calls) <= 800
+
+
+def test_fit_restart_errors(state0, rev, ref_params, monkeypatch):
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+
+    def raising(error):
+        def solver(*args, **kwargs):
+            raise error("solver failed")
+        return solver
+
+    # a defect in the fit is not a failed restart: it surfaces
+    monkeypatch.setattr(energy, "leastsq", raising(RuntimeError))
+    with pytest.raises(RuntimeError, match="solver failed"):
+        bc.fit_purity(curve)
+    # a factorization that does not converge ends only its restart
+    monkeypatch.setattr(energy, "leastsq", raising(np.linalg.LinAlgError))
+    with pytest.raises(FitFailure, match="no restart converged"):
+        bc.fit_purity(curve)
+
+
+def test_fit_and_sweep_validate_restarts(cfg, state0, rev, ref_params, monkeypatch):
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    # the sweep checks the count once, before any center is decomposed
+    monkeypatch.setattr(energy, "decompose", None)
+    for bad in (0, -3, 2.5, np.float64(2.0), True, np.bool_(True), "4", None):
+        with pytest.raises(DomainError, match="restarts"):
+            bc.fit_purity(curve, restarts=bad)
+        with pytest.raises(DomainError, match="restarts"):
+            bc.sweep_x0("single", [0.0, 22.0], cfg, restarts=bad)
+    assert bc.fit_purity(curve, restarts=np.int64(1)) == bc.fit_purity(curve, restarts=1)
 
 
 # -- sweep ---------------------------------------------------------------------
