@@ -23,6 +23,17 @@ from .spectral import CavityConfig, InputSignalSpec
 PRODUCT_NAMES = ("carpet", "trajectories", "densmat", "purity", "sweep", "fit", "decaymap")
 
 
+def _set_count(spec, section: str, name: str, least: int) -> None:
+    """Check that field ``name`` of ``spec`` is an integer >= ``least`` (a
+    bool is not) and store it as a Python int."""
+    value = getattr(spec, name)
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{section} {name} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{section} {name} must be >= {least}, got {value!r}")
+    object.__setattr__(spec, name, int(value))
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Render-grid shape: axis point counts and the time span in tau units."""
@@ -33,8 +44,8 @@ class GridSpec:
     snapshots_tau: tuple[float, ...] = (0.0, 0.5, 1.0, 20.0)
 
     def __post_init__(self):
-        if self.x_points < 2 or self.t_points < 2:
-            raise DomainError("grid needs at least 2 points per axis")
+        _set_count(self, "grid", "x_points", 2)
+        _set_count(self, "grid", "t_points", 2)
         if not 0.0 < self.t_max_tau < np.inf:
             raise DomainError(f"grid t_max_tau must be positive and finite, got {self.t_max_tau!r}")
         if not all(0.0 <= s < np.inf for s in self.snapshots_tau):
@@ -84,8 +95,11 @@ class FitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.span_tau < np.inf or self.samples < 50 or self.restarts < 1 or self.seed < 0:
-            raise DomainError("fit needs finite span_tau > 0, samples >= 50, restarts >= 1, seed >= 0")
+        if not 0.0 < self.span_tau < np.inf:
+            raise DomainError(f"fit span_tau must be positive and finite, got {self.span_tau!r}")
+        _set_count(self, "fit", "samples", 50)
+        _set_count(self, "fit", "restarts", 1)
+        _set_count(self, "fit", "seed", 0)
 
 
 @dataclass(frozen=True)

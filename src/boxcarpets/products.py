@@ -157,6 +157,15 @@ _PRODUCTS = {
 }
 
 
+def _sha256(path) -> str:
+    """Hex digest of a file, read in 1 MiB chunks."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def run(config: RunConfig, parallelism: int = 1) -> dict:
     """Execute the configured products and write ``manifest.json``.
 
@@ -182,7 +191,7 @@ def run(config: RunConfig, parallelism: int = 1) -> dict:
             failures[name] = f"{type(exc).__name__}: {exc}"
         products[name] = files
         for f in files:
-            checksums[Path(f).name] = hashlib.sha256(Path(f).read_bytes()).hexdigest()
+            checksums[Path(f).name] = _sha256(f)
 
     manifest = {
         "config": serialize_config(config),

@@ -258,6 +258,37 @@ def test_spec_dataclass_validation():
 
 
 @pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda: FitSpec(restarts=2.5), "fit restarts"),
+        (lambda: FitSpec(restarts=True), "fit restarts"),
+        (lambda: FitSpec(seed=1.5), "fit seed"),
+        (lambda: FitSpec(samples=60.5), "fit samples"),
+        (lambda: FitSpec(samples="60"), "fit samples"),
+        (lambda: GridSpec(x_points=10.5), "grid x_points"),
+        (lambda: GridSpec(t_points=False), "grid t_points"),
+    ],
+)
+def test_spec_counts_must_be_integers(make, field):
+    with pytest.raises(DomainError, match=f"{field} must be an integer"):
+        make()
+
+
+def test_spec_counts_accept_numpy_integers():
+    fit = FitSpec(samples=np.int64(60), restarts=np.int32(3), seed=np.int64(7))
+    grid = GridSpec(x_points=np.int64(11), t_points=np.uint16(5))
+    assert (fit.samples, fit.restarts, fit.seed, grid.x_points, grid.t_points) == (60, 3, 7, 11, 5)
+    assert all(type(v) is int for v in (fit.samples, fit.restarts, fit.seed, grid.x_points, grid.t_points))
+    cfg = bc.parse_config("[fit]\nrestarts = 3\nseed = 2\n[grid]\nx_points = 11\n")
+    assert (cfg.fit.restarts, cfg.fit.seed, cfg.grid.x_points) == (3, 2, 11)
+    assert bc.parse_config(bc.serialize_config(cfg)) == cfg
+    with pytest.raises(ConfigError, match="fit restarts must be >= 1"):
+        bc.parse_config("[fit]\nrestarts = 0\n")
+    with pytest.raises(ConfigError, match="invalid value for fit.restarts"):
+        bc.parse_config("[fit]\nrestarts = 2.5\n")
+
+
+@pytest.mark.parametrize(
     "kind, w, L",
     [
         ("single", 10.0, 50.0),
