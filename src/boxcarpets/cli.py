@@ -18,7 +18,7 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (INI-style)")
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    common.add_argument("--jobs", type=int, default=1, metavar="N", help="worker threads for carpet rows")
+    common.add_argument("--jobs", type=int, metavar="N", help="ignored; kept so that existing scripts run")
     common.add_argument("--seed-count", type=int, metavar="N", help="trajectory ensemble size")
     common.add_argument("--gamma", type=float, metavar="X", help="energy-pair damping control")
     common.add_argument("--lambda", dest="lam", metavar="{0|formula|X}", help="spatial damping rate")
@@ -63,7 +63,7 @@ def main(argv=None) -> int:
         return 2
 
     try:
-        manifest = run(config, parallelism=max(args.jobs, 1))
+        manifest = run(config)
     except OSError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -116,23 +116,18 @@ def purity_curve(
     t_max: float,
     params: DecoherenceParams,
     samples: int = 200,
-    spacing: str = "log",
 ) -> PurityCurve:
-    """Sample the closed-form purity on [0, t_max].
+    """Sample the closed-form purity at t = 0 and log-spaced on [t_max/1000, t_max].
 
-    Log spacing (the default) concentrates samples on the initial falloff,
-    which is where the fit needs resolution; t = 0 is always included.
+    Log spacing concentrates samples on the initial falloff, which is where
+    the fit needs resolution.  Any other sampling is
+    ``PurityCurve(times, purity(state, times, params))``.
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise DomainError(f"purity curve t_max must be positive and finite, got {t_max!r}")
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
         raise DomainError(f"purity curve samples must be an integer >= 2, got {samples!r}")
-    if spacing == "log":
-        times = np.concatenate([[0.0], np.geomspace(t_max / 1000.0, t_max, samples - 1)])
-    elif spacing == "linear":
-        times = np.linspace(0.0, t_max, samples)
-    else:
-        raise DomainError(f"spacing must be 'log' or 'linear', got {spacing!r}")
+    times = np.concatenate([[0.0], np.geomspace(t_max / 1000.0, t_max, samples - 1)])
     return PurityCurve(times=times, values=purity(state, times, params))
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, decohered_density, density_map
+from .decoherence import DecoherenceParams, _beat_unit, decohered_density, density_map
 from .errors import DomainError
 from .spectral import CavityConfig, SpectralState, _check_alpha, _check_positions, mode_values
 
@@ -38,7 +38,7 @@ def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
     b = _check_alpha(alpha_prime)
     if b < a:
         raise DomainError(f"pair must be ordered alpha' >= alpha, got ({a}, {b})")
-    return 2.0 * np.pi * (np.pi * cfg.hbar / (4.0 * cfg.m * cfg.L**2)) * (b**2 - a**2)
+    return _beat_unit(cfg) * (b**2 - a**2)
 
 
 def wavefunction(state: SpectralState, x, t: float):
@@ -121,34 +121,16 @@ def carpet(
     grid: SpaceTimeGrid,
     quantity: str = "density",
     params: DecoherenceParams | None = None,
-    jobs: int = 1,
 ) -> CarpetGrid:
-    """Evaluate a density or velocity carpet on ``grid``.
-
-    Rows (fixed time) are independent, so they may be computed in ordered
-    chunks by several workers; results do not depend on ``jobs``.
-    """
+    """Evaluate a density or velocity carpet on ``grid`` in one field-map call."""
     _check_positions(grid.x, state.cfg)
     if quantity not in ("density", "velocity"):
         raise DomainError(f"quantity must be 'density' or 'velocity', got {quantity!r}")
     p = params if params is not None else DecoherenceParams.coherent()
-
     if quantity == "density":
-        def evaluate(times: np.ndarray) -> np.ndarray:
-            return density_map(state, grid.x, times, gamma=p.gamma)
+        values = density_map(state, grid.x, grid.t, gamma=p.gamma)
     else:
         from .flow import velocity_map
 
-        def evaluate(times: np.ndarray) -> np.ndarray:
-            return velocity_map(state, grid.x, times, params=p)
-
-    if jobs <= 1 or grid.t.size < 4:
-        values = evaluate(grid.t)
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = np.array_split(grid.t, min(jobs * 4, grid.t.size))
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(evaluate, chunks))
-        values = np.vstack(parts)
+        values = velocity_map(state, grid.x, grid.t, params=p)
     return CarpetGrid(grid=grid, values=values, quantity=quantity)

@@ -1,13 +1,16 @@
 """Product orchestration: build requested artifacts and a checksum manifest.
 
 Every product is a pure computation followed by deterministic file writes,
-so outputs are bit-identical across runs and across ``parallelism`` levels.
+so outputs are bit-identical from run to run.  The products of one ``run``
+call share one ``_Run``: one released state, one carpet grid and one purity
+curve, each built on first use.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +18,7 @@ import numpy as np
 from . import csvio
 from .config import RunConfig, serialize_config
 from .decoherence import density_matrix_grid
-from .energy import correlation_matrix, decay_time_map, fit_purity, purity_curve, sweep_x0
+from .energy import PurityCurve, correlation_matrix, decay_time_map, fit_purity, purity_curve, sweep_x0
 from .errors import CarpetError
 from .evolution import SpaceTimeGrid, carpet, revival_times
 from .flow import integrate_ensemble
@@ -28,93 +31,103 @@ def build_state(config: RunConfig) -> SpectralState:
     return state.renormalized() if config.renormalize else state
 
 
-def _meta(config: RunConfig) -> dict:
-    return csvio.standard_meta(config.cavity, config.signal, config.n_modes, config.deco)
+class _Run:
+    """What the products of one ``run`` call share: one state in one cavity.
+
+    ``state``, ``grid`` and ``purity`` are built on first use, so products
+    that need none of them never decompose a state, and an error building
+    one fails only the products that ask for it.
+    """
+
+    def __init__(self, config: RunConfig, out: Path):
+        self.config = config
+        self.out = out
+        self.tau = revival_times(config.cavity).tau
+        self.meta = csvio.standard_meta(config.cavity, config.signal, config.n_modes, config.deco)
+
+    @cached_property
+    def state(self) -> SpectralState:
+        return build_state(self.config)
+
+    @cached_property
+    def grid(self) -> SpaceTimeGrid:
+        g = self.config.grid
+        return SpaceTimeGrid.regular(self.config.cavity, g.x_points, g.t_points, g.t_max_tau * self.tau)
+
+    @cached_property
+    def purity(self) -> PurityCurve:
+        fit = self.config.fit
+        return purity_curve(self.state, fit.span_tau * self.tau, self.config.deco, samples=fit.samples)
 
 
-def _product_carpet(config: RunConfig, out: Path, jobs: int) -> list[Path]:
-    tau = revival_times(config.cavity).tau
-    grid = SpaceTimeGrid.regular(
-        config.cavity, config.grid.x_points, config.grid.t_points, config.grid.t_max_tau * tau
-    )
-    state = build_state(config)
-    quantity = config.output.quantity
-    cp = carpet(state, grid, quantity=quantity, params=config.deco, jobs=jobs)
-    csv_path = out / f"carpet_{quantity}.csv"
-    csvio.write_carpet(cp, csv_path, meta=_meta(config))
+def _product_carpet(r: _Run) -> list[Path]:
+    quantity = r.config.output.quantity
+    cp = carpet(r.state, r.grid, quantity=quantity, params=r.config.deco)
+    csv_path = r.out / f"carpet_{quantity}.csv"
+    csvio.write_carpet(cp, csv_path, meta=r.meta)
     if quantity == "density":
         cmap = ColorMap(kind="sequential", stops=SEQUENTIAL.stops, vmin=0.0, vmax=float(cp.values.max()))
     else:
         span = float(np.percentile(np.abs(cp.values), 99.5))
         cmap = ColorMap(kind="diverging", stops=DIVERGING.stops, vmin=-span, vmax=span)
-    ppm_path = out / f"carpet_{quantity}.ppm"
+    ppm_path = r.out / f"carpet_{quantity}.ppm"
     ppm_path.write_bytes(render_heatmap(cp.values, cmap))
     return [csv_path, ppm_path]
 
 
-def _product_trajectories(config: RunConfig, out: Path, jobs: int) -> list[Path]:
-    tau = revival_times(config.cavity).tau
-    t_end = config.grid.t_max_tau * tau
-    sample_times = np.linspace(0.0, t_end, config.grid.t_points)
-    state = build_state(config)
+def _product_trajectories(r: _Run) -> list[Path]:
+    t_end = r.config.grid.t_max_tau * r.tau
     trajectories = integrate_ensemble(
-        state, config.ensemble, t_end, params=config.deco, sample_times=sample_times
+        r.state, r.config.ensemble, t_end, params=r.config.deco, sample_times=r.grid.t
     )
-    csv_path = out / "trajectories.csv"
-    meta_path = out / "trajectories.meta"
-    csvio.write_ensemble(trajectories, sample_times, csv_path, meta_path, meta=_meta(config))
+    csv_path = r.out / "trajectories.csv"
+    meta_path = r.out / "trajectories.meta"
+    csvio.write_ensemble(trajectories, r.grid.t, csv_path, meta_path, meta=r.meta)
     return [csv_path, meta_path]
 
 
-def _product_densmat(config: RunConfig, out: Path, jobs: int) -> list[Path]:
-    tau = revival_times(config.cavity).tau
-    state = build_state(config)
-    x = np.linspace(-config.cavity.half_width, config.cavity.half_width, 401)
+def _product_densmat(r: _Run) -> list[Path]:
+    x = np.linspace(-r.config.cavity.half_width, r.config.cavity.half_width, 401)
     # energy-representation density matrix at t = 0 (the mode correlations)
-    corr = correlation_matrix(state)
-    corr_path = out / "corrmatrix.csv"
-    csvio.write_mode_matrix(corr, corr_path, meta=_meta(config) | {"plane": "energy_t0"})
-    corr_ppm = out / "corrmatrix.ppm"
+    corr = correlation_matrix(r.state)
+    corr_path = r.out / "corrmatrix.csv"
+    csvio.write_mode_matrix(corr, corr_path, meta=r.meta | {"plane": "energy_t0"})
+    corr_ppm = r.out / "corrmatrix.ppm"
     span = float(np.abs(corr).max())
     cmap = ColorMap(kind="diverging", stops=DIVERGING.stops, vmin=-min(span, 0.3), vmax=min(span, 0.3))
     corr_ppm.write_bytes(render_heatmap(corr, cmap))
     paths = [corr_path, corr_ppm]
-    for snap in config.grid.snapshots_tau:
-        grid = density_matrix_grid(state, x, x, snap * tau, config.deco)
+    for snap in r.config.grid.snapshots_tau:
+        grid = density_matrix_grid(r.state, x, x, snap * r.tau, r.config.deco)
         tag = format(snap, "g")
-        meta = _meta(config) | {"t_tau": tag}
-        re_csv = out / f"densmat_re_t{tag}.csv"
-        im_csv = out / f"densmat_im_t{tag}.csv"
+        meta = r.meta | {"t_tau": tag}
+        re_csv = r.out / f"densmat_re_t{tag}.csv"
+        im_csv = r.out / f"densmat_im_t{tag}.csv"
         csvio.write_plane(x, x, grid.values.real, re_csv, meta=meta | {"plane": "real"})
         csvio.write_plane(x, x, grid.values.imag, im_csv, meta=meta | {"plane": "imag"})
-        ppm = out / f"densmat_re_t{tag}.ppm"
+        ppm = r.out / f"densmat_re_t{tag}.ppm"
         ppm.write_bytes(render_heatmap(grid.values.real, DIVERGING))
         paths += [re_csv, im_csv, ppm]
     return paths
 
 
-def _product_purity(config: RunConfig, out: Path, jobs: int) -> list[Path]:
-    tau = revival_times(config.cavity).tau
-    state = build_state(config)
-    curve = purity_curve(state, config.fit.span_tau * tau, config.deco, samples=config.fit.samples)
-    path = out / "purity.csv"
-    csvio.write_purity_curve(curve, path, meta=_meta(config))
+def _product_purity(r: _Run) -> list[Path]:
+    path = r.out / "purity.csv"
+    csvio.write_purity_curve(r.purity, path, meta=r.meta)
     return [path]
 
 
-def _product_fit(config: RunConfig, out: Path, jobs: int) -> list[Path]:
-    tau = revival_times(config.cavity).tau
-    state = build_state(config)
-    curve = purity_curve(state, config.fit.span_tau * tau, config.deco, samples=config.fit.samples)
-    fit = fit_purity(curve, restarts=config.fit.restarts, seed=config.fit.seed)
-    fit_path = out / "purity_fit.csv"
-    csvio.write_fit(fit, fit_path, meta=_meta(config))
-    curve_path = out / "purity_fit_curve.csv"
-    csvio.write_fit_curve(curve, fit, curve_path, meta=_meta(config))
+def _product_fit(r: _Run) -> list[Path]:
+    fit = fit_purity(r.purity, restarts=r.config.fit.restarts, seed=r.config.fit.seed)
+    fit_path = r.out / "purity_fit.csv"
+    csvio.write_fit(fit, fit_path, meta=r.meta)
+    curve_path = r.out / "purity_fit_curve.csv"
+    csvio.write_fit_curve(r.purity, fit, curve_path, meta=r.meta)
     return [fit_path, curve_path]
 
 
-def _product_sweep(config: RunConfig, out: Path, jobs: int) -> list[Path]:
+def _product_sweep(r: _Run) -> list[Path]:
+    config = r.config
     rows = sweep_x0(
         config.signal.kind,
         config.sweep.values(config.signal, config.cavity),
@@ -128,20 +141,20 @@ def _product_sweep(config: RunConfig, out: Path, jobs: int) -> list[Path]:
         seed=config.fit.seed,
         renormalize=config.renormalize,
     )
-    path = out / "sweep.csv"
-    csvio.write_sweep(rows, path, meta=_meta(config))
+    path = r.out / "sweep.csv"
+    csvio.write_sweep(rows, path, meta=r.meta)
     return [path]
 
 
-def _product_decaymap(config: RunConfig, out: Path, jobs: int) -> list[Path]:
-    times = decay_time_map(config.cavity, config.deco.gamma, config.n_modes)
-    csv_path = out / "decay_times.csv"
-    csvio.write_mode_matrix(times, csv_path, meta=_meta(config))
+def _product_decaymap(r: _Run) -> list[Path]:
+    times = decay_time_map(r.config.cavity, r.config.deco.gamma, r.config.n_modes)
+    csv_path = r.out / "decay_times.csv"
+    csvio.write_mode_matrix(times, csv_path, meta=r.meta)
     # image on a log scale; the never-decaying diagonal takes the top color
     logt = np.log10(times)
     finite = np.isfinite(logt)
     top = float(logt[finite].max())
-    ppm_path = out / "decay_times.ppm"
+    ppm_path = r.out / "decay_times.ppm"
     ppm_path.write_bytes(render_heatmap(np.where(finite, logt, top), SEQUENTIAL))
     return [csv_path, ppm_path]
 
@@ -169,23 +182,23 @@ def _sha256(path) -> str:
 def run(config: RunConfig, parallelism: int = 1) -> dict:
     """Execute the configured products and write ``manifest.json``.
 
-    Products run one after another; ``parallelism`` is the worker count for
-    the row chunks of a carpet.  Returns the manifest: per-product file
-    lists, sha256 checksums, and any per-product failure messages (callers
-    map failures to a nonzero exit).
+    Products run one after another and share one ``_Run``.  ``parallelism``
+    is accepted for compatibility and ignored.  Returns the manifest:
+    per-product file lists, sha256 checksums, and any per-product failure
+    messages (callers map failures to a nonzero exit).
     """
     if not config.output.products:
         raise CarpetError("no products requested")
     out = Path(config.output.directory)
     out.mkdir(parents=True, exist_ok=True)
-    jobs = max(int(parallelism), 1)
+    shared = _Run(config, out)
 
     products: dict[str, list[str]] = {}
     failures: dict[str, str] = {}
     checksums: dict[str, str] = {}
     for name in config.output.products:
         try:
-            files = [str(p) for p in _PRODUCTS[name](config, out, jobs)]
+            files = [str(p) for p in _PRODUCTS[name](shared)]
         except Exception as exc:  # collected per product
             files = []
             failures[name] = f"{type(exc).__name__}: {exc}"

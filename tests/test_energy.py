@@ -165,8 +165,6 @@ def test_purity_curve_sampling(state0, rev, ref_params):
     assert curve.times[0] == 0.0
     assert curve.times.size == 80
     assert np.all(np.diff(curve.values) <= 1e-12)
-    linear = bc.purity_curve(state0, 10 * rev.tau, ref_params, samples=60, spacing="linear")
-    assert np.allclose(np.diff(linear.times), linear.times[1] - linear.times[0])
 
 
 def test_purity_curve_validation(state0, ref_params):

@@ -140,14 +140,6 @@ def test_carpet_initial_row_and_symmetry(cfg, state0, rev):
     assert cp.quantity == "density"
 
 
-def test_carpet_jobs_do_not_change_values(cfg, state20, rev, ref_params):
-    grid = bc.SpaceTimeGrid.regular(cfg, 101, 37, 0.5 * rev.tau)
-    for quantity in ("density", "velocity"):
-        one = bc.carpet(state20, grid, quantity, params=ref_params, jobs=1)
-        four = bc.carpet(state20, grid, quantity, params=ref_params, jobs=4)
-        assert np.array_equal(one.values, four.values)
-
-
 def test_velocity_carpet_starts_at_rest(cfg, state20, rev):
     grid = bc.SpaceTimeGrid(x=np.linspace(-20, 20, 51), t=np.array([0.0, rev.tau / 7.0]))
     cp = bc.carpet(state20, grid, quantity="velocity")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import boxcarpets as bc
-from boxcarpets import csvio
+from boxcarpets import csvio, products
 from boxcarpets.cli import main
 
 
@@ -42,11 +42,61 @@ def test_carpet_product_files_and_manifest(tmp_path):
     assert set(stored["checksums"]) == {"carpet_density.csv", "carpet_density.ppm"}
 
 
-def test_parallelism_does_not_change_outputs(tmp_path):
-    a = bc.run(small_config(tmp_path / "a", ("carpet", "purity", "decaymap")), parallelism=1)
+def test_runs_are_byte_identical(tmp_path):
+    # parallelism is accepted for compatibility and changes nothing
+    a = bc.run(small_config(tmp_path / "a", ("carpet", "purity", "decaymap")))
     b = bc.run(small_config(tmp_path / "b", ("carpet", "purity", "decaymap")), parallelism=8)
     assert a["checksums"] == b["checksums"]
     assert a["failures"] == b["failures"] == {}
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_products_of_one_run_share_the_state_and_purity_curve(tmp_path, monkeypatch):
+    names = ("purity", "fit", "carpet", "trajectories")
+    alone = {}
+    for name in names:
+        alone |= bc.run(small_config(tmp_path / name, (name,)))["checksums"]
+    curves = _count_calls(monkeypatch, products, "purity_curve")
+    states = _count_calls(monkeypatch, products, "decompose")
+    shared = bc.run(small_config(tmp_path / "shared", names))
+    assert (len(curves), len(states)) == (1, 1)
+    assert shared["failures"] == {}
+    assert shared["checksums"] == alone
+
+
+def test_decaymap_run_builds_no_state(tmp_path, monkeypatch):
+    states = _count_calls(monkeypatch, products, "decompose")
+    assert bc.run(small_config(tmp_path, ("decaymap",)))["failures"] == {}
+    assert states == []
+
+
+def test_state_error_fails_only_the_products_that_need_it(tmp_path, monkeypatch):
+    def broken(*args, **kwargs):
+        raise bc.DomainError("no state")
+
+    monkeypatch.setattr(products, "decompose", broken)
+    manifest = bc.run(small_config(tmp_path, ("purity", "decaymap", "carpet")))
+    assert set(manifest["failures"]) == {"purity", "carpet"}
+    assert set(manifest["checksums"]) == {"decay_times.csv", "decay_times.ppm"}
+
+
+def test_fit_failure_keeps_the_shared_purity_curve(tmp_path):
+    alone = bc.run(small_config(tmp_path / "alone", ("purity",), gamma=0.0))
+    both = bc.run(small_config(tmp_path / "both", ("purity", "fit"), gamma=0.0))
+    assert set(both["failures"]) == {"fit"}
+    assert both["checksums"] == alone["checksums"]
+    assert set(alone["checksums"]) == {"purity.csv"}
 
 
 def test_sweep_product_row_count(tmp_path):
@@ -183,6 +233,14 @@ def test_cli_lambda_flag(tmp_path):
         ["decaymap", "--lambda", "formula", "--out", str(tmp_path), "--config", _small_cfg_file(tmp_path)]
     )
     assert code == 0
+
+
+def test_cli_jobs_flag_is_ignored(tmp_path):
+    cfg = _small_cfg_file(tmp_path)
+    assert main(["decaymap", "--out", str(tmp_path / "plain"), "--config", cfg]) == 0
+    assert main(["decaymap", "--jobs", "3", "--out", str(tmp_path / "jobs"), "--config", cfg]) == 0
+    plain, jobs = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("plain", "jobs"))
+    assert plain["checksums"] == jobs["checksums"]
 
 
 def _small_cfg_file(tmp_path) -> str:
