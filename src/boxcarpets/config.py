@@ -18,20 +18,14 @@ import numpy as np
 from .decoherence import DEFAULT_GAMMA, DecoherenceParams
 from .errors import ConfigError, DomainError
 from .flow import EnsembleSpec
-from .spectral import CavityConfig, InputSignalSpec
+from .spectral import CavityConfig, InputSignalSpec, _check_count
 
 PRODUCT_NAMES = ("carpet", "trajectories", "densmat", "purity", "sweep", "fit", "decaymap")
 
 
 def _set_count(spec, section: str, name: str, least: int) -> None:
-    """Check that field ``name`` of ``spec`` is an integer >= ``least`` (a
-    bool is not) and store it as a Python int."""
-    value = getattr(spec, name)
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise DomainError(f"{section} {name} must be an integer, got {value!r}")
-    if value < least:
-        raise DomainError(f"{section} {name} must be >= {least}, got {value!r}")
-    object.__setattr__(spec, name, int(value))
+    """Store field ``name`` of ``spec`` as a Python int, once ``_check_count`` passes it."""
+    object.__setattr__(spec, name, _check_count(getattr(spec, name), f"{section} {name}", least))
 
 
 @dataclass(frozen=True)
@@ -132,8 +126,7 @@ class RunConfig:
 
     def __post_init__(self):
         self.signal.validate(self.cavity)
-        if self.n_modes < 1:
-            raise DomainError("n_modes must be >= 1")
+        object.__setattr__(self, "n_modes", _check_count(self.n_modes, "modes count", 1))
 
 
 _DEFAULT = RunConfig()

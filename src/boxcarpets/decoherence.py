@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import CavityConfig, SpectralState, _ModeBasis, _check_alpha, _check_positions
+from .spectral import CavityConfig, SpectralState, _ModeBasis, _check_count, _check_positions
 
 #: Damping control reproducing beta * tau = (alpha'^2 - alpha^2) / 10.
 DEFAULT_GAMMA = 2.0 / (5.0 * np.pi)
@@ -63,8 +63,8 @@ class DecoherenceParams:
 
 def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityConfig) -> float:
     """Coherence decay rate of the (alpha, alpha') pair, gamma * |E' - E| / hbar."""
-    a = _check_alpha(alpha)
-    b = _check_alpha(alpha_prime)
+    a = _check_count(alpha, "mode index", 1)
+    b = _check_count(alpha_prime, "mode index", 1)
     return params.gamma * _beat_unit(cfg) * abs(b**2 - a**2)
 
 
@@ -258,14 +258,15 @@ def decohered_density(state: SpectralState, x, t: float, params: DecoherencePara
 
 
 def asymptotic_density(state: SpectralState, x):
-    """Long-time density: the bare population-weighted sum of squared modes."""
+    """Long-time density: the populations' share of the density series.
+
+    That is the bare population-weighted sum of squared modes, the
+    ``_BeatSeries.base`` coefficients alone; ``density_map`` gives the same
+    row, bit for bit, once every pair's damping has underflowed.
+    """
     xv = np.atleast_1d(_check_positions(x, state.cfg))
-    c, basis = _support(state)
-    if c.size == 0:
-        out = np.zeros_like(xv)
-        return out if np.ndim(x) else float(out)
-    phi, _ = basis(xv)
-    rho = phi**2 @ c**2
+    series = _BeatSeries(state, 0.0)
+    rho = _clamp_density(series.base @ series.tables(xv))
     return rho if np.ndim(x) else float(rho[0])
 
 

@@ -126,8 +126,7 @@ def purity_curve(
     """
     if not np.isfinite(t_max) or t_max <= 0.0:
         raise DomainError(f"purity curve t_max must be positive and finite, got {t_max!r}")
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 2:
-        raise DomainError(f"purity curve samples must be an integer >= 2, got {samples!r}")
+    samples = _check_count(samples, "purity curve samples", 2)
     times = np.concatenate([[0.0], np.geomspace(t_max / 1000.0, t_max, samples - 1)])
     return PurityCurve(times=times, values=purity(state, times, params))
 
@@ -339,12 +338,6 @@ def _levenberg_marquardt(theta, curve, dt, vals, floor):
         batch = (ids, curve, theta, c, F, A, g, scale, mu, nu, evals)
 
 
-def _check_restarts(restarts) -> int:
-    if isinstance(restarts, bool) or not isinstance(restarts, (int, np.integer)) or restarts < 1:
-        raise DomainError(f"fit restarts must be an integer >= 1, got {restarts!r}")
-    return int(restarts)
-
-
 def _check_fittable(curve: PurityCurve) -> None:
     if curve.times.size < 50:
         raise DomainError(f"fit needs at least 50 samples, got {curve.times.size}")
@@ -411,7 +404,7 @@ def fit_purity(curve: PurityCurve, restarts: int = DEFAULT_FIT_RESTARTS, seed: i
     (best candidate attached) when no restart produces a valid, strictly
     ordered fit.
     """
-    restarts = _check_restarts(restarts)
+    restarts = _check_count(restarts, "fit restarts", 1)
     _check_fittable(curve)
     (result,) = _fit_restarts([curve], restarts, seed)
     return _best_fit(float(curve.times[0]), *result)
@@ -431,7 +424,7 @@ def decay_time_map(cfg: CavityConfig, gamma: float, N: int = 50) -> np.ndarray:
     """
     if not np.isfinite(gamma) or gamma <= 0.0:
         raise DomainError(f"decay-time map requires gamma > 0, got {gamma!r}")
-    N = _check_count(N)
+    N = _check_count(N, "mode count N", 1)
     square = np.arange(1, N + 1) ** 2
     with np.errstate(divide="ignore"):
         times = 1.0 / (gamma * _beat_unit(cfg) * np.abs(square[:, None] - square[None, :]))
@@ -475,7 +468,7 @@ def sweep_x0(
     """
     from .decoherence import DEFAULT_GAMMA
 
-    _check_restarts(restarts)
+    _check_count(restarts, "fit restarts", 1)
 
     g = DEFAULT_GAMMA if gamma is None else float(gamma)
     params = DecoherenceParams(gamma=g)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .decoherence import DecoherenceParams, _beat_unit, decohered_density, density_map
 from .errors import DomainError
-from .spectral import CavityConfig, SpectralState, _check_alpha, _check_positions, mode_values
+from .spectral import CavityConfig, SpectralState, _check_count, _check_positions, mode_values
 
 
 @dataclass(frozen=True)
@@ -34,8 +34,8 @@ def revival_times(cfg: CavityConfig) -> RevivalTimes:
 
 def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
     """Beat frequency of the ordered pair, (E_alpha' - E_alpha) / hbar >= 0."""
-    a = _check_alpha(alpha)
-    b = _check_alpha(alpha_prime)
+    a = _check_count(alpha, "mode index", 1)
+    b = _check_count(alpha_prime, "mode index", 1)
     if b < a:
         raise DomainError(f"pair must be ordered alpha' >= alpha, got ({a}, {b})")
     return _beat_unit(cfg) * (b**2 - a**2)
@@ -53,7 +53,7 @@ def wavefunction(state: SpectralState, x, t: float):
 
 
 def probability_density(state: SpectralState, x, t: float, params: DecoherenceParams | None = None):
-    """Probability density via the explicit population + coherence pair sum.
+    """Probability density: the one-row ``density_map``, a beat-wavenumber series.
 
     With ``params`` given, each coherence term is damped by its pair factor;
     without, the result equals |wavefunction|^2 to roundoff.  Negative
@@ -87,8 +87,10 @@ class SpaceTimeGrid:
 
     @classmethod
     def regular(cls, cfg: CavityConfig, nx: int, nt: int, t_max: float) -> "SpaceTimeGrid":
-        if nx < 1 or nt < 1 or not 0.0 <= t_max < np.inf:
-            raise DomainError("grid needs nx >= 1, nt >= 1 and a finite t_max >= 0")
+        nx = _check_count(nx, "grid nx", 1)
+        nt = _check_count(nt, "grid nt", 1)
+        if not 0.0 <= t_max < np.inf:
+            raise DomainError(f"grid t_max must be finite and >= 0, got {t_max!r}")
         x = np.linspace(-cfg.half_width, cfg.half_width, nx)
         t = np.linspace(0.0, t_max, nt)
         return cls(x=x, t=t)

@@ -6,6 +6,12 @@ transported.  In one dimension the flow map is order-preserving, so
 trajectories seeded in increasing order must stay ordered (the noncrossing
 rule checked by ``noncrossing_check``).
 
+The field has one route per kind of point.  At fixed points (``velocity``
+and ``velocity_map``, which share one row function) a row is two mode sums
+of psi at gamma = 0 and a beat-wavenumber series when damped.  Points that
+move on every call, the damped integrator's, reduce the pair matrix
+(``_VelocityField``).
+
 A coherent (gamma = 0) streamline keeps the probability to its left
 constant, F(x(t), t) = F(x0, 0), and F has a closed form; those paths are
 solved as quantiles of F at each sample time, with no time stepping.
@@ -24,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _BeatSeries, _PairKernel
+from .decoherence import DecoherenceParams, _BeatSeries, _PairKernel, _support
 from .errors import CarpetError, DomainError, NodeProximityError
 from .evolution import revival_times
-from .spectral import InputSignalSpec, SpectralState, _check_positions
+from .spectral import InputSignalSpec, SpectralState, _check_count, _check_positions
 
 DENSITY_FLOOR = 1e-12
 _QUANTILE_ITERATIONS = 200  # per sample; bisection alone needs ~40 across the box
@@ -50,36 +56,57 @@ _RK_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 /
 
 
 class _VelocityField:
-    """Vectorized evaluation of the (possibly damped) velocity field.
+    """The (possibly damped) velocity field at points that move on every call.
 
-    Restricted to the modes with nonzero coefficients; evaluation returns the
-    velocities together with a mask of positions whose density sits below the
-    node floor (velocity forced to zero there).
+    The integrator's field: each call reduces the pair matrix ``_PairKernel``
+    against the support modes and slopes at the points, at any gamma.
+    Evaluation returns the velocities together with a mask of positions
+    whose density sits below the node floor (velocity forced to zero there).
     """
 
     def __init__(self, state: SpectralState, params: DecoherenceParams | None):
-        self.kernel = _flow_kernel(state, params.gamma if params is not None else 0.0)
+        _require_support(state)
+        self.kernel = _PairKernel(state, params.gamma if params is not None else 0.0)
         self.hm = state.cfg.hbar / state.cfg.m
 
     def __call__(self, x: np.ndarray, t: float):
-        return self.at(*self.kernel.basis(x), t)
+        phi, dphi = self.kernel.basis(x)
+        M = self.kernel(t)
+        den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
+        num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
+        return _flux_ratio(self.hm, num, den)
 
-    def at(self, phi: np.ndarray, dphi: np.ndarray, t: float):
-        """The field from the support modes and slopes already evaluated at the points."""
-        kernel = self.kernel
-        if kernel.gamma == 0.0:
-            # a pure state: two mode sums instead of the pair matrix
-            u = kernel.c * np.exp(-1j * kernel.Eh * t)
+
+def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, params: DecoherenceParams | None):
+    """Velocity rows at fixed points ``xv``, one per time, and their node-floor masks.
+
+    At gamma = 0 each row is two mode sums, psi and its slope, from one
+    evaluation of the basis: |psi|^2 keeps its relative accuracy where the
+    density is small.  Damped rows are beat-wavenumber series
+    (``_BeatSeries``), summed from the nearer wall.
+    """
+    _require_support(state)
+    hm = state.cfg.hbar / state.cfg.m
+    rows = np.empty((times.size, xv.size))
+    bad = np.empty(rows.shape, dtype=bool)
+    gamma = params.gamma if params is not None else 0.0
+    if gamma == 0.0:
+        c, basis = _support(state)
+        Eh = state.energies[state.coeffs != 0.0] / state.cfg.hbar
+        phi, dphi = basis(xv)
+        for j, t in enumerate(times):
+            u = c * np.exp(-1j * Eh * float(t))
             ur = u.view(float).reshape(-1, 2)  # (real, imag) columns: no complex cast of phi
             re, im = (phi @ ur).T
             dre, dim = (dphi @ ur).T
-            den = re**2 + im**2
-            num = re * dim - im * dre
-        else:
-            M = kernel(t)
-            den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
-            num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
-        return _flux_ratio(self.hm, num, den)
+            rows[j], bad[j] = _flux_ratio(hm, re * dim - im * dre, re**2 + im**2)
+        return rows, bad
+    series = _BeatSeries(state, gamma)
+    table, sine = series.tables(xv, flux=True)
+    for j, t in enumerate(times):
+        C, S = series.coefficients(float(t), flux=True)
+        rows[j], bad[j] = _flux_ratio(hm, S @ sine, C @ table)
+    return rows, bad
 
 
 def _flux_ratio(hm: float, num: np.ndarray, den: np.ndarray):
@@ -88,11 +115,6 @@ def _flux_ratio(hm: float, num: np.ndarray, den: np.ndarray):
     v = hm * num / np.where(bad, 1.0, den)
     v[bad] = 0.0
     return v, bad
-
-
-def _flow_kernel(state: SpectralState, gamma: float) -> _PairKernel:
-    _require_support(state)
-    return _PairKernel(state, gamma)
 
 
 def _require_support(state: SpectralState) -> None:
@@ -113,7 +135,8 @@ class _Cumulative:
     """
 
     def __init__(self, state: SpectralState):
-        self.kernel = _flow_kernel(state, 0.0)
+        _require_support(state)
+        self.kernel = _PairKernel(state, 0.0)
         k = self.kernel.basis.k
         with np.errstate(divide="ignore"):
             A = 1.0 / (k[:, None] - k[None, :]) - 1.0 / (k[:, None] + k[None, :])
@@ -143,15 +166,16 @@ class _Cumulative:
 def velocity(state: SpectralState, x, t: float, params: DecoherenceParams | None = None):
     """Velocity field value(s) at position(s) ``x`` and time ``t``.
 
-    Real input signals start with a uniform phase, so the field vanishes
-    identically at t = 0.  Raises ``NodeProximityError`` where the density
-    is below the node floor.
+    The one-row ``velocity_map``: the same value, bit for bit.  Real input
+    signals start with a uniform phase, so the field vanishes identically at
+    t = 0.  Raises ``NodeProximityError`` where the density is below the
+    node floor.
     """
     if not np.isfinite(t) or t < 0.0:
         raise DomainError(f"time must be nonnegative and finite, got {t!r}")
     xv = np.atleast_1d(_check_positions(x, state.cfg))
-    field = _VelocityField(state, params)
-    v, bad = field(xv, float(t))
+    rows, masks = _velocity_rows(state, xv, np.array([float(t)]), params)
+    v, bad = rows[0], masks[0]
     if bad.any():
         where = xv[bad][:8]
         raise NodeProximityError(
@@ -165,31 +189,14 @@ def velocity_map(
 ) -> np.ndarray:
     """Velocity on the (t, x) grid; node-floor positions are set to zero.
 
-    At gamma = 0 each row is the two mode sums of ``velocity``, from one
-    evaluation of the basis: |psi|^2 keeps its relative accuracy where the
-    density is small.  Damped rows are beat-wavenumber series
-    (``_BeatSeries``).
+    Row j is ``velocity`` at times[j], bit for bit: both are rows of
+    ``_velocity_rows``.
     """
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     times = np.asarray(times, dtype=float)
     if not np.all((times >= 0.0) & np.isfinite(times)):
         raise DomainError("times must be nonnegative and finite")
-    out = np.empty((times.size, xv.size))
-    gamma = params.gamma if params is not None else 0.0
-    if gamma == 0.0:
-        field = _VelocityField(state, params)
-        phi, dphi = field.kernel.basis(xv)
-        for j, t in enumerate(times):
-            out[j], _ = field.at(phi, dphi, float(t))
-        return out
-    _require_support(state)
-    series = _BeatSeries(state, gamma)
-    table, sine = series.tables(xv, flux=True)
-    hm = state.cfg.hbar / state.cfg.m
-    for j, t in enumerate(times):
-        C, S = series.coefficients(float(t), flux=True)
-        out[j], _ = _flux_ratio(hm, S @ sine, C @ table)
-    return out
+    return _velocity_rows(state, xv, times, params)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -243,11 +250,7 @@ class EnsembleSpec:
         else:
             if self.seeds is not None:
                 raise DomainError("uniform seeding does not take an explicit seed list")
-            if isinstance(self.count, bool) or not isinstance(self.count, (int, np.integer)):
-                raise DomainError(f"ensemble count must be an integer, got {self.count!r}")
-            object.__setattr__(self, "count", int(self.count))
-            if self.count < 1:
-                raise DomainError(f"ensemble count must be >= 1, got {self.count}")
+            object.__setattr__(self, "count", _check_count(self.count, "ensemble count", 1))
 
 
 def ensemble_seeds(spec: EnsembleSpec, signal: InputSignalSpec) -> np.ndarray:

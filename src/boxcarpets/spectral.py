@@ -59,7 +59,7 @@ class Mode:
 
 def mode(alpha: int, cfg: CavityConfig) -> Mode:
     """Build the mode with index ``alpha`` (1-based) for the given cavity."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_count(alpha, "mode index", 1)
     k = alpha * np.pi / cfg.L
     E = (cfg.hbar * k) ** 2 / (2.0 * cfg.m)
     parity = "even" if alpha % 2 == 1 else "odd"
@@ -68,7 +68,7 @@ def mode(alpha: int, cfg: CavityConfig) -> Mode:
 
 def eigenenergy(alpha: int, cfg: CavityConfig) -> float:
     """Energy of mode ``alpha``: (hbar * pi * alpha)^2 / (2 m L^2)."""
-    alpha = _check_alpha(alpha)
+    alpha = _check_count(alpha, "mode index", 1)
     return (cfg.hbar * np.pi * alpha / cfg.L) ** 2 / (2.0 * cfg.m)
 
 
@@ -275,7 +275,7 @@ def decompose(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> Spectral
     sqrt(w/L) * trig(k0 c) instead.
     """
     spec.validate(cfg)
-    N = _check_count(N)
+    N = _check_count(N, "mode count N", 1)
     alphas = np.arange(1, N + 1)
     even = alphas % 2 == 1
     ka = alphas * np.pi / cfg.L
@@ -307,7 +307,7 @@ def decompose_numeric(x: np.ndarray, signal: np.ndarray, cfg: CavityConfig, N: i
     if x.size < 3:
         raise DomainError("numeric decomposition needs at least 3 sample points")
     _check_positions(x, cfg)
-    N = _check_count(N)
+    N = _check_count(N, "mode count N", 1)
     weights = simpson_weights(x)
     phi = mode_values(np.arange(1, N + 1), x, cfg)
     coeffs = phi.T @ (weights * signal)
@@ -321,16 +321,17 @@ def oracle_grid(cfg: CavityConfig, points: int = 4001) -> np.ndarray:
     return np.linspace(-cfg.half_width, cfg.half_width, points)
 
 
-def _check_alpha(alpha) -> int:
-    if alpha != int(alpha) or int(alpha) < 1:
-        raise DomainError(f"mode index must be a positive integer, got {alpha!r}")
-    return int(alpha)
+def _check_count(value, what: str, least: int) -> int:
+    """``value`` as a Python int, once it is checked to be an integer >= ``least``.
 
-
-def _check_count(N) -> int:
-    if N != int(N) or int(N) < 1:
-        raise DomainError(f"mode count N must be a positive integer, got {N!r}")
-    return int(N)
+    Python and numpy integers pass; a bool, a float (also 3.0) or a string
+    does not.  ``what`` names the value in the error message.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    if value < least:
+        raise DomainError(f"{what} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 def _check_positions(x, cfg: CavityConfig):

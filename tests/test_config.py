@@ -274,6 +274,19 @@ def test_spec_counts_must_be_integers(make, field):
         make()
 
 
+def test_mode_count_must_be_an_integer():
+    # a float or bool count used to serialize as "count = 3.0" or "count = true",
+    # text that parse_config rejects
+    for bad in (3.0, True, "3"):
+        with pytest.raises(DomainError, match="modes count must be an integer"):
+            bc.RunConfig(n_modes=bad)
+    with pytest.raises(DomainError, match="modes count must be >= 1"):
+        bc.RunConfig(n_modes=0)
+    cfg = bc.RunConfig(n_modes=np.int64(3))
+    assert type(cfg.n_modes) is int
+    assert bc.parse_config(bc.serialize_config(cfg)) == cfg
+
+
 def test_spec_counts_accept_numpy_integers():
     fit = FitSpec(samples=np.int64(60), restarts=np.int32(3), seed=np.int64(7))
     grid = GridSpec(x_points=np.int64(11), t_points=np.uint16(5))

@@ -146,6 +146,19 @@ def test_asymptotic_density_symmetry_and_values(state20, state0, box_grid):
     assert expected_center == pytest.approx(0.039994, abs=1e-5)
 
 
+@pytest.mark.parametrize("which", ["state0", "state20", "double125"])
+def test_asymptotic_density_is_the_late_density_row(request, cfg, which):
+    state = request.getfixturevalue(which)
+    params = bc.DecoherenceParams(gamma=0.3)
+    # exp(-800) is 0.0 in double precision: at t_late every pair's damping has underflowed
+    alpha = state.alphas[state.coeffs != 0.0]
+    slowest = min(bc.beta(int(a), int(b), params, cfg) for a, b in zip(alpha[:-1], alpha[1:]))
+    t_late = 800.0 / slowest
+    x = np.unique(np.concatenate([np.linspace(-25.0, 25.0, 401), [-24.99, 0.0, 24.99]]))
+    late = density_map(state, x, [t_late], gamma=params.gamma)[0]
+    assert np.array_equal(bc.asymptotic_density(state, x), late)
+
+
 def test_asymptotic_density_trace(state20, box_grid):
     w = bc.simpson_weights(box_grid)
     total = w @ bc.asymptotic_density(state20, box_grid)
@@ -256,5 +269,8 @@ def test_carpets_match_long_double_pair_sum(request, cfg, rev, which, gamma):
         assert np.max(np.abs(rho[j] - den)) <= 1e-13 * den.max()
         if gamma > 0.0:
             keep = den > 1e-6 * den.max()
-            err = np.abs(vel[j, keep] - ref[keep]) / np.maximum(1.0, np.abs(ref[keep]))
-            assert err.max() <= 1e-13
+            scale = np.maximum(1.0, np.abs(ref[keep]))
+            assert np.max(np.abs(vel[j, keep] - ref[keep]) / scale) <= 1e-13
+            # the pointwise field is the same row
+            pointwise = bc.velocity(state, x[keep], t, bc.DecoherenceParams(gamma=gamma))
+            assert np.max(np.abs(pointwise - ref[keep]) / scale) <= 1e-13

@@ -165,6 +165,10 @@ def test_grid_validation():
     for nt, t_max in ((5, np.nan), (5, np.inf), (1, np.nan)):
         with pytest.raises(DomainError):
             bc.SpaceTimeGrid.regular(cfg, 11, nt, t_max)
+    # a non-integer count used to reach np.linspace and raise TypeError
+    for nx, nt in ((2.5, 3), (11, 3.0), (True, 3), (11, 0)):
+        with pytest.raises(DomainError, match="grid n[xt] must be"):
+            bc.SpaceTimeGrid.regular(cfg, nx, nt, 1.0)
     for quantity in ("density", "velocity"):
         with pytest.raises(DomainError):
             bc.CarpetGrid(grid=grid, values=np.full((5, 11), np.nan), quantity=quantity)

@@ -235,3 +235,14 @@ def test_state_csv_rejects_malformed_header(tmp_path):
     path.write_text("1,even,0.5\n")
     with pytest.raises(DomainError):
         csvio.read_spectral_state(path)
+
+
+@pytest.mark.parametrize("N", [True, 3.0, "3", 0])
+def test_mode_count_and_index_are_strict_integers(cfg, N):
+    # decompose(..., N=True) used to return a one-mode state
+    spec = bc.InputSignalSpec("single", 0.0, 10.0)
+    with pytest.raises(DomainError, match="mode count N"):
+        bc.decompose(spec, cfg, N)
+    with pytest.raises(DomainError, match="mode index"):
+        bc.eigenenergy(N, cfg)
+    assert bc.decompose(spec, cfg, np.int64(3)).coeffs.size == 3
