@@ -44,12 +44,10 @@ from .energy import (
 from .errors import CarpetError, ConfigError, DomainError, FitFailure, NodeProximityError
 from .evolution import (
     CarpetGrid,
-    RevivalTimes,
     SpaceTimeGrid,
     carpet,
     frequency,
     probability_density,
-    revival_times,
     wavefunction,
 )
 from .flow import (
@@ -65,14 +63,14 @@ from .flow import (
 )
 from .heatmap import DIVERGING, SEQUENTIAL, ColorMap, render_heatmap
 from .products import build_state, run
-from .quadrature import simpson_integral, simpson_weights
+from .quadrature import decompose_numeric, simpson_integral, simpson_weights
 from .spectral import (
     CavityConfig,
     InputSignalSpec,
     Mode,
+    RevivalTimes,
     SpectralState,
     decompose,
-    decompose_numeric,
     eigenenergy,
     eigenmode,
     input_signal,
@@ -81,6 +79,7 @@ from .spectral import (
     mode_slopes,
     norm_deficit,
     oracle_grid,
+    revival_times,
 )
 
 __version__ = "0.1.0"

@@ -18,7 +18,7 @@ import numpy as np
 from .decoherence import DEFAULT_GAMMA, DecoherenceParams
 from .errors import ConfigError, DomainError
 from .flow import EnsembleSpec
-from .spectral import CavityConfig, InputSignalSpec, _check_count
+from .spectral import CavityConfig, InputSignalSpec, _check_count, _check_real
 
 PRODUCT_NAMES = ("carpet", "trajectories", "densmat", "purity", "sweep", "fit", "decaymap")
 
@@ -26,6 +26,11 @@ PRODUCT_NAMES = ("carpet", "trajectories", "densmat", "purity", "sweep", "fit", 
 def _set_count(spec, section: str, name: str, least: int) -> None:
     """Store field ``name`` of ``spec`` as a Python int, once ``_check_count`` passes it."""
     object.__setattr__(spec, name, _check_count(getattr(spec, name), f"{section} {name}", least))
+
+
+def _set_real(spec, section: str, name: str, least=None, strict: bool = False) -> None:
+    """Store field ``name`` of ``spec`` as a Python float, once ``_check_real`` passes it."""
+    object.__setattr__(spec, name, _check_real(getattr(spec, name), f"{section} {name}", least, strict))
 
 
 @dataclass(frozen=True)
@@ -40,10 +45,9 @@ class GridSpec:
     def __post_init__(self):
         _set_count(self, "grid", "x_points", 2)
         _set_count(self, "grid", "t_points", 2)
-        if not 0.0 < self.t_max_tau < np.inf:
-            raise DomainError(f"grid t_max_tau must be positive and finite, got {self.t_max_tau!r}")
-        if not all(0.0 <= s < np.inf for s in self.snapshots_tau):
-            raise DomainError(f"grid snapshots_tau must be nonnegative and finite, got {self.snapshots_tau!r}")
+        _set_real(self, "grid", "t_max_tau", 0, strict=True)
+        snapshots = tuple(_check_real(s, "grid snapshots_tau", 0) for s in self.snapshots_tau)
+        object.__setattr__(self, "snapshots_tau", snapshots)
 
 
 @dataclass(frozen=True)
@@ -55,12 +59,10 @@ class SweepSpec:
     step: float = 0.5
 
     def __post_init__(self):
-        if not 0.0 < self.step < np.inf:
-            raise DomainError(f"sweep step must be positive and finite, got {self.step!r}")
+        _set_real(self, "sweep", "step", 0, strict=True)
         for name in ("start", "stop"):
-            value = getattr(self, name)
-            if value is not None and not np.isfinite(value):
-                raise DomainError(f"sweep {name} must be finite, got {value!r}")
+            if getattr(self, name) is not None:
+                _set_real(self, "sweep", name)
 
     def values(self, signal: InputSignalSpec | str, cavity: CavityConfig | None = None) -> np.ndarray:
         """Centers from start to stop in steps, never past stop.
@@ -89,8 +91,7 @@ class FitSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.span_tau < np.inf:
-            raise DomainError(f"fit span_tau must be positive and finite, got {self.span_tau!r}")
+        _set_real(self, "fit", "span_tau", 0, strict=True)
         _set_count(self, "fit", "samples", 50)
         _set_count(self, "fit", "restarts", 1)
         _set_count(self, "fit", "seed", 0)
@@ -287,13 +288,11 @@ def parse_config_file(path) -> RunConfig:
 
 
 def _text(value) -> str:
-    # numpy scalars are written as the Python numbers they hold
+    # the specs store counts as Python ints and real numbers as Python floats
     if isinstance(value, (bool, np.bool_)):
         return str(bool(value)).lower()
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
+    if isinstance(value, float):
+        return repr(value)
     if isinstance(value, tuple):
         return ",".join(_text(v) for v in value)
     return str(value)

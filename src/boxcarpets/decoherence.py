@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import CavityConfig, SpectralState, _ModeBasis, _check_count, _check_positions
+from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_count, _check_positions, _check_real,
+                       _check_times, _ModeBasis)
 
 #: Damping control reproducing beta * tau = (alpha'^2 - alpha^2) / 10.
 DEFAULT_GAMMA = 2.0 / (5.0 * np.pi)
@@ -44,10 +45,8 @@ class DecoherenceParams:
     lambda_mode: str = "off"
 
     def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0.0:
-            raise DomainError(f"gamma must be nonnegative and finite, got {self.gamma!r}")
-        if not np.isfinite(self.lam) or self.lam < 0.0:
-            raise DomainError(f"lambda must be nonnegative and finite, got {self.lam!r}")
+        object.__setattr__(self, "gamma", _check_real(self.gamma, "gamma", 0))
+        object.__setattr__(self, "lam", _check_real(self.lam, "lambda", 0))
         if self.lambda_mode not in ("off", "formula"):
             raise DomainError(f"lambda_mode must be 'off' or 'formula', got {self.lambda_mode!r}")
 
@@ -68,11 +67,6 @@ def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityCon
     return params.gamma * _beat_unit(cfg) * abs(b**2 - a**2)
 
 
-def _beat_unit(cfg: CavityConfig) -> float:
-    """(E_alpha' - E_alpha) / hbar per unit of alpha'^2 - alpha^2."""
-    return cfg.hbar * np.pi**2 / (2.0 * cfg.m * cfg.L**2)
-
-
 def damping_factor(
     alpha: int,
     alpha_prime: int,
@@ -83,9 +77,8 @@ def damping_factor(
     cfg: CavityConfig,
 ) -> float:
     """Pair damping exp(-beta t - Lambda (x - x')^2 t); equals 1 at t = 0."""
-    _check_time(t)
-    _check_positions(x, cfg)
-    _check_positions(x_prime, cfg)
+    t = _check_real(t, "time", 0)
+    _check_positions([_check_real(x, "position x"), _check_real(x_prime, "position x_prime")], cfg)
     lam = params.effective_lambda(cfg)
     exponent = beta(alpha, alpha_prime, params, cfg) * t + lam * (x - x_prime) ** 2 * t
     return float(np.exp(-exponent))
@@ -109,19 +102,22 @@ class _PairKernel:
     exp(-gamma t |E_a - E_b| / hbar).  The density is the x = x' reduction
     of phi M phi^T through Re M, the flux reduces Im M against the mode
     slopes, and the density matrix keeps the whole of M.  Everything that
-    does not depend on t is formed once per state.
+    does not depend on t is formed once per state.  The damping rates
+    |E_a - E_b| / hbar are ``beta``'s exact integer beats
+    |alpha_a^2 - alpha_b^2| times ``_beat_unit``.
     """
 
     def __init__(self, state: SpectralState, gamma: float):
         cfg = state.cfg
         self.c, self.basis = _support(state)
-        E = (cfg.hbar * self.basis.k) ** 2 / (2.0 * cfg.m)
-        self.Eh = E / cfg.hbar
+        populated = state.coeffs != 0.0
+        self.Eh = state.energies[populated] / cfg.hbar
         self.gamma = gamma
         # complex once here, so that no call casts it again
         self.W = np.outer(self.c, self.c).astype(complex)
         if gamma > 0.0:
-            self.absdEh = np.abs(self.Eh[:, None] - self.Eh[None, :])
+            square = state.alphas[populated] ** 2
+            self.absdEh = _beat_unit(cfg) * np.abs(square[:, None] - square[None, :])
 
     def __call__(self, t: float) -> np.ndarray:
         z = np.exp(-1j * self.Eh * t)
@@ -239,9 +235,7 @@ def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: f
     enters because the density lives on the x = x' diagonal.
     """
     xv = np.atleast_1d(_check_positions(x, state.cfg))
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & np.isfinite(times)):
-        raise DomainError("times must be nonnegative and finite")
+    times = _check_times(times)
     series = _BeatSeries(state, gamma)
     table = series.tables(xv)
     out = np.empty((times.size, xv.size))
@@ -252,8 +246,7 @@ def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: f
 
 def decohered_density(state: SpectralState, x, t: float, params: DecoherenceParams):
     """Probability density under coherence damping (diagonal of the density matrix)."""
-    _check_time(t)
-    rho = density_map(state, x, [t], gamma=params.gamma)[0]
+    rho = density_map(state, x, [_check_real(t, "time", 0)], gamma=params.gamma)[0]
     return rho if np.ndim(x) else float(rho[0])
 
 
@@ -287,6 +280,7 @@ class DensityMatrixGrid:
 
 def density_matrix(state: SpectralState, x: float, x_prime: float, t: float, params: DecoherenceParams) -> complex:
     """Density-matrix element rho(x, x'; t) under the damping model."""
+    x, x_prime = _check_real(x, "position x"), _check_real(x_prime, "position x_prime")
     grid = density_matrix_grid(state, np.array([x]), np.array([x_prime]), t, params)
     return complex(grid.values[0, 0])
 
@@ -303,21 +297,18 @@ def density_matrix_grid(
     The mode sum carries the pair phases and energy damping; the spatial
     damping factorizes out as exp(-Lambda (x - x')^2 t) on the grid.
     """
-    _check_time(t)
+    t = _check_real(t, "time", 0)
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     xpv = np.atleast_1d(_check_positions(x_prime, state.cfg))
-    cfg = state.cfg
     kernel = _PairKernel(state, params.gamma)
-    if kernel.c.size == 0:
-        values = np.zeros((xv.size, xpv.size), dtype=complex)
-        return DensityMatrixGrid(xv, xpv, float(t), values)
     phi_x, _ = kernel.basis(xv)
     phi_xp, _ = kernel.basis(xpv)
-    values = phi_x @ kernel(float(t)) @ phi_xp.T
-    lam = params.effective_lambda(cfg)
+    # a state with no nonzero coefficient has a zero-length mode axis: a zero grid
+    values = phi_x @ kernel(t) @ phi_xp.T
+    lam = params.effective_lambda(state.cfg)
     if lam > 0.0 and t > 0.0:
         values = values * np.exp(-lam * t * (xv[:, None] - xpv[None, :]) ** 2)
-    return DensityMatrixGrid(xv, xpv, float(t), values)
+    return DensityMatrixGrid(xv, xpv, t, values)
 
 
 def _clamp_density(rho: np.ndarray) -> np.ndarray:
@@ -325,9 +316,3 @@ def _clamp_density(rho: np.ndarray) -> np.ndarray:
     if low < -1e-12:
         raise DomainError(f"density evaluation produced {low:.3e}; inconsistent state")
     return np.maximum(rho, 0.0)
-
-
-def _check_time(t: float) -> float:
-    if not np.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be nonnegative and finite, got {t!r}")
-    return float(t)

@@ -11,7 +11,7 @@ product of the damping factors of the steps between neighbouring modes.  So
 one forward sweep, S_b = (S_{b-1} + p_{b-1}) exp(-2 gamma t omega_{b-1,b}),
 gives S_b = sum_{a<b} p_a exp(-2 beta_ab t) and chi = sum p^2 + 2 p . S in
 O(N) per time instead of O(N^2).  The step beats omega come from the exact
-integer alpha_b^2 - alpha_{b-1}^2 times ``decoherence._beat_unit``, the same
+integer alpha_b^2 - alpha_{b-1}^2 times ``spectral._beat_unit``, the same
 unit as ``beta``; a step whose damping underflows to zero restarts the sum.
 A quadrature route integrating |rho(x, x'; t)|^2 over the box square
 provides the independent cross-check.  Decay curves are summarized by
@@ -31,11 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _beat_unit, density_matrix_grid
+from .decoherence import DEFAULT_GAMMA, DecoherenceParams, density_matrix_grid
 from .errors import DomainError, FitFailure
-from .evolution import revival_times
 from .quadrature import simpson_weights
-from .spectral import CavityConfig, InputSignalSpec, SpectralState, decompose, _check_count
+from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_count,
+                       _check_real, _check_times, decompose, revival_times)
 
 DEFAULT_FIT_RESTARTS = 20
 
@@ -47,9 +47,7 @@ def purity(state: SpectralState, t, params: DecoherenceParams):
     S_b(t) = sum_{a<b} p_a exp(-2 beta_ab t) for all times at once; then
     chi = sum p^2 + 2 p . S.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if np.any(t_arr < 0.0) or not np.all(np.isfinite(t_arr)):
-        raise DomainError("purity times must be nonnegative and finite")
+    t_arr = _check_times(np.atleast_1d(t), "purity times")
     p = state.populations
     alpha = state.alphas[p != 0.0]
     p = p[alpha - 1]
@@ -79,6 +77,7 @@ def purity_via_quadrature(
     The spatial damping term is excluded (the closed form has none), so only
     ``params.gamma`` enters.
     """
+    points = _check_count(points, "quadrature points", 3)
     x = np.linspace(-state.cfg.half_width, state.cfg.half_width, points)
     bare = DecoherenceParams(gamma=params.gamma, lam=0.0, lambda_mode="off")
     grid = density_matrix_grid(state, x, x, t, bare)
@@ -94,12 +93,10 @@ class PurityCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
+        t = _check_array(self.times, "purity curve times")
+        v = _check_array(self.values, "purity curve values")
         if t.ndim != 1 or t.shape != v.shape or t.size < 2:
             raise DomainError("purity curve needs matching 1-D time and value arrays")
-        if not (np.all(np.isfinite(t)) and np.all(np.isfinite(v))):
-            raise DomainError("purity curve times and values must be finite")
         if np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
             raise DomainError("purity curve times must be nonnegative and strictly increasing")
         if np.any(v <= 0.0) or np.any(v > 1.0 + 1e-9):
@@ -124,8 +121,7 @@ def purity_curve(
     the fit needs resolution.  Any other sampling is
     ``PurityCurve(times, purity(state, times, params))``.
     """
-    if not np.isfinite(t_max) or t_max <= 0.0:
-        raise DomainError(f"purity curve t_max must be positive and finite, got {t_max!r}")
+    t_max = _check_real(t_max, "purity curve t_max", 0, strict=True)
     samples = _check_count(samples, "purity curve samples", 2)
     times = np.concatenate([[0.0], np.geomspace(t_max / 1000.0, t_max, samples - 1)])
     return PurityCurve(times=times, values=purity(state, times, params))
@@ -422,8 +418,7 @@ def decay_time_map(cfg: CavityConfig, gamma: float, N: int = 50) -> np.ndarray:
     The rates are ``beta``'s, gamma times the exact integer beat
     |alpha'^2 - alpha^2| in units of ``_beat_unit``.
     """
-    if not np.isfinite(gamma) or gamma <= 0.0:
-        raise DomainError(f"decay-time map requires gamma > 0, got {gamma!r}")
+    gamma = _check_real(gamma, "decay-time map gamma", 0, strict=True)
     N = _check_count(N, "mode count N", 1)
     square = np.arange(1, N + 1) ** 2
     with np.errstate(divide="ignore"):
@@ -463,16 +458,13 @@ def sweep_x0(
     ``renormalize`` rescales each truncated state to unit norm, as
     ``RunConfig.renormalize`` does for the other products.  Invalid centers
     (truncated or overlapping signals) produce an error row and the sweep
-    continues; a bad ``restarts`` count raises ``DomainError`` before any
-    center is computed.  Deterministic for fixed inputs.
+    continues; a bad ``restarts`` count or ``span_tau`` raises ``DomainError``
+    before any center is computed.  Deterministic for fixed inputs.
     """
-    from .decoherence import DEFAULT_GAMMA
-
     _check_count(restarts, "fit restarts", 1)
 
-    g = DEFAULT_GAMMA if gamma is None else float(gamma)
-    params = DecoherenceParams(gamma=g)
-    span = span_tau * revival_times(cfg).tau
+    params = DecoherenceParams(gamma=DEFAULT_GAMMA if gamma is None else gamma)
+    span = _check_real(span_tau, "sweep span_tau", 0, strict=True) * revival_times(cfg).tau
     rows: list[SweepRow | None] = []
     pending = []
     for x0 in np.asarray(x0_values, dtype=float):

@@ -3,8 +3,9 @@
 Every retained mode just rotates its phase at its own energy, so the state
 at any time is a direct sum evaluation.  All pair frequencies are integer
 multiples of 2 pi / T_rev, which makes the density exactly periodic with
-period T_rev = 4 m L^2 / (pi hbar); states built from a single parity class
-already recur at tau = T_rev / 8.
+period T_rev = 4 m L^2 / (pi hbar) (``spectral.revival_times``); states
+built from a single parity class already recur at tau = T_rev / 8.  A carpet
+is one ``density_map`` or ``flow.velocity_map`` call over its time axis.
 """
 
 from __future__ import annotations
@@ -13,23 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _beat_unit, decohered_density, density_map
+from . import flow
+from .decoherence import DecoherenceParams, decohered_density, density_map
 from .errors import DomainError
-from .spectral import CavityConfig, SpectralState, _check_count, _check_positions, mode_values
-
-
-@dataclass(frozen=True)
-class RevivalTimes:
-    """Full revival period and the single-parity recurrence time tau."""
-
-    t_revival: float
-    tau: float
-
-
-def revival_times(cfg: CavityConfig) -> RevivalTimes:
-    """T_rev = 4 m L^2 / (pi hbar) and tau = T_rev / 8."""
-    t_rev = 4.0 * cfg.m * cfg.L**2 / (np.pi * cfg.hbar)
-    return RevivalTimes(t_revival=t_rev, tau=t_rev / 8.0)
+from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_array, _check_count, _check_positions,
+                       _check_real, _check_times, mode_values)
 
 
 def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
@@ -43,8 +32,7 @@ def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
 
 def wavefunction(state: SpectralState, x, t: float):
     """Complex amplitude sum_alpha c_alpha phi_alpha(x) exp(-i E_alpha t / hbar)."""
-    if not np.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be nonnegative and finite, got {t!r}")
+    t = _check_real(t, "time", 0)
     xv = np.atleast_1d(_check_positions(x, state.cfg))
     phi = mode_values(state.alphas, xv, state.cfg)
     u = state.coeffs * np.exp(-1j * state.energies * (t / state.cfg.hbar))
@@ -70,16 +58,12 @@ class SpaceTimeGrid:
     t: np.ndarray
 
     def __post_init__(self):
-        xv = np.asarray(self.x, dtype=float)
-        tv = np.asarray(self.t, dtype=float)
-        if xv.ndim != 1 or tv.ndim != 1 or xv.size < 1 or tv.size < 1:
+        xv = _check_array(self.x, "grid positions")
+        tv = _check_times(self.t, "grid times")
+        if xv.ndim != 1 or xv.size < 1 or tv.size < 1:
             raise DomainError("grid axes must be non-empty 1-D arrays")
-        if not (np.all(np.isfinite(xv)) and np.all(np.isfinite(tv))):
-            raise DomainError("grid axes must be finite")
         if np.any(np.diff(xv) <= 0.0) or np.any(np.diff(tv) <= 0.0):
             raise DomainError("grid axes must be strictly increasing")
-        if tv[0] < 0.0:
-            raise DomainError("grid times must be nonnegative")
         xv.setflags(write=False)
         tv.setflags(write=False)
         object.__setattr__(self, "x", xv)
@@ -89,8 +73,7 @@ class SpaceTimeGrid:
     def regular(cls, cfg: CavityConfig, nx: int, nt: int, t_max: float) -> "SpaceTimeGrid":
         nx = _check_count(nx, "grid nx", 1)
         nt = _check_count(nt, "grid nt", 1)
-        if not 0.0 <= t_max < np.inf:
-            raise DomainError(f"grid t_max must be finite and >= 0, got {t_max!r}")
+        t_max = _check_real(t_max, "grid t_max", 0)
         x = np.linspace(-cfg.half_width, cfg.half_width, nx)
         t = np.linspace(0.0, t_max, nt)
         return cls(x=x, t=t)
@@ -105,13 +88,11 @@ class CarpetGrid:
     quantity: str
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        v = _check_array(self.values, "carpet values")
         if v.shape != (self.grid.t.size, self.grid.x.size):
             raise DomainError("carpet values must have shape (len(t), len(x))")
         if self.quantity not in ("density", "velocity"):
             raise DomainError(f"quantity must be 'density' or 'velocity', got {self.quantity!r}")
-        if not np.all(np.isfinite(v)):
-            raise DomainError("carpet values must be finite")
         if self.quantity == "density" and v.size and v.min() < 0.0:
             raise DomainError("density carpet values must be nonnegative")
         v.setflags(write=False)
@@ -132,7 +113,5 @@ def carpet(
     if quantity == "density":
         values = density_map(state, grid.x, grid.t, gamma=p.gamma)
     else:
-        from .flow import velocity_map
-
-        values = velocity_map(state, grid.x, grid.t, params=p)
+        values = flow.velocity_map(state, grid.x, grid.t, params=p)
     return CarpetGrid(grid=grid, values=values, quantity=quantity)

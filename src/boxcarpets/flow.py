@@ -32,8 +32,8 @@ import numpy as np
 
 from .decoherence import DecoherenceParams, _BeatSeries, _PairKernel, _support
 from .errors import CarpetError, DomainError, NodeProximityError
-from .evolution import revival_times
-from .spectral import InputSignalSpec, SpectralState, _check_count, _check_positions
+from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_count, _check_positions,
+                       _check_real, _check_times, revival_times)
 
 DENSITY_FLOOR = 1e-12
 _QUANTILE_ITERATIONS = 200  # per sample; bisection alone needs ~40 across the box
@@ -171,10 +171,9 @@ def velocity(state: SpectralState, x, t: float, params: DecoherenceParams | None
     t = 0.  Raises ``NodeProximityError`` where the density is below the
     node floor.
     """
-    if not np.isfinite(t) or t < 0.0:
-        raise DomainError(f"time must be nonnegative and finite, got {t!r}")
+    t = _check_real(t, "time", 0)
     xv = np.atleast_1d(_check_positions(x, state.cfg))
-    rows, masks = _velocity_rows(state, xv, np.array([float(t)]), params)
+    rows, masks = _velocity_rows(state, xv, np.array([t]), params)
     v, bad = rows[0], masks[0]
     if bad.any():
         where = xv[bad][:8]
@@ -193,10 +192,7 @@ def velocity_map(
     ``_velocity_rows``.
     """
     xv = np.atleast_1d(_check_positions(x, state.cfg))
-    times = np.asarray(times, dtype=float)
-    if not np.all((times >= 0.0) & np.isfinite(times)):
-        raise DomainError("times must be nonnegative and finite")
-    return _velocity_rows(state, xv, times, params)[0]
+    return _velocity_rows(state, xv, _check_times(times), params)[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,12 +205,11 @@ class Trajectory:
     status: str = "completed"
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        p = np.asarray(self.positions, dtype=float)
+        object.__setattr__(self, "x0", _check_real(self.x0, "trajectory seed"))
+        t = _check_array(self.times, "trajectory times")
+        p = _check_array(self.positions, "trajectory positions")
         if t.shape != p.shape or t.ndim != 1:
             raise DomainError("trajectory times and positions must be matching 1-D arrays")
-        if not (np.isfinite(self.x0) and np.all(np.isfinite(t)) and np.all(np.isfinite(p))):
-            raise DomainError("trajectory seed, times and positions must be finite")
         if t.size > 1 and np.any(np.diff(t) <= 0.0):
             raise DomainError("trajectory times must be strictly increasing")
         if self.status not in ("completed", "step-floor-hit"):
@@ -240,9 +235,8 @@ class EnsembleSpec:
         if self.seeding == "explicit":
             if not self.seeds:
                 raise DomainError("explicit seeding requires a non-empty seed list")
-            seeds = tuple(float(s) for s in self.seeds)
-            if not np.all(np.isfinite(seeds)):
-                raise DomainError(f"explicit seeds must be finite, got {seeds!r}")
+            # one by one: numpy would turn a bool among floats into a number
+            seeds = tuple(_check_real(s, "explicit seeds") for s in self.seeds)
             if np.any(np.diff(seeds) <= 0.0):
                 raise DomainError("explicit seeds must be strictly increasing")
             object.__setattr__(self, "seeds", seeds)
@@ -295,7 +289,7 @@ def integrate_trajectory(
     node with status 'step-floor-hit'; at gamma = 0 only a seed on a node
     (density below ``DENSITY_FLOOR``) is, at t = 0.
     """
-    return _integrate(state, np.array([float(x0)]), t_end, params, tol, sample_times)[0]
+    return _integrate(state, np.array([_check_real(x0, "seed x0")]), t_end, params, tol, sample_times)[0]
 
 
 def integrate_ensemble(
@@ -327,26 +321,22 @@ def integrate_ensemble(
 
 
 def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajectory]:
-    if not np.isfinite(t_end) or t_end <= 0.0:
-        raise DomainError(f"t_end must be positive and finite, got {t_end!r}")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise DomainError(f"tol must be positive and finite, got {tol!r}")
+    t_end = _check_real(t_end, "t_end", 0, strict=True)
+    tol = _check_real(tol, "tol", 0, strict=True)
     _check_positions(seeds, state.cfg)
 
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 257)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.ndim != 1 or sample_times.size < 1:
+    sample_times = _check_times(sample_times, "sample_times")
+    if sample_times.size < 1:
         raise DomainError("sample_times must be a non-empty 1-D array")
-    if not np.all(np.isfinite(sample_times)):
-        raise DomainError("sample_times must be finite")
     if np.any(np.diff(sample_times) <= 0.0):
         raise DomainError("sample_times must be strictly increasing")
-    if sample_times[0] < 0.0 or sample_times[-1] > t_end * (1 + 1e-12):
+    if sample_times[-1] > t_end * (1 + 1e-12):
         raise DomainError("sample_times must lie within [0, t_end]")
 
     if params is None or params.gamma == 0.0:
-        xtol = float(tol) * 1e-2
+        xtol = tol * 1e-2
         recorded, freeze_time = _quantile_batch(_Cumulative(state), seeds, sample_times, xtol)
     else:
         tau = revival_times(state.cfg).tau
@@ -354,9 +344,9 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
             _VelocityField(state, params),
             seeds,
             sample_times,
-            t_end=float(t_end),
-            rtol=float(tol),
-            atol=float(tol) * 1e-2,
+            t_end=t_end,
+            rtol=tol,
+            atol=tol * 1e-2,
             h_start=tau / 16000.0,
             h_floor=tau * 1e-12,
             half_width=state.cfg.half_width,
@@ -555,6 +545,7 @@ def noncrossing_check(trajectories: list[Trajectory], slack: float = 1e-9) -> No
     compared, so each grid must be a prefix of the longest one; the ``slack``
     tolerates near-contact of mirror-symmetric paths.
     """
+    slack = _check_real(slack, "noncrossing slack", 0)
     if len(trajectories) < 2:
         return NoncrossingReport(ok=True)
     times = max((tr.times for tr in trajectories), key=np.size)

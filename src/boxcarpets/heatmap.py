@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
+from .spectral import _check_real
 
 
 @dataclass(frozen=True)
@@ -33,9 +34,8 @@ class ColorMap:
             if len(rgb) != 3 or any(ch < 0 or ch > 255 for ch in rgb):
                 raise DomainError("colormap colors must be 8-bit RGB triples")
         for name in ("vmin", "vmax"):
-            v = getattr(self, name)
-            if v is not None and not np.isfinite(v):
-                raise DomainError(f"colormap {name} must be finite")
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, _check_real(getattr(self, name), f"colormap {name}"))
 
     def anchors(self, values: np.ndarray) -> tuple[float, float]:
         lo = float(values.min()) if self.vmin is None else self.vmin

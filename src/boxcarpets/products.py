@@ -20,10 +20,10 @@ from .config import RunConfig, serialize_config
 from .decoherence import density_matrix_grid
 from .energy import PurityCurve, correlation_matrix, decay_time_map, fit_purity, purity_curve, sweep_x0
 from .errors import CarpetError
-from .evolution import SpaceTimeGrid, carpet, revival_times
+from .evolution import SpaceTimeGrid, carpet
 from .flow import integrate_ensemble
 from .heatmap import DIVERGING, SEQUENTIAL, ColorMap, render_heatmap
-from .spectral import SpectralState, decompose
+from .spectral import SpectralState, decompose, revival_times
 
 
 def build_state(config: RunConfig) -> SpectralState:

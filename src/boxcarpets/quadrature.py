@@ -1,10 +1,12 @@
-"""Composite Simpson quadrature on uniform grids, exposed as weight vectors."""
+"""Composite Simpson quadrature on uniform grids, exposed as weight vectors,
+and the quadrature route of the spectral decomposition (``decompose_numeric``)."""
 
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import DomainError
+from .spectral import CavityConfig, SpectralState, _check_array, _check_count, _check_positions, mode_values
 
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -14,7 +16,7 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     points the classic composite rule covers all but the last three
     intervals, which are closed with the 3/8 rule.
     """
-    x = np.asarray(x, dtype=float)
+    x = _check_array(x, "Simpson grid")
     n = x.size
     if n < 3:
         raise DomainError("Simpson quadrature needs at least 3 sample points")
@@ -43,3 +45,24 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
 def simpson_integral(y: np.ndarray, x: np.ndarray) -> float:
     """Convenience wrapper: integrate samples y over the grid x."""
     return float(simpson_weights(x) @ np.asarray(y, dtype=float))
+
+
+def decompose_numeric(x: np.ndarray, signal: np.ndarray, cfg: CavityConfig, N: int = 50) -> SpectralState:
+    """Project sampled signal values onto the mode basis by Simpson quadrature.
+
+    This is the oracle route: it never touches the closed forms of
+    ``spectral.decompose``.  The samples must lie on a uniform grid inside
+    the box with at least 3 points; the signal is taken as zero outside the
+    sampled range.
+    """
+    x = _check_positions(x, cfg)
+    signal = _check_array(signal, "signal samples")
+    if x.ndim != 1 or x.shape != signal.shape:
+        raise DomainError("positions and signal samples must be matching 1-D arrays")
+    if x.size < 3:
+        raise DomainError("numeric decomposition needs at least 3 sample points")
+    N = _check_count(N, "mode count N", 1)
+    weights = simpson_weights(x)
+    phi = mode_values(np.arange(1, N + 1), x, cfg)
+    coeffs = phi.T @ (weights * signal)
+    return SpectralState(cfg, coeffs, None)

@@ -3,23 +3,28 @@
 The cavity is an infinite square well of width L centered at x = 0.  Its
 stationary modes are sinusoids indexed by a positive integer alpha; modes
 with odd alpha are even about the center, modes with even alpha are odd.
+Their energies fix the beat unit ``_beat_unit`` and the revival times.
 An input signal released inside the cavity is represented by the vector of
 its real projection coefficients onto that basis (a ``SpectralState``).
 
 A signal is a weighted list of half-cosine lobes of width w
 (``InputSignalSpec.lobes``): one lobe centered at x0, or the even mirror
 pair at -x0 and +x0.  ``decompose`` sums one closed form over the lobes;
-``decompose_numeric`` provides the quadrature route used to cross-check it.
+``quadrature.decompose_numeric`` provides the route used to cross-check it.
+
+Every real argument of the package is checked here: scalars by
+``_check_real``, arrays by ``_check_array`` (positions and times build on
+it), integer counts by ``_check_count``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .quadrature import simpson_weights
 
 # Relative detuning below which a mode is treated as exactly resonant with
 # the signal wavenumber (removable singularity of the closed forms).
@@ -38,13 +43,30 @@ class CavityConfig:
 
     def __post_init__(self):
         for name in ("m", "hbar", "L"):
-            value = getattr(self, name)
-            if not np.isfinite(value) or value <= 0.0:
-                raise DomainError(f"CavityConfig.{name} must be positive and finite, got {value!r}")
+            object.__setattr__(self, name, _check_real(getattr(self, name), f"CavityConfig.{name}", 0, strict=True))
 
     @property
     def half_width(self) -> float:
         return self.L / 2.0
+
+
+@dataclass(frozen=True)
+class RevivalTimes:
+    """Full revival period and the single-parity recurrence time tau."""
+
+    t_revival: float
+    tau: float
+
+
+def revival_times(cfg: CavityConfig) -> RevivalTimes:
+    """T_rev = 4 m L^2 / (pi hbar) and tau = T_rev / 8."""
+    t_rev = 4.0 * cfg.m * cfg.L**2 / (np.pi * cfg.hbar)
+    return RevivalTimes(t_revival=t_rev, tau=t_rev / 8.0)
+
+
+def _beat_unit(cfg: CavityConfig) -> float:
+    """(E_alpha' - E_alpha) / hbar per unit of alpha'^2 - alpha^2."""
+    return cfg.hbar * np.pi**2 / (2.0 * cfg.m * cfg.L**2)
 
 
 @dataclass(frozen=True)
@@ -104,33 +126,26 @@ def mode_slopes(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
 class _ModeBasis:
     """Sin/cos evaluator of a fixed set of modes and their slopes.
 
-    The parity case (all even, all odd or mixed) and the amplitudes are
-    resolved once here, because evaluation sits on the hot path of every
-    density, density-matrix and velocity sum.
+    The parity case (all even or mixed) and the amplitudes are resolved
+    once here, because evaluation sits on the hot path of every density,
+    density-matrix and velocity sum.
     """
 
     def __init__(self, alphas: np.ndarray, L: float):
         alphas = np.asarray(alphas, dtype=int)
         self.k = alphas * (np.pi / L)
-        even = alphas % 2 == 1
+        self.even = alphas % 2 == 1
         self.amp = np.sqrt(2.0 / L)
-        if even.all():
-            self.parity = "even"
-            self.slope = -self.amp * self.k
-        else:
-            self.parity = "odd" if not even.any() else "mixed"
-            self.slope = self.amp * self.k
-        self.even = even
+        self.all_even = bool(self.even.all())
+        self.slope = (-self.amp if self.all_even else self.amp) * self.k
 
     def __call__(self, xv: np.ndarray):
         # Hot path: no validation, callers guarantee positions inside the box.
         arg = xv[:, None] * self.k[None, :]
         s = np.sin(arg)
         c = np.cos(arg)
-        if self.parity == "even":
+        if self.all_even:
             return self.amp * c, self.slope * s
-        if self.parity == "odd":
-            return self.amp * s, self.slope * c
         return self.amp * np.where(self.even, c, s), np.where(self.even, -s, c) * self.slope
 
 
@@ -150,10 +165,8 @@ class InputSignalSpec:
     def __post_init__(self):
         if self.kind not in ("single", "double"):
             raise DomainError(f"signal kind must be 'single' or 'double', got {self.kind!r}")
-        if not np.isfinite(self.w) or self.w <= 0.0:
-            raise DomainError(f"signal width w must be positive, got {self.w!r}")
-        if not np.isfinite(self.x0):
-            raise DomainError(f"signal center x0 must be finite, got {self.x0!r}")
+        object.__setattr__(self, "x0", _check_real(self.x0, "signal center x0"))
+        object.__setattr__(self, "w", _check_real(self.w, "signal width w", 0, strict=True))
 
     @property
     def k0(self) -> float:
@@ -221,11 +234,9 @@ class SpectralState:
     signal: InputSignalSpec | None = None
 
     def __post_init__(self):
-        arr = np.array(self.coeffs, dtype=float, copy=True)
+        arr = _check_array(self.coeffs, "coefficients").copy()
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("coefficients must form a non-empty 1-D array")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("coefficients must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
@@ -293,31 +304,9 @@ def decompose(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> Spectral
     return SpectralState(cfg, sum(terms[1:], terms[0]), spec)
 
 
-def decompose_numeric(x: np.ndarray, signal: np.ndarray, cfg: CavityConfig, N: int = 50) -> SpectralState:
-    """Project sampled signal values onto the mode basis by Simpson quadrature.
-
-    This is the oracle route: it never touches the closed forms.  The samples
-    must lie on a uniform grid inside the box with at least 3 points; the
-    signal is taken as zero outside the sampled range.
-    """
-    x = np.asarray(x, dtype=float)
-    signal = np.asarray(signal, dtype=float)
-    if x.ndim != 1 or x.shape != signal.shape:
-        raise DomainError("positions and signal samples must be matching 1-D arrays")
-    if x.size < 3:
-        raise DomainError("numeric decomposition needs at least 3 sample points")
-    _check_positions(x, cfg)
-    N = _check_count(N, "mode count N", 1)
-    weights = simpson_weights(x)
-    phi = mode_values(np.arange(1, N + 1), x, cfg)
-    coeffs = phi.T @ (weights * signal)
-    return SpectralState(cfg, coeffs, None)
-
-
 def oracle_grid(cfg: CavityConfig, points: int = 4001) -> np.ndarray:
     """Uniform box-spanning grid used for quadrature cross-checks."""
-    if points < 3:
-        raise DomainError("oracle grid needs at least 3 points")
+    points = _check_count(points, "oracle grid points", 3)
     return np.linspace(-cfg.half_width, cfg.half_width, points)
 
 
@@ -334,10 +323,49 @@ def _check_count(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _check_real(value, what: str, least=None, strict: bool = False) -> float:
+    """``value`` as a Python float, once it is checked to be a finite real number
+    >= ``least`` (> ``least`` with ``strict``; no bound when ``least`` is None).
+
+    Python and numpy integers and floats pass; a bool, a string, None, a
+    complex number or an array does not.  ``what`` names the value in the
+    error message.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise DomainError(f"{what} must be a real number, got {value!r}")
+    value = float(value)
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value!r}")
+    if least is not None and (value <= least if strict else value < least):
+        raise DomainError(f"{what} must be {'>' if strict else '>='} {least}, got {value!r}")
+    return value
+
+
+def _check_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array, once every entry is checked to be a finite real number.
+
+    Only integer and float dtypes pass; bool, string, object and complex
+    arrays do not.  A float64 array comes back as itself, not a copy.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be real numbers, got an array of dtype {arr.dtype}")
+    arr = arr.astype(float, copy=False)
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{what} must be finite")
+    return arr
+
+
+def _check_times(times, what: str = "times") -> np.ndarray:
+    """``times`` as a 1-D float array of finite, nonnegative entries (``_check_array``)."""
+    tv = _check_array(times, what)
+    if tv.ndim != 1 or (tv < 0.0).any():
+        raise DomainError(f"{what} must be a nonnegative 1-D array")
+    return tv
+
+
 def _check_positions(x, cfg: CavityConfig):
-    xv = np.asarray(x, dtype=float)
-    if not np.all(np.isfinite(xv)):
-        raise DomainError("positions must be finite")
+    xv = _check_array(x, "positions")
     if np.any(np.abs(xv) > cfg.half_width):
         worst = float(np.max(np.abs(xv)))
         raise DomainError(f"position outside the box: |x| = {worst} exceeds L/2 = {cfg.half_width}")

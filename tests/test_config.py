@@ -257,6 +257,93 @@ def test_spec_dataclass_validation():
     assert SweepSpec(start=0.0, stop=20.0, step=0.5).values("single").size == 41
 
 
+def _colormap(**kw):
+    return bc.ColorMap(kind="sequential", stops=bc.SEQUENTIAL.stops, **kw)
+
+
+# every real-valued spec field: how to build a spec with value v, and the attribute
+# that stores it (the last entry, for a tuple)
+_REAL_FIELDS = {
+    "CavityConfig.m": (lambda v: bc.CavityConfig(m=v), "m"),
+    "CavityConfig.hbar": (lambda v: bc.CavityConfig(hbar=v), "hbar"),
+    "CavityConfig.L": (lambda v: bc.CavityConfig(L=v), "L"),
+    "signal center x0": (lambda v: bc.InputSignalSpec(x0=v), "x0"),
+    "signal width w": (lambda v: bc.InputSignalSpec(w=v), "w"),
+    "gamma": (lambda v: bc.DecoherenceParams(gamma=v), "gamma"),
+    "lambda": (lambda v: bc.DecoherenceParams(lam=v), "lam"),
+    "grid t_max_tau": (lambda v: GridSpec(t_max_tau=v), "t_max_tau"),
+    "grid snapshots_tau": (lambda v: GridSpec(snapshots_tau=(0.0, v)), "snapshots_tau"),
+    "sweep start": (lambda v: SweepSpec(start=v), "start"),
+    "sweep stop": (lambda v: SweepSpec(stop=v), "stop"),
+    "sweep step": (lambda v: SweepSpec(step=v), "step"),
+    "fit span_tau": (lambda v: FitSpec(span_tau=v), "span_tau"),
+    "explicit seeds": (lambda v: bc.EnsembleSpec(seeding="explicit", seeds=(-1.0, v)), "seeds"),
+    "colormap vmin": (lambda v: _colormap(vmin=v), "vmin"),
+    "colormap vmax": (lambda v: _colormap(vmax=v), "vmax"),
+}
+
+_NOT_REAL = {
+    "bool": True,
+    "numpy-bool": np.bool_(False),
+    "str": "2",
+    "None": None,
+    "complex": 2j,
+    "array": np.array([2.0]),
+    "0-d-array": np.array(2.0),
+}
+# None leaves these unset
+_OPTIONAL = ("sweep start", "sweep stop", "colormap vmin", "colormap vmax")
+
+
+@pytest.mark.parametrize(
+    "field, bad",
+    [
+        pytest.param(field, bad, id=f"{field}-{name}")
+        for field in _REAL_FIELDS
+        for name, bad in _NOT_REAL.items()
+        if not (bad is None and field in _OPTIONAL)
+    ],
+)
+def test_spec_reals_must_be_real_numbers(field, bad):
+    # a bool used to be stored and serialized as "true", text parse_config rejects;
+    # None, strings and complex numbers used to raise TypeError
+    with pytest.raises(DomainError, match=f"{field} must be a real number"):
+        _REAL_FIELDS[field][0](bad)
+
+
+@pytest.mark.parametrize("field", list(_REAL_FIELDS))
+@pytest.mark.parametrize("good", [np.float32(2.5), np.int64(2), 2], ids=["float32", "int64", "int"])
+def test_spec_reals_are_stored_as_python_floats(field, good):
+    make, attr = _REAL_FIELDS[field]
+    stored = getattr(make(good), attr)
+    if isinstance(stored, tuple):
+        stored = stored[-1]
+    assert type(stored) is float and stored == float(good)
+
+
+def test_real_overrides_are_config_errors_and_round_trip():
+    base = bc.parse_config("")
+    for name, bad in [("x0", True), ("x0", "abc"), ("gamma", None), ("tmax_tau", "2"), ("gamma", 1j)]:
+        with pytest.raises(ConfigError, match="must be a real number"):
+            bc.apply_overrides(base, **{name: bad})
+    cfg = bc.apply_overrides(base, x0=np.float32(2.5), gamma=np.int64(1), tmax_tau=3)
+    assert (cfg.signal.x0, cfg.deco.gamma, cfg.grid.t_max_tau) == (2.5, 1.0, 3.0)
+    assert all(type(v) is float for v in (cfg.signal.x0, cfg.deco.gamma, cfg.grid.t_max_tau))
+    assert bc.parse_config(bc.serialize_config(cfg)) == cfg
+    cfg = bc.RunConfig(
+        cavity=bc.CavityConfig(m=np.float32(2.0), hbar=1, L=np.int64(60)),
+        signal=bc.InputSignalSpec("single", np.float32(2.5), 3),
+        deco=bc.DecoherenceParams(gamma=np.int32(1), lam=np.float16(0.5)),
+        grid=GridSpec(t_max_tau=2, snapshots_tau=(0, np.float32(0.5))),
+        ensemble=bc.EnsembleSpec(seeding="explicit", seeds=(1, np.float32(1.5))),
+        sweep=SweepSpec(start=np.int64(1), stop=4, step=np.float32(0.25)),
+        fit=FitSpec(span_tau=np.int64(5)),
+    )
+    text = bc.serialize_config(cfg)
+    assert "L = 60.0\n" in text and "seeds = 1.0,1.5\n" in text
+    assert bc.parse_config(text) == cfg
+
+
 @pytest.mark.parametrize(
     "make, field",
     [

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import boxcarpets as bc
+from boxcarpets import decoherence
 from boxcarpets.decoherence import density_map
 from boxcarpets.errors import DomainError
 
@@ -173,6 +174,30 @@ def test_density_matrix_grid_rectangular_axes(state0, rev, loc_params):
     for i, j in ((0, 0), (5, 3), (10, 6)):
         point = bc.density_matrix(state0, float(x[i]), float(xp[j]), rev.tau, loc_params)
         assert grid.values[i, j] == pytest.approx(point, abs=1e-15)
+
+
+def test_density_matrix_grid_of_the_zero_state(cfg, rev, loc_params):
+    zero = make_state(cfg, np.zeros(4))
+    x = np.linspace(-20.0, 20.0, 7)
+    for t in (0.0, rev.tau):
+        grid = bc.density_matrix_grid(zero, x, x[:3], t, loc_params)
+        assert grid.values.shape == (7, 3)
+        assert grid.values.dtype == complex
+        assert not grid.values.any()
+
+
+@pytest.mark.parametrize("which", ["state0", "state20", "double125"])
+def test_pair_kernel_rates_are_the_exact_beats(request, cfg, which):
+    # the rates used to be |Eh_a - Eh_b| of the float energies, off by up to
+    # 2.3e-15 relative from beta's exact integer beats
+    state = request.getfixturevalue(which)
+    kernel = decoherence._PairKernel(state, 1.0)
+    populated = state.coeffs != 0.0
+    alpha = state.alphas[populated]
+    unit = bc.DecoherenceParams(gamma=1.0)
+    expected = np.array([[bc.beta(int(a), int(b), unit, cfg) for b in alpha] for a in alpha])
+    assert np.array_equal(kernel.absdEh, expected)
+    assert np.array_equal(kernel.Eh, state.energies[populated] / cfg.hbar)
 
 
 def test_single_mode_density_never_decoheres(cfg, rev, ref_params):

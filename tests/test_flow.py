@@ -225,6 +225,10 @@ def test_noncrossing_detects_swapped_pair():
     assert not report.ok
     assert report.time == pytest.approx(0.5)
     assert report.pair == (0, 1)
+    # a NaN slack used to report ok=True: every comparison with NaN is false
+    for slack in (np.nan, np.inf, -1e-9, None, "0", True):
+        with pytest.raises(DomainError, match="noncrossing slack"):
+            bc.noncrossing_check([a, b], slack=slack)
 
 
 def test_noncrossing_single_trajectory_is_vacuous(state0, rev):

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import boxcarpets as bc
+from boxcarpets.decoherence import density_map
 from boxcarpets.errors import DomainError
 
 # Frozen from the quadrature oracle (Simpson, 4001 points over the box).
@@ -246,3 +247,57 @@ def test_mode_count_and_index_are_strict_integers(cfg, N):
     with pytest.raises(DomainError, match="mode index"):
         bc.eigenenergy(N, cfg)
     assert bc.decompose(spec, cfg, np.int64(3)).coeffs.size == 3
+
+
+_DAMPED = bc.DecoherenceParams(gamma=0.1)
+_NOT_A_REAL = [np.array([1.0, 2.0]), None, "1", True]
+
+
+def _bad_scalar_calls():
+    for t in _NOT_A_REAL:
+        yield from (
+            (f"velocity-{t!r}", lambda s, t=t: bc.velocity(s, 1.0, t)),
+            (f"wavefunction-{t!r}", lambda s, t=t: bc.wavefunction(s, 1.0, t)),
+            (f"decohered_density-{t!r}", lambda s, t=t: bc.decohered_density(s, 1.0, t, _DAMPED)),
+            (f"probability_density-{t!r}", lambda s, t=t: bc.probability_density(s, 1.0, t)),
+            (f"density_matrix-{t!r}", lambda s, t=t: bc.density_matrix(s, 1.0, 0.0, t, _DAMPED)),
+            (f"damping_factor-{t!r}", lambda s, t=t: bc.damping_factor(1, 2, 0.0, 0.0, t, _DAMPED, s.cfg)),
+            (f"damping_factor-x-{t!r}", lambda s, t=t: bc.damping_factor(1, 2, t, 0.0, 1.0, _DAMPED, s.cfg)),
+            (f"density_matrix-x-{t!r}", lambda s, t=t: bc.density_matrix(s, 0.0, t, 1.0, _DAMPED)),
+            (f"purity_curve-{t!r}", lambda s, t=t: bc.purity_curve(s, t, _DAMPED)),
+            (f"integrate_trajectory-t_end-{t!r}", lambda s, t=t: bc.integrate_trajectory(s, 0.0, t)),
+            (f"integrate_trajectory-x0-{t!r}", lambda s, t=t: bc.integrate_trajectory(s, t, 1.0)),
+            (f"regular-{t!r}", lambda s, t=t: bc.SpaceTimeGrid.regular(s.cfg, 3, 3, t)),
+            (f"decay_time_map-{t!r}", lambda s, t=t: bc.decay_time_map(s.cfg, t)),
+            (f"sweep_x0-span_tau-{t!r}", lambda s, t=t: bc.sweep_x0("single", [0.0], s.cfg, span_tau=t)),
+        )
+
+
+_BAD_ARRAY_CALLS = [
+    ("velocity_map-2d", lambda s: bc.velocity_map(s, [0.0], np.ones((2, 2)))),
+    ("velocity_map-str", lambda s: bc.velocity_map(s, [0.0], ["1"])),
+    ("density_map-2d", lambda s: density_map(s, [0.0], np.ones((2, 2)))),
+    ("density_map-str", lambda s: density_map(s, [0.0], ["1"])),
+    ("purity-str", lambda s: bc.purity(s, "1", _DAMPED)),
+    ("purity-bool", lambda s: bc.purity(s, [True, False], _DAMPED)),
+    ("purity-complex", lambda s: bc.purity(s, [1j], _DAMPED)),
+    ("sample_times-str", lambda s: bc.integrate_trajectory(s, 0.0, 1.0, sample_times=["0", "1"])),
+    ("positions-str", lambda s: bc.mode_values(np.arange(1, 3), ["a"], s.cfg)),
+    ("positions-object", lambda s: bc.velocity_map(s, [0.0, None], [1.0])),
+    ("simpson_weights-str", lambda s: bc.simpson_weights(["0", "1", "2"])),
+    ("SpaceTimeGrid-str", lambda s: bc.SpaceTimeGrid(x=np.array([0.0, 1.0]), t=np.array(["0", "1"]))),
+    ("SpectralState-complex", lambda s: bc.SpectralState(s.cfg, np.array([1j, 0.0]))),
+    ("oracle_grid-float", lambda s: bc.oracle_grid(s.cfg, 3.5)),
+    ("oracle_grid-str", lambda s: bc.oracle_grid(s.cfg, "5")),
+    ("purity_via_quadrature-float", lambda s: bc.purity_via_quadrature(s, 1.0, _DAMPED, points=2.5)),
+    ("purity_via_quadrature-2", lambda s: bc.purity_via_quadrature(s, 1.0, _DAMPED, points=2)),
+]
+
+
+@pytest.mark.parametrize(
+    "call", [pytest.param(call, id=name) for name, call in [*_bad_scalar_calls(), *_BAD_ARRAY_CALLS]]
+)
+def test_bad_real_arguments_raise_domain_error(state20, call):
+    # these used to raise TypeError or ValueError from numpy, or to return a value
+    with pytest.raises(DomainError):
+        call(state20)
