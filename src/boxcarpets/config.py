@@ -18,7 +18,7 @@ import numpy as np
 from .decoherence import DEFAULT_GAMMA, DecoherenceParams
 from .errors import ConfigError, DomainError
 from .flow import EnsembleSpec
-from .spectral import CavityConfig, InputSignalSpec, _check_count, _check_real
+from .spectral import CavityConfig, InputSignalSpec, _check_count, _check_real, _check_times
 
 PRODUCT_NAMES = ("carpet", "trajectories", "densmat", "purity", "sweep", "fit", "decaymap")
 
@@ -46,8 +46,8 @@ class GridSpec:
         _set_count(self, "grid", "x_points", 2)
         _set_count(self, "grid", "t_points", 2)
         _set_real(self, "grid", "t_max_tau", 0, strict=True)
-        snapshots = tuple(_check_real(s, "grid snapshots_tau", 0) for s in self.snapshots_tau)
-        object.__setattr__(self, "snapshots_tau", snapshots)
+        snapshots = _check_times(self.snapshots_tau, "grid snapshots_tau")
+        object.__setattr__(self, "snapshots_tau", tuple(snapshots.tolist()))
 
 
 @dataclass(frozen=True)

@@ -6,18 +6,20 @@ produce byte-identical files.  Every float is written as ``fmt`` writes it,
 the text of ``'%.17g'``: nan, inf, -inf, -0 and subnormals included (the
 mode matrices too, so -inf is '-inf' there).
 
-Metadata and the small tables call ``fmt`` value by value.  The grids
-(carpets, density-matrix planes, trajectory ensembles, mode matrices and
-their axis lines) go through ``_format_rows``, which converts a block of
-rows at once: each value is scaled by a power of ten held as a
-double-double, with Veltkamp's split and Dekker's exact two-product (Dekker,
-Numer. Math. 18 (1971) 224), which gives its 17 correctly rounded digits;
-a table of byte layouts spells them out by the ``%g`` rules.  Zeros stay on
-this route.  A value whose rounding is in doubt (its fraction within
-``_TIE_TOL`` of one half, or its scaled value next to a power of ten), nan
-and inf go to ``fmt`` inside the same call, so the bytes never depend on
-the route.  The writers format 8 rows at a time, so a large grid is never
-held as text in memory.
+Metadata and the tables with text columns (the fit parameters, the sweep
+and the trajectories' ``.meta`` sidecar) call ``fmt`` value by value.
+Every all-numeric table (carpets, density-matrix planes, trajectory
+ensembles, mode matrices, purity and fit curves, and the axis lines) goes
+through ``_format_rows``, which converts a block of rows at once: each
+value is scaled by a power of ten held as a double-double, with
+Veltkamp's split and Dekker's exact two-product (Dekker, Numer. Math. 18
+(1971) 224), which gives its 17 correctly rounded digits; a table of byte
+layouts spells them out by the ``%g`` rules.  Zeros stay on this route.
+A value whose rounding is in doubt (its fraction within ``_TIE_TOL`` of
+one half, or its scaled value next to a power of ten), nan and inf go to
+``fmt`` inside the same call, so the bytes never depend on the route.  The
+writers format 8 rows at a time, so a large grid is never held as text in
+memory.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .decoherence import DecoherenceParams
 from .errors import DomainError
 from .evolution import CarpetGrid
-from .spectral import CavityConfig, InputSignalSpec, SpectralState
+from .spectral import CavityConfig, InputSignalSpec
 
 
 def fmt(value: float) -> str:
@@ -230,54 +232,6 @@ def _meta_line(pairs: dict) -> str:
     return "# " + " ".join(f"{k}={v}" for k, v in pairs.items())
 
 
-def _parse_meta(line: str) -> dict:
-    out = {}
-    for token in line.lstrip("#").split():
-        key, _, value = token.partition("=")
-        out[key] = value
-    return out
-
-
-# -- spectral states ----------------------------------------------------
-
-
-def write_spectral_state(state: SpectralState, path) -> None:
-    sig = state.signal
-    lines = [
-        _meta_line({"m": fmt(state.cfg.m), "hbar": fmt(state.cfg.hbar), "L": fmt(state.cfg.L)}),
-        _meta_line(
-            {
-                "N": state.N,
-                "w": fmt(sig.w) if sig else "nan",
-                "x0": fmt(sig.x0) if sig else "nan",
-                "kind": sig.kind if sig else "custom",
-            }
-        ),
-        "# alpha,parity,c_alpha",
-    ]
-    for alpha, c in zip(state.alphas, state.coeffs):
-        parity = "even" if alpha % 2 == 1 else "odd"
-        lines.append(f"{alpha},{parity},{fmt(c)}")
-    _write(path, lines)
-
-
-def read_spectral_state(path) -> SpectralState:
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if len(lines) < 4 or not all(lines[i].startswith("#") for i in range(3)):
-        raise DomainError(f"{path}: expected a 3-line header followed by coefficient rows")
-    head = _parse_meta(lines[0]) | _parse_meta(lines[1])
-    cfg = CavityConfig(m=float(head["m"]), hbar=float(head["hbar"]), L=float(head["L"]))
-    signal = None
-    if head.get("kind") in ("single", "double"):
-        signal = InputSignalSpec(kind=head["kind"], x0=float(head["x0"]), w=float(head["w"]))
-    coeffs = np.zeros(int(head["N"]))
-    for row in lines[3:]:
-        alpha_s, _, c_s = row.split(",")
-        coeffs[int(alpha_s) - 1] = float(c_s)
-    return SpectralState(cfg=cfg, coeffs=coeffs, signal=signal)
-
-
 # -- grids ---------------------------------------------------------------
 
 
@@ -330,10 +284,8 @@ def write_ensemble(trajectories, sample_times, path, meta_path, meta: dict | Non
 
 
 def write_purity_curve(curve, path, meta: dict | None = None) -> None:
-    lines = [_meta_line(meta or {}), "t,chi"]
-    for t, v in zip(curve.times, curve.values):
-        lines.append(f"{fmt(t)},{fmt(v)}")
-    _write(path, lines)
+    head = _meta_line(meta or {}) + "\nt,chi\n"
+    _write_grid(path, head.encode(), curve.times, curve.values[:, None])
 
 
 def write_fit(fit, path, meta: dict | None = None) -> None:
@@ -349,10 +301,8 @@ def write_fit(fit, path, meta: dict | None = None) -> None:
 
 def write_fit_curve(curve, fit, path, meta: dict | None = None) -> None:
     """Purity samples next to the fitted model evaluated at the same times."""
-    lines = [_meta_line(meta or {}), "t,chi,model"]
-    for t, v, mv in zip(curve.times, curve.values, fit.evaluate(curve.times)):
-        lines.append(f"{fmt(t)},{fmt(v)},{fmt(mv)}")
-    _write(path, lines)
+    head = _meta_line(meta or {}) + "\nt,chi,model\n"
+    _write_grid(path, head.encode(), curve.times, np.column_stack([curve.values, fit.evaluate(curve.times)]))
 
 
 def write_sweep(rows, path, meta: dict | None = None) -> None:

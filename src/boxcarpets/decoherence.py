@@ -234,7 +234,7 @@ def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: f
     beat wavenumbers (``_BeatSeries``); the spatial damping rate never
     enters because the density lives on the x = x' diagonal.
     """
-    xv = np.atleast_1d(_check_positions(x, state.cfg))
+    xv = _check_positions(x, state.cfg)
     times = _check_times(times)
     series = _BeatSeries(state, gamma)
     table = series.tables(xv)
@@ -257,7 +257,7 @@ def asymptotic_density(state: SpectralState, x):
     ``_BeatSeries.base`` coefficients alone; ``density_map`` gives the same
     row, bit for bit, once every pair's damping has underflowed.
     """
-    xv = np.atleast_1d(_check_positions(x, state.cfg))
+    xv = _check_positions(x, state.cfg)
     series = _BeatSeries(state, 0.0)
     rho = _clamp_density(series.base @ series.tables(xv))
     return rho if np.ndim(x) else float(rho[0])
@@ -298,8 +298,8 @@ def density_matrix_grid(
     damping factorizes out as exp(-Lambda (x - x')^2 t) on the grid.
     """
     t = _check_real(t, "time", 0)
-    xv = np.atleast_1d(_check_positions(x, state.cfg))
-    xpv = np.atleast_1d(_check_positions(x_prime, state.cfg))
+    xv = _check_positions(x, state.cfg)
+    xpv = _check_positions(x_prime, state.cfg)
     kernel = _PairKernel(state, params.gamma)
     phi_x, _ = kernel.basis(xv)
     phi_xp, _ = kernel.basis(xpv)

@@ -47,7 +47,7 @@ def purity(state: SpectralState, t, params: DecoherenceParams):
     S_b(t) = sum_{a<b} p_a exp(-2 beta_ab t) for all times at once; then
     chi = sum p^2 + 2 p . S.
     """
-    t_arr = _check_times(np.atleast_1d(t), "purity times")
+    t_arr = _check_times(t if np.ndim(t) else [t], "purity times")
     p = state.populations
     alpha = state.alphas[p != 0.0]
     p = p[alpha - 1]

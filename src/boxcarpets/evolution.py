@@ -33,7 +33,7 @@ def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
 def wavefunction(state: SpectralState, x, t: float):
     """Complex amplitude sum_alpha c_alpha phi_alpha(x) exp(-i E_alpha t / hbar)."""
     t = _check_real(t, "time", 0)
-    xv = np.atleast_1d(_check_positions(x, state.cfg))
+    xv = _check_positions(x, state.cfg)
     phi = mode_values(state.alphas, xv, state.cfg)
     u = state.coeffs * np.exp(-1j * state.energies * (t / state.cfg.hbar))
     psi = phi @ u

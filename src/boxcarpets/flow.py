@@ -172,7 +172,7 @@ def velocity(state: SpectralState, x, t: float, params: DecoherenceParams | None
     node floor.
     """
     t = _check_real(t, "time", 0)
-    xv = np.atleast_1d(_check_positions(x, state.cfg))
+    xv = _check_positions(x, state.cfg)
     rows, masks = _velocity_rows(state, xv, np.array([t]), params)
     v, bad = rows[0], masks[0]
     if bad.any():
@@ -191,7 +191,7 @@ def velocity_map(
     Row j is ``velocity`` at times[j], bit for bit: both are rows of
     ``_velocity_rows``.
     """
-    xv = np.atleast_1d(_check_positions(x, state.cfg))
+    xv = _check_positions(x, state.cfg)
     return _velocity_rows(state, xv, _check_times(times), params)[0]
 
 
@@ -233,14 +233,11 @@ class EnsembleSpec:
         if self.seeding not in ("uniform", "explicit"):
             raise DomainError(f"seeding must be 'uniform' or 'explicit', got {self.seeding!r}")
         if self.seeding == "explicit":
-            if not self.seeds:
-                raise DomainError("explicit seeding requires a non-empty seed list")
-            # one by one: numpy would turn a bool among floats into a number
-            seeds = tuple(_check_real(s, "explicit seeds") for s in self.seeds)
-            if np.any(np.diff(seeds) <= 0.0):
-                raise DomainError("explicit seeds must be strictly increasing")
-            object.__setattr__(self, "seeds", seeds)
-            object.__setattr__(self, "count", len(seeds))
+            seeds = _check_array(() if self.seeds is None else self.seeds, "explicit seeds")
+            if seeds.ndim != 1 or seeds.size < 1 or np.any(np.diff(seeds) <= 0.0):
+                raise DomainError("explicit seeding requires a non-empty, strictly increasing 1-D seed list")
+            object.__setattr__(self, "seeds", tuple(seeds.tolist()))
+            object.__setattr__(self, "count", seeds.size)
         else:
             if self.seeds is not None:
                 raise DomainError("uniform seeding does not take an explicit seed list")

@@ -57,7 +57,7 @@ def decompose_numeric(x: np.ndarray, signal: np.ndarray, cfg: CavityConfig, N: i
     """
     x = _check_positions(x, cfg)
     signal = _check_array(signal, "signal samples")
-    if x.ndim != 1 or x.shape != signal.shape:
+    if x.shape != signal.shape:
         raise DomainError("positions and signal samples must be matching 1-D arrays")
     if x.size < 3:
         raise DomainError("numeric decomposition needs at least 3 sample points")

@@ -106,20 +106,18 @@ def eigenmode(md: Mode, x, cfg: CavityConfig):
         out = amp * np.cos(md.k * xv)
     else:
         out = amp * np.sin(md.k * xv)
-    return out if np.ndim(x) else float(out)
+    return out if np.ndim(x) else float(out[0])
 
 
 def mode_values(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
     """Matrix of mode amplitudes, shape (len(x), len(alphas))."""
-    xv = np.atleast_1d(_check_positions(x, cfg))
-    phi, _ = _ModeBasis(alphas, cfg.L)(xv)
+    phi, _ = _ModeBasis(alphas, cfg.L)(_check_positions(x, cfg))
     return phi
 
 
 def mode_slopes(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
     """Matrix of spatial derivatives of the modes, same shape as mode_values."""
-    xv = np.atleast_1d(_check_positions(x, cfg))
-    _, dphi = _ModeBasis(alphas, cfg.L)(xv)
+    _, dphi = _ModeBasis(alphas, cfg.L)(_check_positions(x, cfg))
     return dphi
 
 
@@ -209,15 +207,15 @@ class InputSignalSpec:
         return tuple((c - h, c + h) for c, _ in self.lobes)
 
 
-def input_signal(spec: InputSignalSpec, x) -> np.ndarray:
-    """Sample the signal profile at positions ``x`` (zero outside its support)."""
-    xv = np.atleast_1d(np.asarray(x, dtype=float))
+def input_signal(spec: InputSignalSpec, x):
+    """Sample the signal profile at position(s) ``x`` (zero outside its support)."""
+    xv = np.atleast_1d(_check_array(x, "positions"))
     out = np.zeros_like(xv)
     amp = np.sqrt(2.0 / spec.w)
     for c, weight in spec.lobes:
         mask = np.abs(xv - c) <= spec.w / 2.0
         out[mask] += weight * amp * np.cos(np.pi * (xv[mask] - c) / spec.w)
-    return out if np.ndim(x) else float(out)
+    return out if np.ndim(x) else float(out[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,6 +321,11 @@ def _check_count(value, what: str, least: int) -> int:
     return int(value)
 
 
+def _is_real(value) -> bool:
+    """A Python or numpy integer or float; not a bool, string, None, complex number or array."""
+    return not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating))
+
+
 def _check_real(value, what: str, least=None, strict: bool = False) -> float:
     """``value`` as a Python float, once it is checked to be a finite real number
     >= ``least`` (> ``least`` with ``strict``; no bound when ``least`` is None).
@@ -331,7 +334,7 @@ def _check_real(value, what: str, least=None, strict: bool = False) -> float:
     complex number or an array does not.  ``what`` names the value in the
     error message.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+    if not _is_real(value):
         raise DomainError(f"{what} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
@@ -345,8 +348,15 @@ def _check_array(values, what: str) -> np.ndarray:
     """``values`` as a float array, once every entry is checked to be a finite real number.
 
     Only integer and float dtypes pass; bool, string, object and complex
-    arrays do not.  A float64 array comes back as itself, not a copy.
+    arrays do not.  A list or tuple passes only if every entry passes
+    ``_is_real``, since numpy would turn ``[True, 2.0]`` into numbers; an
+    array is checked by its dtype alone.  A float64 array comes back as
+    itself, not a copy.
     """
+    if isinstance(values, (list, tuple)):
+        bad = [v for v in np.asarray(values, dtype=object).flat if not _is_real(v)]
+        if bad:
+            raise DomainError(f"{what} must be a real number in every entry, got {bad[0]!r}")
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
         raise DomainError(f"{what} must be real numbers, got an array of dtype {arr.dtype}")
@@ -364,8 +374,12 @@ def _check_times(times, what: str = "times") -> np.ndarray:
     return tv
 
 
-def _check_positions(x, cfg: CavityConfig):
+def _check_positions(x, cfg: CavityConfig) -> np.ndarray:
+    """``x`` as a 1-D float array (a scalar gives one entry) of positions inside the box."""
     xv = _check_array(x, "positions")
+    if xv.ndim > 1:
+        raise DomainError(f"positions must be a scalar or a 1-D array, got shape {xv.shape}")
+    xv = np.atleast_1d(xv)
     if np.any(np.abs(xv) > cfg.half_width):
         worst = float(np.max(np.abs(xv)))
         raise DomainError(f"position outside the box: |x| = {worst} exceeds L/2 = {cfg.half_width}")

@@ -170,8 +170,11 @@ def test_seeding_validation(state0):
         with pytest.raises(DomainError):
             bc.EnsembleSpec(count=count)
     assert bc.EnsembleSpec(count=np.int64(3)).count == 3
-    with pytest.raises(DomainError):
-        bc.EnsembleSpec(seeding="explicit", seeds=(2.0, 1.0))
+    # an array of seeds used to raise numpy's ambiguous-truth-value ValueError
+    assert bc.EnsembleSpec(seeding="explicit", seeds=np.array([1.0, 2.0])).seeds == (1.0, 2.0)
+    for bad in (None, (), (2.0, 1.0)):
+        with pytest.raises(DomainError, match="non-empty, strictly increasing"):
+            bc.EnsembleSpec(seeding="explicit", seeds=bad)
     with pytest.raises(DomainError):
         bc.EnsembleSpec(seeding="grid")
     with pytest.raises(DomainError):

@@ -1,5 +1,5 @@
-"""Module structure of the package: relative imports sit at module level and
-the modules import each other without a cycle."""
+"""Module structure of the package: relative imports sit at module level, the
+modules import each other without a cycle, and no definition lacks a caller."""
 
 import ast
 from pathlib import Path
@@ -42,3 +42,25 @@ def test_module_level_imports_form_no_cycle():
         leaves = {name for name, deps in graph.items() if not deps & graph.keys()}
         assert leaves, f"import cycle among {sorted(graph)}"
         graph = {name: deps for name, deps in graph.items() if name not in leaves}
+
+
+def test_every_module_level_definition_is_named_somewhere():
+    # a top-level function or class must be imported by __init__.py or named in
+    # some package module; its own def or class line is no Name node
+    modules = _modules()
+    named = set()
+    for tree in modules.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+    unused = [
+        f"{name}.{node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in named
+    ]
+    assert not unused, f"definitions with no caller: {unused}"

@@ -183,6 +183,22 @@ def test_data_rows_match_fmt_byte_for_byte(tmp_path):
     assert lines[0].split(",")[:5] == ["-0", "nan", "inf", "-inf", "-0"]
 
 
+def test_curve_rows_match_fmt_byte_for_byte(tmp_path):
+    config = bc.parse_config("")
+    curve = products._Run(config, tmp_path).purity
+    fit = bc.fit_purity(curve, restarts=config.fit.restarts, seed=config.fit.seed)
+    csvio.write_purity_curve(curve, tmp_path / "p.csv")
+    csvio.write_fit_curve(curve, fit, tmp_path / "f.csv")
+    tables = {
+        "p.csv": ("t,chi", (curve.times, curve.values)),
+        "f.csv": ("t,chi,model", (curve.times, curve.values, fit.evaluate(curve.times))),
+    }
+    for name, (header, columns) in tables.items():
+        lines = (tmp_path / name).read_text().splitlines()
+        assert lines[1] == header
+        assert lines[2:] == [",".join(csvio.fmt(v) for v in row) for row in zip(*columns)]
+
+
 # -- command line -------------------------------------------------------------
 
 

@@ -218,26 +218,6 @@ def test_coeffs_are_frozen(state0):
         state0.coeffs[0] = 1.0
 
 
-def test_state_csv_round_trip(tmp_path, state20):
-    path = tmp_path / "state.csv"
-    from boxcarpets import csvio
-
-    csvio.write_spectral_state(state20, path)
-    back = csvio.read_spectral_state(path)
-    assert np.array_equal(back.coeffs, state20.coeffs)
-    assert back.cfg == state20.cfg
-    assert back.signal == state20.signal
-
-
-def test_state_csv_rejects_malformed_header(tmp_path):
-    from boxcarpets import csvio
-
-    path = tmp_path / "broken.csv"
-    path.write_text("1,even,0.5\n")
-    with pytest.raises(DomainError):
-        csvio.read_spectral_state(path)
-
-
 @pytest.mark.parametrize("N", [True, 3.0, "3", 0])
 def test_mode_count_and_index_are_strict_integers(cfg, N):
     # decompose(..., N=True) used to return a one-mode state
@@ -284,6 +264,10 @@ _BAD_ARRAY_CALLS = [
     ("sample_times-str", lambda s: bc.integrate_trajectory(s, 0.0, 1.0, sample_times=["0", "1"])),
     ("positions-str", lambda s: bc.mode_values(np.arange(1, 3), ["a"], s.cfg)),
     ("positions-object", lambda s: bc.velocity_map(s, [0.0, None], [1.0])),
+    # numpy turns a bool among numbers into 1.0: these used to return values
+    ("positions-bool-in-list", lambda s: bc.velocity_map(s, [True, 2.0], [1.0])),
+    ("times-bool-in-list", lambda s: density_map(s, [1.0], [True, 2.0])),
+    ("purity-bool-in-list", lambda s: bc.purity(s, [True, 2.0], _DAMPED)),
     ("simpson_weights-str", lambda s: bc.simpson_weights(["0", "1", "2"])),
     ("SpaceTimeGrid-str", lambda s: bc.SpaceTimeGrid(x=np.array([0.0, 1.0]), t=np.array(["0", "1"]))),
     ("SpectralState-complex", lambda s: bc.SpectralState(s.cfg, np.array([1j, 0.0]))),
@@ -301,3 +285,34 @@ def test_bad_real_arguments_raise_domain_error(state20, call):
     # these used to raise TypeError or ValueError from numpy, or to return a value
     with pytest.raises(DomainError):
         call(state20)
+
+
+_PLANE = np.zeros((2, 2))
+_PLANE_CALLS = {
+    "density_map": lambda s: density_map(s, _PLANE, [1.0]),
+    "velocity_map": lambda s: bc.velocity_map(s, _PLANE, [1.0]),
+    "density_matrix_grid": lambda s: bc.density_matrix_grid(s, _PLANE, [0.0], 1.0, _DAMPED),
+    "velocity": lambda s: bc.velocity(s, _PLANE, 1.0),
+    "wavefunction": lambda s: bc.wavefunction(s, _PLANE, 1.0),
+    "asymptotic_density": lambda s: bc.asymptotic_density(s, _PLANE),
+    "decohered_density": lambda s: bc.decohered_density(s, _PLANE, 1.0, _DAMPED),
+    "mode_values": lambda s: bc.mode_values(s.alphas, _PLANE, s.cfg),
+    "eigenmode": lambda s: bc.eigenmode(bc.mode(1, s.cfg), _PLANE, s.cfg),
+}
+
+
+@pytest.mark.parametrize("name", list(_PLANE_CALLS))
+def test_positions_are_a_scalar_or_a_1d_array(state20, name):
+    # these used to raise a numpy broadcast ValueError, or to return a (2, 1, 2) array
+    with pytest.raises(DomainError, match=r"shape \(2, 2\)"):
+        _PLANE_CALLS[name](state20)
+
+
+def test_input_signal_takes_scalars_and_checks_positions():
+    spec = bc.InputSignalSpec()
+    center = bc.input_signal(spec, 0.0)  # used to raise TypeError
+    assert type(center) is float
+    assert center == bc.input_signal(spec, [0.0])[0] == np.sqrt(2.0 / spec.w)
+    for bad in (np.nan, [np.nan], "a"):
+        with pytest.raises(DomainError, match="positions"):
+            bc.input_signal(spec, bad)
