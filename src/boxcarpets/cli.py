@@ -18,7 +18,6 @@ def _common_flags() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", help="configuration file (INI-style)")
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
-    common.add_argument("--jobs", type=int, metavar="N", help="ignored; kept so that existing scripts run")
     common.add_argument("--seed-count", type=int, metavar="N", help="trajectory ensemble size")
     common.add_argument("--gamma", type=float, metavar="X", help="energy-pair damping control")
     common.add_argument("--lambda", dest="lam", metavar="{0|formula|X}", help="spatial damping rate")
@@ -54,7 +53,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     # every flag but these is an apply_overrides keyword (its dest)
     overrides = {name: value for name, value in vars(args).items()
-                 if value is not None and name not in ("command", "config", "jobs")}
+                 if value is not None and name not in ("command", "config")}
     try:
         config = parse_config_file(args.config) if args.config else parse_config("")
         config = apply_overrides(config, products=(args.command,), **overrides)

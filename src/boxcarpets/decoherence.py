@@ -7,9 +7,13 @@ exp(-Lambda (x - x')^2 t) additionally suppresses two-point correlations in
 the position representation, with Lambda either given explicitly or set to
 the standard localization rate 2 pi hbar / (m L^3).
 
-Populations are untouched (no dissipation), so the probability density
-relaxes toward the bare population mixture ``asymptotic_density`` instead of
-localizing.
+The energy term leaves the energy populations untouched (no dissipation),
+so the probability density relaxes toward the bare population mixture
+``asymptotic_density`` instead of localizing.  The spatial term does not
+keep the populations: it leaves the density on x = x' untouched and keeps
+rho a density matrix (a Schur product with a positive definite kernel equal
+to 1 on the diagonal), but it adds hbar^2 Lambda t / m of energy per unit
+trace.
 """
 
 from __future__ import annotations

@@ -1,4 +1,10 @@
-"""Deterministic heatmap rendering to binary P6 pixmaps."""
+"""Deterministic heatmap rendering to binary P6 pixmaps.
+
+Each channel is interpolated on the unit ramp and rounded straight into the
+8-bit image, with no clip: ``ColorMap`` pins its stops to 0 and 1, and
+``np.interp`` gives the end colors to any value beyond them (infinities
+too), while a value between two 8-bit stops rounds into 0..255.
+"""
 
 from __future__ import annotations
 
@@ -83,16 +89,12 @@ def render_heatmap(values: np.ndarray, cmap: ColorMap = SEQUENTIAL) -> bytes:
         raise DomainError(f"non-finite heatmap values at indices {where}")
 
     lo, hi = cmap.anchors(v)
-    if hi > lo:
-        u = np.clip((v - lo) / (hi - lo), 0.0, 1.0)
-    else:
-        u = np.full_like(v, 0.5)
-
+    u = (v[::-1] - lo) / (hi - lo) if hi > lo else np.full_like(v, 0.5)  # first data row at the bottom
     pos = np.array([p for p, _ in cmap.stops])
     rgb = np.array([c for _, c in cmap.stops], dtype=float)
-    channels = [np.interp(u, pos, rgb[:, i]) for i in range(3)]
-    img = np.stack(channels, axis=-1)[::-1]  # first data row at the bottom
-    pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
     height, width = v.shape
+    pixels = np.empty((height, width, 3), dtype=np.uint8)
+    for i in range(3):
+        pixels[..., i] = np.rint(np.interp(u, pos, rgb[:, i]))
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
     return header + pixels.tobytes()

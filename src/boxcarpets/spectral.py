@@ -348,13 +348,17 @@ def _check_array(values, what: str) -> np.ndarray:
     """``values`` as a float array, once every entry is checked to be a finite real number.
 
     Only integer and float dtypes pass; bool, string, object and complex
-    arrays do not.  A list or tuple passes only if every entry passes
-    ``_is_real``, since numpy would turn ``[True, 2.0]`` into numbers; an
-    array is checked by its dtype alone.  A float64 array comes back as
-    itself, not a copy.
+    arrays do not.  A list or tuple passes only if it is rectangular and
+    every entry passes ``_is_real``, since numpy would turn ``[True, 2.0]``
+    into numbers; an array is checked by its dtype alone.  A float64 array
+    comes back as itself, not a copy.
     """
     if isinstance(values, (list, tuple)):
-        bad = [v for v in np.asarray(values, dtype=object).flat if not _is_real(v)]
+        try:
+            entries = np.asarray(values, dtype=object)
+        except ValueError:  # arrays of different shapes
+            raise DomainError(f"{what} must be a rectangular array of real numbers") from None
+        bad = [v for v in entries.flat if not _is_real(v)]
         if bad:
             raise DomainError(f"{what} must be a real number in every entry, got {bad[0]!r}")
     arr = np.asarray(values)

@@ -93,6 +93,22 @@ def test_density_matrix_hermiticity(state0, rev, loc_params):
         assert np.max(np.abs(grid.values - grid.values.conj().T)) < 1e-12
 
 
+@pytest.mark.parametrize("which", ["state0", "state20", "double125"])
+def test_spatial_factor_lowers_the_position_purity(request, rev, ref_params, loc_params, which):
+    # rho o G is a density matrix (Schur product with a positive definite G = 1
+    # on the diagonal), so its purity is at most chi; 8 Simpson points per
+    # half-wavelength of mode 50 make the Lambda = 0 purity chi itself
+    state = request.getfixturevalue(which)
+    x = np.linspace(-state.cfg.half_width, state.cfg.half_width, 401)
+    w = bc.simpson_weights(x)
+    for t in np.array([0.5, 2.0, 8.0]) * rev.tau:
+        chi = bc.purity(state, t, loc_params)
+        unlocalized = bc.density_matrix_grid(state, x, x, t, ref_params).values
+        assert w @ np.abs(unlocalized) ** 2 @ w == pytest.approx(chi, rel=1e-12)
+        localized = bc.density_matrix_grid(state, x, x, t, loc_params).values
+        assert w @ np.abs(localized) ** 2 @ w <= chi
+
+
 def test_secondary_diagonal_persists_without_spatial_damping(state0, rev, ref_params):
     t = 20.0 * rev.tau
     anti = abs(bc.density_matrix(state0, 10.0, -10.0, t, ref_params).real)

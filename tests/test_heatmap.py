@@ -1,9 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import boxcarpets as bc
+from boxcarpets import products
+from boxcarpets.config import apply_overrides, parse_config
 from boxcarpets.errors import DomainError
-from boxcarpets.heatmap import DIVERGING, SEQUENTIAL
+from boxcarpets.heatmap import DIVERGING, SEQUENTIAL, render_heatmap
 
 
 def _pixels(data: bytes, width: int, height: int) -> np.ndarray:
@@ -67,3 +71,74 @@ def test_colormap_validation():
         bc.ColorMap(kind="sequential", stops=((0.0, (0, 0, 0)), (0.5, (1, 1, 1))))
     with pytest.raises(DomainError):
         bc.ColorMap(kind="sequential", stops=((0.0, (0, 0, 300)), (1.0, (1, 1, 1))))
+
+
+def _render_whole_array(values, cmap):
+    """Reference renderer: a clipped ramp position, a stacked float image
+    flipped afterwards, and a clipped rint, each over the whole field."""
+    v = np.asarray(values, dtype=float)
+    lo, hi = cmap.anchors(v)
+    u = np.clip((v - lo) / (hi - lo), 0.0, 1.0) if hi > lo else np.full_like(v, 0.5)
+    pos = np.array([p for p, _ in cmap.stops])
+    rgb = np.array([c for _, c in cmap.stops], dtype=float)
+    img = np.stack([np.interp(u, pos, rgb[:, i]) for i in range(3)], axis=-1)[::-1]
+    pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
+    height, width = v.shape
+    return f"P6\n{width} {height}\n255\n".encode("ascii") + pixels.tobytes()
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        pytest.param({"products": ("carpet",)}, id="carpet-density"),
+        pytest.param({"products": ("carpet",), "quantity": "velocity"}, id="carpet-velocity"),
+        pytest.param({"products": ("carpet",), "gamma": 0.0, "x0": 20.0}, id="carpet-coherent-x0-20"),
+        pytest.param({"products": ("densmat",)}, id="densmat"),
+        pytest.param({"products": ("decaymap",)}, id="decaymap-log"),
+    ],
+)
+def test_default_product_images_match_the_whole_array_renderer(tmp_path, monkeypatch, overrides):
+    rendered = []
+
+    def checked(values, cmap):
+        out = render_heatmap(values, cmap)
+        assert out == _render_whole_array(values, cmap)
+        rendered.append(values.shape)
+        return out
+
+    monkeypatch.setattr(products, "render_heatmap", checked)
+    manifest = products.run(apply_overrides(parse_config(""), out_dir=str(tmp_path), **overrides))
+    assert not manifest["failures"]
+    assert rendered
+
+
+_FIELD = np.random.default_rng(7).normal(size=(37, 53))
+
+
+@pytest.mark.parametrize("base", [SEQUENTIAL, DIVERGING], ids=["sequential", "diverging"])
+@pytest.mark.parametrize(
+    "values, anchors",
+    [
+        pytest.param(_FIELD, (None, None), id="automatic-anchors"),
+        pytest.param(np.full((6, 4), -2.5), (None, None), id="constant"),
+        pytest.param(_FIELD, (-0.5, 0.8), id="outside-explicit-anchors"),
+        # the ramp position overflows to +-inf
+        pytest.param(np.array([[-1e300, 0.0, 1e300], [1e300, 1e-300, -1e300]]), (-1e-300, 1e-300), id="overflow"),
+    ],
+)
+def test_renderer_matches_the_whole_array_renderer(base, values, anchors):
+    cmap = bc.ColorMap(kind=base.kind, stops=base.stops, vmin=anchors[0], vmax=anchors[1])
+    with np.errstate(over="ignore"):
+        assert render_heatmap(values, cmap) == _render_whole_array(values, cmap)
+
+
+def test_render_peak_memory_is_a_few_field_copies():
+    values = np.random.default_rng(3).random((1001, 1001))
+    tracemalloc.start()
+    try:
+        render_heatmap(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the field is 8 MB and the pixmap 3 MB; whole-array float images took 105 MB
+    assert peak <= 40e6

@@ -52,7 +52,13 @@ def test_invariants_hold_across_the_parameter_space(case):
 
     # hermiticity of the density matrix, with the spatial damping on
     grid = bc.density_matrix_grid(state, x[::8], x[::8], 0.37 * rev.tau, params)
-    assert np.max(np.abs(grid.values - grid.values.conj().T)) <= 1e-13 * np.max(np.abs(grid.values))
+    scale = np.max(np.abs(grid.values))
+    assert np.max(np.abs(grid.values - grid.values.conj().T)) <= 1e-13 * scale
+    # the spatial factor keeps a density matrix: positive semidefinite, with
+    # the density of the energy damping alone on its diagonal
+    assert np.linalg.eigvalsh(grid.values).min() >= -1e-13 * scale
+    diagonal = density_map(state, x[::8], [0.37 * rev.tau], gamma=gamma)[0]
+    assert np.max(np.abs(np.diagonal(grid.values) - diagonal)) <= 1e-12 * scale
 
     # purity: monotone decay between the population limit and the squared trace
     curve = bc.purity_curve(state, 10.0 * rev.tau, params, samples=60)

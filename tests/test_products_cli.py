@@ -1,12 +1,14 @@
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import boxcarpets as bc
 from boxcarpets import csvio, products
-from boxcarpets.cli import main
+from boxcarpets.cli import _common_flags, main
 
 
 def small_config(out_dir, products, **kw):
@@ -251,12 +253,19 @@ def test_cli_lambda_flag(tmp_path):
     assert code == 0
 
 
-def test_cli_jobs_flag_is_ignored(tmp_path):
-    cfg = _small_cfg_file(tmp_path)
-    assert main(["decaymap", "--out", str(tmp_path / "plain"), "--config", cfg]) == 0
-    assert main(["decaymap", "--jobs", "3", "--out", str(tmp_path / "jobs"), "--config", cfg]) == 0
-    plain, jobs = (json.loads((tmp_path / d / "manifest.json").read_text()) for d in ("plain", "jobs"))
-    assert plain["checksums"] == jobs["checksums"]
+def test_cli_rejects_the_removed_jobs_flag(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["decaymap", "--jobs", "3", "--out", str(tmp_path), "--config", _small_cfg_file(tmp_path)])
+    assert exc.value.code == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_readme_global_flags_are_the_cli_flags():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    paragraph = readme[readme.index("Global flags:"):].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z0-9-]+)", paragraph))
+    parsed = {flag for action in _common_flags()._actions for flag in action.option_strings}
+    assert documented == parsed
 
 
 def _small_cfg_file(tmp_path) -> str:

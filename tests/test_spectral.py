@@ -264,6 +264,9 @@ _BAD_ARRAY_CALLS = [
     ("sample_times-str", lambda s: bc.integrate_trajectory(s, 0.0, 1.0, sample_times=["0", "1"])),
     ("positions-str", lambda s: bc.mode_values(np.arange(1, 3), ["a"], s.cfg)),
     ("positions-object", lambda s: bc.velocity_map(s, [0.0, None], [1.0])),
+    ("positions-ragged", lambda s: bc.velocity_map(s, [np.zeros(2), np.zeros(3)], [1.0])),
+    # numpy cannot even build an object array of these: it raised its broadcast ValueError
+    ("positions-ragged-2d", lambda s: bc.velocity_map(s, [np.zeros((2, 2)), np.zeros((2, 3))], [1.0])),
     # numpy turns a bool among numbers into 1.0: these used to return values
     ("positions-bool-in-list", lambda s: bc.velocity_map(s, [True, 2.0], [1.0])),
     ("times-bool-in-list", lambda s: density_map(s, [1.0], [True, 2.0])),
