@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import PRODUCT_NAMES, apply_overrides, parse_config, parse_config_file
+from .config import PRODUCT_NAMES, apply_overrides, parse_config, parse_config_file, parse_lambda
 from .errors import CarpetError, ConfigError, DomainError
 from .products import run
 
@@ -20,7 +20,8 @@ def _common_flags() -> argparse.ArgumentParser:
     common.add_argument("--out", dest="out_dir", metavar="DIR", help="output directory")
     common.add_argument("--seed-count", type=int, metavar="N", help="trajectory ensemble size")
     common.add_argument("--gamma", type=float, metavar="X", help="energy-pair damping control")
-    common.add_argument("--lambda", dest="lam", metavar="{0|formula|X}", help="spatial damping rate")
+    common.add_argument("--lambda", dest="lam", type=parse_lambda, metavar="{0|formula|X}",
+                        help="spatial damping rate")
     common.add_argument("--x0", type=float, metavar="X", help="signal center")
     common.add_argument("--kind", choices=("single", "double"), help="signal kind")
     common.add_argument("--tmax", dest="tmax_tau", type=float, metavar="MULT_TAU", help="time span in units of tau")

@@ -118,7 +118,7 @@ class RunConfig:
     signal: InputSignalSpec = field(default_factory=InputSignalSpec)
     n_modes: int = 50
     renormalize: bool = False
-    deco: DecoherenceParams = field(default_factory=lambda: DecoherenceParams(gamma=DEFAULT_GAMMA, lambda_mode="formula"))
+    deco: DecoherenceParams = field(default_factory=lambda: DecoherenceParams(gamma=DEFAULT_GAMMA, lam="formula"))
     grid: GridSpec = field(default_factory=GridSpec)
     ensemble: EnsembleSpec = field(default_factory=lambda: EnsembleSpec(count=20))
     sweep: SweepSpec = field(default_factory=SweepSpec)
@@ -150,6 +150,17 @@ def _as_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in _as_name_list(text))
 
 
+def parse_lambda(text: str) -> float | str:
+    """A spatial-damping setting as ``DecoherenceParams.lam`` takes it: 'formula' or a number."""
+    t = text.strip().lower()
+    if t == "formula":
+        return t
+    try:
+        return float(t)
+    except ValueError:
+        raise ValueError(f"expected 'formula' or a number, got {text!r}") from None
+
+
 # One row per config key: section, key as written, dotted RunConfig attribute,
 # value parser.  Parsing, serialization and overrides all walk this table, and
 # the rows' order is the order of the serialized text.
@@ -163,7 +174,7 @@ _FIELDS = (
     ("modes", "count", "n_modes", int),
     ("modes", "renormalize", "renormalize", _as_bool),
     ("deco", "gamma", "deco.gamma", float),
-    ("deco", "lambda", "deco.lam", str),  # resolved by parse_lambda in _update
+    ("deco", "lambda", "deco.lam", parse_lambda),
     ("grid", "x_points", "grid.x_points", int),
     ("grid", "t_points", "grid.t_points", int),
     ("grid", "tmax_tau", "grid.t_max_tau", float),
@@ -205,24 +216,10 @@ def _get(config: RunConfig, attr: str):
     return reduce(getattr, attr.split("."), config)
 
 
-def parse_lambda(text: str) -> tuple[float, str]:
-    """Resolve a spatial-damping setting: 'formula', or a nonnegative number."""
-    t = text.strip().lower()
-    if t == "formula":
-        return 0.0, "formula"
-    try:
-        value = float(t)
-    except ValueError:
-        raise ConfigError(f"deco.lambda must be 'formula' or a number, got {text!r}") from None
-    return value, "off"
-
-
 def _update(config: RunConfig, values: dict[str, object]) -> RunConfig:
     """Set each dotted attribute of ``values`` on ``config``; every touched spec
     is rebuilt once, so its own invariants are checked again."""
     values = dict(values)
-    if "deco.lam" in values:
-        values["deco.lam"], values["deco.lambda_mode"] = parse_lambda(str(values["deco.lam"]))
     if "ensemble.seeds" in values or "ensemble.count" in values:
         # a seed list implies explicit seeding; a bare count (or an empty
         # list) replaces any explicit seed list
@@ -304,8 +301,6 @@ def serialize_config(config: RunConfig) -> str:
     for section, key, attr, _ in _FIELDS:
         block = blocks.setdefault(section, [f"[{section}]"])
         value = _get(config, attr)
-        if attr == "deco.lam" and config.deco.lambda_mode == "formula":
-            value = "formula"
         # a missing key parses to the default, so an empty default is left out
         if value is None or (isinstance(value, tuple) and not value and not _get(_DEFAULT, attr)):
             continue

@@ -39,29 +39,20 @@ def localization_rate(cfg: CavityConfig) -> float:
 class DecoherenceParams:
     """Damping controls: energy-pair rate ``gamma`` and spatial rate ``lam``.
 
-    ``lambda_mode`` selects how the spatial rate is resolved: 'off' uses the
-    explicit ``lam`` value (0 disables the term), 'formula' derives it from
-    the cavity via ``localization_rate``.
+    ``lam`` is a nonnegative real (0 disables the spatial term) or the
+    string 'formula', which takes the cavity's ``localization_rate``.
     """
 
     gamma: float = 0.0
-    lam: float = 0.0
-    lambda_mode: str = "off"
+    lam: float | str = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "gamma", _check_real(self.gamma, "gamma", 0))
-        object.__setattr__(self, "lam", _check_real(self.lam, "lambda", 0))
-        if self.lambda_mode not in ("off", "formula"):
-            raise DomainError(f"lambda_mode must be 'off' or 'formula', got {self.lambda_mode!r}")
-
-    @classmethod
-    def coherent(cls) -> "DecoherenceParams":
-        return cls(gamma=0.0, lam=0.0, lambda_mode="off")
+        if not (isinstance(self.lam, str) and self.lam == "formula"):
+            object.__setattr__(self, "lam", _check_real(self.lam, "lambda", 0))
 
     def effective_lambda(self, cfg: CavityConfig) -> float:
-        if self.lambda_mode == "formula":
-            return localization_rate(cfg)
-        return self.lam
+        return localization_rate(cfg) if self.lam == "formula" else self.lam
 
 
 def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityConfig) -> float:

@@ -79,7 +79,7 @@ def purity_via_quadrature(
     """
     points = _check_count(points, "quadrature points", 3)
     x = np.linspace(-state.cfg.half_width, state.cfg.half_width, points)
-    bare = DecoherenceParams(gamma=params.gamma, lam=0.0, lambda_mode="off")
+    bare = DecoherenceParams(gamma=params.gamma)
     grid = density_matrix_grid(state, x, x, t, bare)
     w = simpson_weights(x)
     return float(w @ np.abs(grid.values) ** 2 @ w)
@@ -445,7 +445,7 @@ def sweep_x0(
     x0_values,
     cfg: CavityConfig,
     N: int = 50,
-    gamma: float | None = None,
+    params: DecoherenceParams = DecoherenceParams(gamma=DEFAULT_GAMMA),
     w: float = 10.0,
     span_tau: float = 10.0,
     samples: int = 200,
@@ -455,6 +455,8 @@ def sweep_x0(
 ) -> list[SweepRow]:
     """Asymptotic purity and fitted decay times across signal centers.
 
+    ``params`` sets the damping; the purity depends on ``params.gamma``
+    alone, so the spatial rate ``params.lam`` changes no row.
     ``renormalize`` rescales each truncated state to unit norm, as
     ``RunConfig.renormalize`` does for the other products.  Invalid centers
     (truncated or overlapping signals) produce an error row and the sweep
@@ -462,8 +464,6 @@ def sweep_x0(
     before any center is computed.  Deterministic for fixed inputs.
     """
     _check_count(restarts, "fit restarts", 1)
-
-    params = DecoherenceParams(gamma=DEFAULT_GAMMA if gamma is None else gamma)
     span = _check_real(span_tau, "sweep span_tau", 0, strict=True) * revival_times(cfg).tau
     rows: list[SweepRow | None] = []
     pending = []

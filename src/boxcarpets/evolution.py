@@ -47,7 +47,7 @@ def probability_density(state: SpectralState, x, t: float, params: DecoherencePa
     without, the result equals |wavefunction|^2 to roundoff.  Negative
     roundoff below -1e-12 is rejected, smaller is clamped to zero.
     """
-    return decohered_density(state, x, t, params if params is not None else DecoherenceParams.coherent())
+    return decohered_density(state, x, t, params if params is not None else DecoherenceParams())
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,7 @@ def carpet(
     _check_positions(grid.x, state.cfg)
     if quantity not in ("density", "velocity"):
         raise DomainError(f"quantity must be 'density' or 'velocity', got {quantity!r}")
-    p = params if params is not None else DecoherenceParams.coherent()
+    p = params if params is not None else DecoherenceParams()
     if quantity == "density":
         values = density_map(state, grid.x, grid.t, gamma=p.gamma)
     else:

@@ -133,7 +133,7 @@ def _product_sweep(r: _Run) -> list[Path]:
         config.sweep.values(config.signal, config.cavity),
         config.cavity,
         N=config.n_modes,
-        gamma=config.deco.gamma,
+        params=config.deco,
         w=config.signal.w,
         span_tau=config.fit.span_tau,
         samples=config.fit.samples,

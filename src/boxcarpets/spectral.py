@@ -100,12 +100,7 @@ def eigenmode(md: Mode, x, cfg: CavityConfig):
     Even-parity modes are sqrt(2/L) cos(kx), odd-parity sqrt(2/L) sin(kx).
     Positions outside [-L/2, L/2] raise ``DomainError``.
     """
-    xv = _check_positions(x, cfg)
-    amp = np.sqrt(2.0 / cfg.L)
-    if md.parity == "even":
-        out = amp * np.cos(md.k * xv)
-    else:
-        out = amp * np.sin(md.k * xv)
+    out = mode_values([md.alpha], x, cfg)[:, 0]
     return out if np.ndim(x) else float(out[0])
 
 

@@ -40,7 +40,7 @@ def ref_params():
 @pytest.fixture(scope="session")
 def loc_params():
     """Reference damping plus the formula spatial rate."""
-    return bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA, lambda_mode="formula")
+    return bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA, lam="formula")
 
 
 @pytest.fixture(scope="session")

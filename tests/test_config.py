@@ -60,7 +60,7 @@ def test_empty_text_yields_reference_defaults():
     assert config.signal == bc.InputSignalSpec("single", 0.0, 10.0)
     assert config.n_modes == 50
     assert config.deco.gamma == pytest.approx(2.0 / (5.0 * np.pi), rel=1e-15)
-    assert config.deco.lambda_mode == "formula"
+    assert config.deco.lam == "formula"
     assert config.deco.effective_lambda(config.cavity) == bc.localization_rate(config.cavity)
     assert config.grid.x_points == config.grid.t_points == 1001
 
@@ -127,9 +127,12 @@ def test_bad_values_name_the_key():
 
 
 def test_lambda_forms():
-    assert bc.parse_config("[deco]\nlambda = formula\n").deco.lambda_mode == "formula"
-    numeric = bc.parse_config("[deco]\nlambda = 0.25\n").deco
-    assert numeric.lambda_mode == "off" and numeric.lam == 0.25
+    assert bc.parse_config("[deco]\nlambda = Formula\n").deco.lam == "formula"
+    numeric = bc.parse_config("[deco]\nlambda = 0.25\n")
+    assert numeric.deco.lam == 0.25
+    assert "\n[deco]\ngamma = 0.12732395447351627\nlambda = 0.25\n" in bc.serialize_config(numeric)
+    with pytest.raises(ConfigError, match="never"):
+        bc.parse_config("[deco]\nlambda = never\n")
 
 
 def test_explicit_seeds():
@@ -210,8 +213,8 @@ def test_apply_overrides_validates():
     assert kept.signal.x0 == 18.0
     with pytest.raises(ConfigError):
         bc.apply_overrides(base, lam="never")
-    cfg2 = bc.apply_overrides(base, gamma=0.0, lam="0", tmax_tau=4.0, seed_count=12)
-    assert cfg2.deco.gamma == 0.0
+    cfg2 = bc.apply_overrides(base, gamma=0.0, lam=0, tmax_tau=4.0, seed_count=12)
+    assert cfg2.deco.gamma == 0.0 and cfg2.deco.lam == 0.0
     assert cfg2.grid.t_max_tau == 4.0
     assert cfg2.ensemble.count == 12
     # a bare count replaces an explicit seed list
@@ -323,7 +326,7 @@ def test_spec_reals_are_stored_as_python_floats(field, good):
 
 def test_real_overrides_are_config_errors_and_round_trip():
     base = bc.parse_config("")
-    for name, bad in [("x0", True), ("x0", "abc"), ("gamma", None), ("tmax_tau", "2"), ("gamma", 1j)]:
+    for name, bad in [("x0", True), ("x0", "abc"), ("gamma", None), ("tmax_tau", "2"), ("gamma", 1j), ("lam", "0")]:
         with pytest.raises(ConfigError, match="must be a real number"):
             bc.apply_overrides(base, **{name: bad})
     cfg = bc.apply_overrides(base, x0=np.float32(2.5), gamma=np.int64(1), tmax_tau=3)

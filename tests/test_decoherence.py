@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,15 @@ def test_params_validation():
         bc.DecoherenceParams(gamma=-0.1)
     with pytest.raises(DomainError):
         bc.DecoherenceParams(lam=-1.0)
-    with pytest.raises(DomainError):
-        bc.DecoherenceParams(lambda_mode="auto")
+    assert bc.DecoherenceParams(lam="formula").lam == "formula"
+
+
+@pytest.mark.parametrize("bad", ["auto", "off", "Formula", "formula ", "0", ""])
+def test_lambda_strings_other_than_formula_are_rejected(bad):
+    # config text and the CLI flag go through config.parse_lambda, which
+    # accepts any case and surrounding blanks
+    with pytest.raises(DomainError, match=re.escape(repr(bad))):
+        bc.DecoherenceParams(lam=bad)
 
 
 def test_density_map_rejects_negative_and_nonfinite_times(state0):
@@ -27,8 +36,7 @@ def test_density_map_rejects_negative_and_nonfinite_times(state0):
 
 def test_localization_rate(cfg):
     assert bc.localization_rate(cfg) == pytest.approx(2.0 * np.pi / 125000.0, rel=1e-15)
-    p = bc.DecoherenceParams(gamma=0.0, lam=123.0, lambda_mode="formula")
-    assert p.effective_lambda(cfg) == bc.localization_rate(cfg)
+    assert bc.DecoherenceParams(lam="formula").effective_lambda(cfg) == bc.localization_rate(cfg)
     assert bc.DecoherenceParams(lam=123.0).effective_lambda(cfg) == 123.0
 
 
@@ -36,7 +44,7 @@ def test_damping_factor_values(cfg, rev, ref_params):
     assert bc.damping_factor(4, 4, 3.0, 3.0, 17.0, ref_params, cfg) == 1.0
     got = bc.damping_factor(1, 3, 1.0, 1.0, rev.tau, ref_params, cfg)
     assert got == pytest.approx(np.exp(-0.8), rel=1e-12)
-    loc = bc.DecoherenceParams(gamma=0.0, lambda_mode="formula")
+    loc = bc.DecoherenceParams(gamma=0.0, lam="formula")
     got = bc.damping_factor(2, 2, 12.5, -12.5, rev.tau, loc, cfg)
     assert got == pytest.approx(np.exp(-12.5), rel=1e-12)
 
@@ -147,7 +155,7 @@ def test_decohered_density_reaches_population_mixture(state0, rev, ref_params):
 
 def test_gamma_zero_recovers_coherent_evolution(state20, rev):
     x = np.linspace(-25.0, 25.0, 301)
-    p0 = bc.DecoherenceParams.coherent()
+    p0 = bc.DecoherenceParams()
     t = 2.31 * rev.tau
     assert np.array_equal(
         bc.decohered_density(state20, x, t, p0), bc.probability_density(state20, x, t)

@@ -25,7 +25,7 @@ def test_initial_purity_is_squared_norm(state0, state20, ref_params):
 
 
 def test_purity_constant_without_damping(state0, rev):
-    p0 = bc.DecoherenceParams.coherent()
+    p0 = bc.DecoherenceParams()
     chi = bc.purity(state0, np.array([0.0, rev.tau, 8 * rev.tau]), p0)
     assert np.allclose(chi, chi[0], atol=1e-14)
 

@@ -86,7 +86,7 @@ def test_damped_velocity_reduces_to_coherent_at_gamma_zero(state20, rev):
     x = np.linspace(-22.0, 22.0, 89)
     t = 0.9 * rev.tau
     a = bc.velocity(state20, x, t)
-    b = bc.velocity(state20, x, t, bc.DecoherenceParams.coherent())
+    b = bc.velocity(state20, x, t, bc.DecoherenceParams())
     assert np.allclose(a, b, atol=1e-13)
 
 
@@ -287,6 +287,29 @@ def test_integrator_guards():
     assert 0.4 < freeze[1] < 0.6
     assert np.allclose(recorded[:, 0], -3.0 + samples, atol=1e-9)
     assert np.isnan(recorded[-1, 1])
+
+
+def test_integrator_reflects_at_the_wall():
+    # synthetic right-hand side: unit drift toward the wall at x = 1; an
+    # accepted step past it is mirrored back inside the box
+    def field(x, t):
+        return np.ones_like(x), np.zeros(x.shape, dtype=bool)
+
+    recorded, freeze = _integrate_batch(
+        field,
+        np.array([-0.5, 0.5]),
+        np.linspace(0.0, 2.0, 9),
+        t_end=2.0,
+        rtol=1e-8,
+        atol=1e-10,
+        h_start=0.05 / 8.0,
+        h_floor=1e-9,
+        half_width=1.0,
+    )
+    assert np.all(np.isinf(freeze))
+    assert np.all(np.abs(recorded) <= 1.0)
+    # a constant +1 drift never moves a member down without the reflection
+    assert np.any(np.diff(recorded[:, 1]) < 0.0)
 
 
 def test_trajectory_validation():

@@ -36,7 +36,7 @@ def test_invariants_hold_across_the_parameter_space(case):
     state = bc.decompose(signal, cfg, N)
     if not np.any(state.coeffs):
         pytest.skip("every retained mode is orthogonal to this signal")
-    params = bc.DecoherenceParams(gamma=gamma, lambda_mode="formula")
+    params = bc.DecoherenceParams(gamma=gamma, lam="formula")
     rev = bc.revival_times(cfg)
     x = np.linspace(-cfg.half_width, cfg.half_width, 257)
     times = np.array([0.0, 0.13, 0.5, 1.7]) * rev.tau
@@ -59,6 +59,21 @@ def test_invariants_hold_across_the_parameter_space(case):
     assert np.linalg.eigvalsh(grid.values).min() >= -1e-13 * scale
     diagonal = density_map(state, x[::8], [0.37 * rev.tau], gamma=gamma)[0]
     assert np.max(np.abs(np.diagonal(grid.values) - diagonal)) <= 1e-12 * scale
+
+    # position purity: with 4 alpha_max intervals Simpson integrates every
+    # cos(n theta) term of |rho|^2 (n <= 2 alpha_max) exactly, so without
+    # the spatial factor it is the closed-form purity; the spatial factor
+    # can only lower it
+    alpha_max = int(state.alphas[state.coeffs != 0.0].max())
+    xs = np.linspace(-cfg.half_width, cfg.half_width, 4 * alpha_max + 1)
+    w = bc.simpson_weights(xs)
+    bare = bc.DecoherenceParams(gamma=gamma)
+    for t in np.array([0.37, 1.7]) * rev.tau:
+        chi = bc.purity(state, t, bare)
+        bare_purity, purity = (w @ np.abs(bc.density_matrix_grid(state, xs, xs, t, p).values) ** 2 @ w
+                               for p in (bare, params))
+        assert abs(bare_purity - chi) <= 1e-12 * chi
+        assert purity <= chi * (1.0 + 1e-12)
 
     # purity: monotone decay between the population limit and the squared trace
     curve = bc.purity_curve(state, 10.0 * rev.tau, params, samples=60)

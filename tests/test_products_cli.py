@@ -251,6 +251,14 @@ def test_cli_lambda_flag(tmp_path):
         ["decaymap", "--lambda", "formula", "--out", str(tmp_path), "--config", _small_cfg_file(tmp_path)]
     )
     assert code == 0
+    # the flag is parsed by the same function as the [deco] lambda row;
+    # a negative rate is a configuration error
+    args = ["decaymap", "--out", str(tmp_path / "bad"), "--config", _small_cfg_file(tmp_path), "--lambda"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["never"])
+    assert exc.value.code == 2
+    assert main(args + ["-1"]) == 2
+    assert not (tmp_path / "bad").exists()
 
 
 def test_cli_rejects_the_removed_jobs_flag(tmp_path):
