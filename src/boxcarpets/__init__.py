@@ -23,7 +23,6 @@ from .decoherence import (
     asymptotic_density,
     damping_factor,
     beta,
-    decohered_density,
     density_matrix,
     density_matrix_grid,
     localization_rate,

@@ -162,54 +162,42 @@ def parse_lambda(text: str) -> float | str:
 
 
 # One row per config key: section, key as written, dotted RunConfig attribute,
-# value parser.  Parsing, serialization and overrides all walk this table, and
+# value parser, and the apply_overrides keyword (None for a key with no
+# override).  Parsing, serialization and overrides all walk this table, and
 # the rows' order is the order of the serialized text.
 _FIELDS = (
-    ("cavity", "m", "cavity.m", float),
-    ("cavity", "hbar", "cavity.hbar", float),
-    ("cavity", "L", "cavity.L", float),
-    ("signal", "kind", "signal.kind", str),
-    ("signal", "x0", "signal.x0", float),
-    ("signal", "w", "signal.w", float),
-    ("modes", "count", "n_modes", int),
-    ("modes", "renormalize", "renormalize", _as_bool),
-    ("deco", "gamma", "deco.gamma", float),
-    ("deco", "lambda", "deco.lam", parse_lambda),
-    ("grid", "x_points", "grid.x_points", int),
-    ("grid", "t_points", "grid.t_points", int),
-    ("grid", "tmax_tau", "grid.t_max_tau", float),
-    ("grid", "snapshots_tau", "grid.snapshots_tau", _as_float_list),
-    ("ensemble", "count", "ensemble.count", int),
-    ("ensemble", "seeding", "ensemble.seeding", str),
-    ("ensemble", "seeds", "ensemble.seeds", _as_float_list),
-    ("sweep", "start", "sweep.start", float),
-    ("sweep", "stop", "sweep.stop", float),
-    ("sweep", "step", "sweep.step", float),
-    ("fit", "span_tau", "fit.span_tau", float),
-    ("fit", "samples", "fit.samples", int),
-    ("fit", "restarts", "fit.restarts", int),
-    ("fit", "seed", "fit.seed", int),
-    ("output", "products", "output.products", _as_name_list),
-    ("output", "dir", "output.directory", str),
-    ("output", "quantity", "output.quantity", str),
+    ("cavity", "m", "cavity.m", float, None),
+    ("cavity", "hbar", "cavity.hbar", float, None),
+    ("cavity", "L", "cavity.L", float, None),
+    ("signal", "kind", "signal.kind", str, "kind"),
+    ("signal", "x0", "signal.x0", float, "x0"),
+    ("signal", "w", "signal.w", float, None),
+    ("modes", "count", "n_modes", int, None),
+    ("modes", "renormalize", "renormalize", _as_bool, "renormalize"),
+    ("deco", "gamma", "deco.gamma", float, "gamma"),
+    ("deco", "lambda", "deco.lam", parse_lambda, "lam"),
+    ("grid", "x_points", "grid.x_points", int, None),
+    ("grid", "t_points", "grid.t_points", int, None),
+    ("grid", "tmax_tau", "grid.t_max_tau", float, "tmax_tau"),
+    ("grid", "snapshots_tau", "grid.snapshots_tau", _as_float_list, None),
+    ("ensemble", "count", "ensemble.count", int, "seed_count"),
+    ("ensemble", "seeds", "ensemble.seeds", _as_float_list, None),
+    ("sweep", "start", "sweep.start", float, None),
+    ("sweep", "stop", "sweep.stop", float, None),
+    ("sweep", "step", "sweep.step", float, None),
+    ("fit", "span_tau", "fit.span_tau", float, None),
+    ("fit", "samples", "fit.samples", int, None),
+    ("fit", "restarts", "fit.restarts", int, None),
+    ("fit", "seed", "fit.seed", int, None),
+    ("output", "products", "output.products", _as_name_list, "products"),
+    ("output", "dir", "output.directory", str, "out_dir"),
+    ("output", "quantity", "output.quantity", str, "quantity"),
 )
 # configparser lowercases keys as it reads them
-_KEYS = {(section, key.lower()): (attr, parse) for section, key, attr, parse in _FIELDS}
+_KEYS = {(section, key.lower()): (attr, parse) for section, key, attr, parse, _ in _FIELDS}
 _SECTIONS = {section for section, *_ in _FIELDS}
-
 # apply_overrides keyword -> table attribute
-_OVERRIDES = {
-    "x0": "signal.x0",
-    "kind": "signal.kind",
-    "gamma": "deco.gamma",
-    "lam": "deco.lam",
-    "tmax_tau": "grid.t_max_tau",
-    "seed_count": "ensemble.count",
-    "out_dir": "output.directory",
-    "quantity": "output.quantity",
-    "products": "output.products",
-    "renormalize": "renormalize",
-}
+_OVERRIDES = {name: attr for _, _, attr, _, name in _FIELDS if name}
 
 
 def _get(config: RunConfig, attr: str):
@@ -221,10 +209,8 @@ def _update(config: RunConfig, values: dict[str, object]) -> RunConfig:
     is rebuilt once, so its own invariants are checked again."""
     values = dict(values)
     if "ensemble.seeds" in values or "ensemble.count" in values:
-        # a seed list implies explicit seeding; a bare count (or an empty
-        # list) replaces any explicit seed list
-        seeds = values["ensemble.seeds"] = values.get("ensemble.seeds") or None
-        values.setdefault("ensemble.seeding", "explicit" if seeds else "uniform")
+        # a bare count (or an empty seed list) clears any explicit seed list
+        values["ensemble.seeds"] = values.get("ensemble.seeds") or None
     specs: dict[str, dict[str, object]] = {}
     for attr, value in values.items():
         spec, _, name = attr.rpartition(".")
@@ -298,7 +284,7 @@ def _text(value) -> str:
 def serialize_config(config: RunConfig) -> str:
     """Emit configuration text that parses back to an equal ``RunConfig``."""
     blocks: dict[str, list[str]] = {}
-    for section, key, attr, _ in _FIELDS:
+    for section, key, attr, *_ in _FIELDS:
         block = blocks.setdefault(section, [f"[{section}]"])
         value = _get(config, attr)
         # a missing key parses to the default, so an empty default is left out

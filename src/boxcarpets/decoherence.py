@@ -222,27 +222,23 @@ class _BeatSeries:
         return table, sine
 
 
-def density_map(state: SpectralState, x: np.ndarray, times: np.ndarray, gamma: float = 0.0) -> np.ndarray:
+def density_map(
+    state: SpectralState, x: np.ndarray, times: np.ndarray, params: DecoherenceParams = DecoherenceParams()
+) -> np.ndarray:
     """Damped pair-sum density on the (t, x) grid; row j holds the profile at times[j].
 
     Sums populations plus all pairwise coherence terms, folded onto the
-    beat wavenumbers (``_BeatSeries``); the spatial damping rate never
-    enters because the density lives on the x = x' diagonal.
+    beat wavenumbers (``_BeatSeries``); the spatial damping rate ``params.lam``
+    never enters because the density lives on the x = x' diagonal.
     """
     xv = _check_positions(x, state.cfg)
     times = _check_times(times)
-    series = _BeatSeries(state, gamma)
+    series = _BeatSeries(state, params.gamma)
     table = series.tables(xv)
     out = np.empty((times.size, xv.size))
     for j, t in enumerate(times):
         out[j] = series.coefficients(float(t)) @ table
     return _clamp_density(out)
-
-
-def decohered_density(state: SpectralState, x, t: float, params: DecoherenceParams):
-    """Probability density under coherence damping (diagonal of the density matrix)."""
-    rho = density_map(state, x, [_check_real(t, "time", 0)], gamma=params.gamma)[0]
-    return rho if np.ndim(x) else float(rho[0])
 
 
 def asymptotic_density(state: SpectralState, x):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flow
-from .decoherence import DecoherenceParams, decohered_density, density_map
+from .decoherence import DecoherenceParams, density_map
 from .errors import DomainError
 from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_array, _check_count, _check_positions,
                        _check_real, _check_times, mode_values)
@@ -40,14 +40,15 @@ def wavefunction(state: SpectralState, x, t: float):
     return psi if np.ndim(x) else complex(psi[0])
 
 
-def probability_density(state: SpectralState, x, t: float, params: DecoherenceParams | None = None):
+def probability_density(state: SpectralState, x, t: float, params: DecoherenceParams = DecoherenceParams()):
     """Probability density: the one-row ``density_map``, a beat-wavenumber series.
 
-    With ``params`` given, each coherence term is damped by its pair factor;
-    without, the result equals |wavefunction|^2 to roundoff.  Negative
-    roundoff below -1e-12 is rejected, smaller is clamped to zero.
+    Each coherence term is damped by its pair factor; with the default
+    (coherent) ``params`` the result equals |wavefunction|^2 to roundoff.
+    Negative roundoff below -1e-12 is rejected, smaller is clamped to zero.
     """
-    return decohered_density(state, x, t, params if params is not None else DecoherenceParams())
+    rho = density_map(state, x, [_check_real(t, "time", 0)], params)[0]
+    return rho if np.ndim(x) else float(rho[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,15 +104,14 @@ def carpet(
     state: SpectralState,
     grid: SpaceTimeGrid,
     quantity: str = "density",
-    params: DecoherenceParams | None = None,
+    params: DecoherenceParams = DecoherenceParams(),
 ) -> CarpetGrid:
     """Evaluate a density or velocity carpet on ``grid`` in one field-map call."""
     _check_positions(grid.x, state.cfg)
     if quantity not in ("density", "velocity"):
         raise DomainError(f"quantity must be 'density' or 'velocity', got {quantity!r}")
-    p = params if params is not None else DecoherenceParams()
     if quantity == "density":
-        values = density_map(state, grid.x, grid.t, gamma=p.gamma)
+        values = density_map(state, grid.x, grid.t, params=params)
     else:
-        values = flow.velocity_map(state, grid.x, grid.t, params=p)
+        values = flow.velocity_map(state, grid.x, grid.t, params=params)
     return CarpetGrid(grid=grid, values=values, quantity=quantity)

@@ -64,9 +64,9 @@ class _VelocityField:
     whose density sits below the node floor (velocity forced to zero there).
     """
 
-    def __init__(self, state: SpectralState, params: DecoherenceParams | None):
+    def __init__(self, state: SpectralState, params: DecoherenceParams):
         _require_support(state)
-        self.kernel = _PairKernel(state, params.gamma if params is not None else 0.0)
+        self.kernel = _PairKernel(state, params.gamma)
         self.hm = state.cfg.hbar / state.cfg.m
 
     def __call__(self, x: np.ndarray, t: float):
@@ -77,7 +77,7 @@ class _VelocityField:
         return _flux_ratio(self.hm, num, den)
 
 
-def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, params: DecoherenceParams | None):
+def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, params: DecoherenceParams):
     """Velocity rows at fixed points ``xv``, one per time, and their node-floor masks.
 
     At gamma = 0 each row is two mode sums, psi and its slope, from one
@@ -89,8 +89,7 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
     hm = state.cfg.hbar / state.cfg.m
     rows = np.empty((times.size, xv.size))
     bad = np.empty(rows.shape, dtype=bool)
-    gamma = params.gamma if params is not None else 0.0
-    if gamma == 0.0:
+    if params.gamma == 0.0:
         c, basis = _support(state)
         Eh = state.energies[state.coeffs != 0.0] / state.cfg.hbar
         phi, dphi = basis(xv)
@@ -101,7 +100,7 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
             dre, dim = (dphi @ ur).T
             rows[j], bad[j] = _flux_ratio(hm, re * dim - im * dre, re**2 + im**2)
         return rows, bad
-    series = _BeatSeries(state, gamma)
+    series = _BeatSeries(state, params.gamma)
     table, sine = series.tables(xv, flux=True)
     for j, t in enumerate(times):
         C, S = series.coefficients(float(t), flux=True)
@@ -163,7 +162,7 @@ class _Cumulative:
         return F, rho
 
 
-def velocity(state: SpectralState, x, t: float, params: DecoherenceParams | None = None):
+def velocity(state: SpectralState, x, t: float, params: DecoherenceParams = DecoherenceParams()):
     """Velocity field value(s) at position(s) ``x`` and time ``t``.
 
     The one-row ``velocity_map``: the same value, bit for bit.  Real input
@@ -184,7 +183,7 @@ def velocity(state: SpectralState, x, t: float, params: DecoherenceParams | None
 
 
 def velocity_map(
-    state: SpectralState, x: np.ndarray, times: np.ndarray, params: DecoherenceParams | None = None
+    state: SpectralState, x: np.ndarray, times: np.ndarray, params: DecoherenceParams = DecoherenceParams()
 ) -> np.ndarray:
     """Velocity on the (t, x) grid; node-floor positions are set to zero.
 
@@ -222,32 +221,28 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """How to seed a trajectory ensemble: evenly over the signal support,
-    or from an explicit strictly increasing list."""
+    """How to seed a trajectory ensemble: ``count`` seeds evenly over the
+    signal support, or the explicit strictly increasing list ``seeds``, whose
+    length then is ``count``."""
 
     count: int = 0
-    seeding: str = "uniform"
     seeds: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.seeding not in ("uniform", "explicit"):
-            raise DomainError(f"seeding must be 'uniform' or 'explicit', got {self.seeding!r}")
-        if self.seeding == "explicit":
-            seeds = _check_array(() if self.seeds is None else self.seeds, "explicit seeds")
-            if seeds.ndim != 1 or seeds.size < 1 or np.any(np.diff(seeds) <= 0.0):
-                raise DomainError("explicit seeding requires a non-empty, strictly increasing 1-D seed list")
-            object.__setattr__(self, "seeds", tuple(seeds.tolist()))
-            object.__setattr__(self, "count", seeds.size)
-        else:
-            if self.seeds is not None:
-                raise DomainError("uniform seeding does not take an explicit seed list")
+        if self.seeds is None:
             object.__setattr__(self, "count", _check_count(self.count, "ensemble count", 1))
+            return
+        seeds = _check_array(self.seeds, "explicit seeds")
+        if seeds.ndim != 1 or seeds.size < 1 or np.any(np.diff(seeds) <= 0.0):
+            raise DomainError("explicit seeds must be a non-empty, strictly increasing 1-D list")
+        object.__setattr__(self, "seeds", tuple(seeds.tolist()))
+        object.__setattr__(self, "count", seeds.size)
 
 
 def ensemble_seeds(spec: EnsembleSpec, signal: InputSignalSpec) -> np.ndarray:
     """Resolve seed positions for ``spec`` against the signal support."""
     lobes = signal.support()
-    if spec.seeding == "explicit":
+    if spec.seeds is not None:
         seeds = np.asarray(spec.seeds, dtype=float)
         inside = np.zeros(seeds.size, dtype=bool)
         for lo, hi in lobes:
@@ -271,7 +266,7 @@ def integrate_trajectory(
     state: SpectralState,
     x0: float,
     t_end: float,
-    params: DecoherenceParams | None = None,
+    params: DecoherenceParams = DecoherenceParams(),
     tol: float = 1e-8,
     sample_times: np.ndarray | None = None,
 ) -> Trajectory:
@@ -293,7 +288,7 @@ def integrate_ensemble(
     state: SpectralState,
     spec: EnsembleSpec,
     t_end: float,
-    params: DecoherenceParams | None = None,
+    params: DecoherenceParams = DecoherenceParams(),
     tol: float = 1e-8,
     sample_times: np.ndarray | None = None,
 ) -> list[Trajectory]:
@@ -310,7 +305,7 @@ def integrate_ensemble(
     """
     if state.signal is not None:
         seeds = ensemble_seeds(spec, state.signal)
-    elif spec.seeding == "uniform":
+    elif spec.seeds is None:
         raise DomainError("uniform seeding requires a state with a known input signal")
     else:
         seeds = np.asarray(spec.seeds, dtype=float)
@@ -332,7 +327,7 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     if sample_times[-1] > t_end * (1 + 1e-12):
         raise DomainError("sample_times must lie within [0, t_end]")
 
-    if params is None or params.gamma == 0.0:
+    if params.gamma == 0.0:
         xtol = tol * 1e-2
         recorded, freeze_time = _quantile_batch(_Cumulative(state), seeds, sample_times, xtol)
     else:

@@ -22,7 +22,9 @@ class ColorMap:
 
     ``kind`` 'sequential' anchors at the data range; 'diverging' centers the
     ramp on zero with symmetric anchors.  Explicit ``vmin``/``vmax`` override
-    the automatic anchors; values outside are clipped to the end colors.
+    the automatic anchors; values outside are clipped to the end colors.  A
+    diverging map takes both anchors or neither, and ``vmin`` may not exceed
+    ``vmax``.
     """
 
     kind: str
@@ -42,11 +44,15 @@ class ColorMap:
         for name in ("vmin", "vmax"):
             if getattr(self, name) is not None:
                 object.__setattr__(self, name, _check_real(getattr(self, name), f"colormap {name}"))
+        if self.vmin is not None and self.vmax is not None and self.vmin > self.vmax:
+            raise DomainError(f"colormap vmin {self.vmin!r} exceeds vmax {self.vmax!r}")
+        if self.kind == "diverging" and (self.vmin is None) != (self.vmax is None):
+            raise DomainError("a diverging colormap takes both anchors vmin and vmax, or neither")
 
     def anchors(self, values: np.ndarray) -> tuple[float, float]:
         lo = float(values.min()) if self.vmin is None else self.vmin
         hi = float(values.max()) if self.vmax is None else self.vmax
-        if self.kind == "diverging" and (self.vmin is None or self.vmax is None):
+        if self.kind == "diverging" and self.vmin is None:
             a = max(abs(lo), abs(hi))
             lo, hi = -a, a
         return lo, hi

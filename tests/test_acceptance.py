@@ -90,7 +90,7 @@ def test_criterion_06_asymptotic_purity_values(cfg, state0, double125):
 
 def test_criterion_07_decoherence_limit(cfg, state0, rev, ref_params):
     x = np.linspace(-cfg.half_width, cfg.half_width, 2001)
-    late = bc.decohered_density(state0, x, 20.0 * rev.tau, ref_params)
+    late = bc.probability_density(state0, x, 20.0 * rev.tau, ref_params)
     gap = float(np.max(np.abs(late - bc.asymptotic_density(state0, x))))
     report(7, "decoherence-limit", gap < 1e-6, f"sup diff {gap:.2e}")
 
@@ -171,7 +171,8 @@ def test_criterion_12_hermiticity_and_trace(cfg, state0, rev, loc_params, ref_pa
         worst_h = max(worst_h, float(np.max(np.abs(grid.values - grid.values.conj().T))))
     xq = bc.oracle_grid(cfg)
     w = bc.simpson_weights(xq)
-    traces = [float(w @ bc.decohered_density(state0, xq, t, ref_params)) for t in (0.0, rev.tau, 5 * rev.tau, 20 * rev.tau)]
+    times = (0.0, rev.tau, 5 * rev.tau, 20 * rev.tau)
+    traces = [float(w @ bc.probability_density(state0, xq, t, ref_params)) for t in times]
     spread = max(traces) - min(traces)
     ok = worst_h < 1e-12 and spread < 1e-6
     report(12, "hermiticity-and-trace", ok, f"hermiticity defect {worst_h:.2e}, trace spread {spread:.2e}")

@@ -37,7 +37,6 @@ snapshots_tau = 0.0,0.5,1.0,20.0
 
 [ensemble]
 count = 20
-seeding = uniform
 
 [sweep]
 step = 0.5
@@ -137,7 +136,6 @@ def test_lambda_forms():
 
 def test_explicit_seeds():
     config = bc.parse_config("[ensemble]\nseeds = -2.0, 0.5, 3.25\n")
-    assert config.ensemble.seeding == "explicit"
     assert config.ensemble.seeds == (-2.0, 0.5, 3.25)
     assert config.ensemble.count == 3
 
@@ -190,7 +188,7 @@ def test_round_trip_property(
         products=tuple(products),
         seed_count=count,
     )
-    ensemble = config.ensemble if seeds is None else bc.EnsembleSpec(seeding="explicit", seeds=tuple(sorted(seeds)))
+    ensemble = config.ensemble if seeds is None else bc.EnsembleSpec(seeds=tuple(sorted(seeds)))
     config = dataclasses.replace(
         config,
         grid=dataclasses.replace(config.grid, x_points=nx, snapshots_tau=tuple(snapshots)),
@@ -244,8 +242,8 @@ def test_spec_dataclass_validation():
         lambda: FitSpec(span_tau=np.inf),
         lambda: FitSpec(span_tau=np.nan),
         lambda: FitSpec(seed=-1),
-        lambda: bc.EnsembleSpec(seeding="explicit", seeds=(0.0, np.nan)),
-        lambda: bc.EnsembleSpec(seeding="explicit", seeds=(0.0, np.inf)),
+        lambda: bc.EnsembleSpec(seeds=(0.0, np.nan)),
+        lambda: bc.EnsembleSpec(seeds=(0.0, np.inf)),
     ]:
         with pytest.raises(DomainError):
             bad()
@@ -280,7 +278,7 @@ _REAL_FIELDS = {
     "sweep stop": (lambda v: SweepSpec(stop=v), "stop"),
     "sweep step": (lambda v: SweepSpec(step=v), "step"),
     "fit span_tau": (lambda v: FitSpec(span_tau=v), "span_tau"),
-    "explicit seeds": (lambda v: bc.EnsembleSpec(seeding="explicit", seeds=(-1.0, v)), "seeds"),
+    "explicit seeds": (lambda v: bc.EnsembleSpec(seeds=(-1.0, v)), "seeds"),
     "colormap vmin": (lambda v: _colormap(vmin=v), "vmin"),
     "colormap vmax": (lambda v: _colormap(vmax=v), "vmax"),
 }
@@ -338,7 +336,7 @@ def test_real_overrides_are_config_errors_and_round_trip():
         signal=bc.InputSignalSpec("single", np.float32(2.5), 3),
         deco=bc.DecoherenceParams(gamma=np.int32(1), lam=np.float16(0.5)),
         grid=GridSpec(t_max_tau=2, snapshots_tau=(0, np.float32(0.5))),
-        ensemble=bc.EnsembleSpec(seeding="explicit", seeds=(1, np.float32(1.5))),
+        ensemble=bc.EnsembleSpec(seeds=(1, np.float32(1.5))),
         sweep=SweepSpec(start=np.int64(1), stop=4, step=np.float32(0.25)),
         fit=FitSpec(span_tau=np.int64(5)),
     )

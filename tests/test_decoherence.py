@@ -31,7 +31,7 @@ def test_density_map_rejects_negative_and_nonfinite_times(state0):
     x = np.linspace(-5.0, 5.0, 3)
     for times in ([np.nan], [0.0, np.inf], [-1.0]):
         with pytest.raises(DomainError):
-            density_map(state0, x, times, gamma=0.1)
+            density_map(state0, x, times, bc.DecoherenceParams(gamma=0.1))
 
 
 def test_localization_rate(cfg):
@@ -89,7 +89,7 @@ def test_density_matrix_diagonal_matches_density(state0, rev, ref_params):
     for t in (0.0, rev.tau):
         grid = bc.density_matrix_grid(state0, x, x, t, ref_params)
         diag = np.diagonal(grid.values)
-        rho = bc.decohered_density(state0, x, t, ref_params)
+        rho = bc.probability_density(state0, x, t, ref_params)
         assert np.max(np.abs(diag.imag)) < 1e-12
         assert np.max(np.abs(diag.real - rho)) < 1e-12
 
@@ -117,6 +117,30 @@ def test_spatial_factor_lowers_the_position_purity(request, rev, ref_params, loc
         assert w @ np.abs(localized) ** 2 @ w <= chi
 
 
+@pytest.mark.parametrize("lam", [0.0, "formula"])
+def test_spatial_factor_heats_the_state(state0, cfg, rev, lam):
+    # d2G/dx2 = -2 Lambda t and dG/dx = 0 on x = x', so the energy of rho o G
+    # grows by hbar^2 Lambda t / m per unit trace; the gamma term keeps it.
+    # The energy is projected onto modes 1-120 on a 401-point Simpson grid,
+    # so the bound with Lambda > 0 is the weight above mode 120.
+    params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA, lam=lam)
+    x = np.linspace(-cfg.half_width, cfg.half_width, 401)
+    alphas = np.arange(1, 121)
+    wphi = bc.simpson_weights(x)[:, None] * bc.mode_values(alphas, x, cfg)
+    levels = np.array([bc.eigenenergy(int(a), cfg) for a in alphas])
+    e0 = float(state0.populations @ state0.energies)
+    trace = 1.0 - bc.norm_deficit(state0)
+    heating = trace * cfg.hbar**2 * params.effective_lambda(cfg) / cfg.m
+    bound = 1e-12 if lam == 0.0 else 5e-5
+    for t in np.array([0.0, 2.0, 8.0]) * rev.tau:
+        rho = bc.density_matrix_grid(state0, x, x, t, params).values
+        energy = float(np.sum(wphi * (rho @ wphi), axis=0).real @ levels)
+        predicted = e0 + heating * t
+        assert abs(energy - predicted) <= bound * predicted
+    if lam != 0.0:
+        assert energy > 4.0 * e0
+
+
 def test_secondary_diagonal_persists_without_spatial_damping(state0, rev, ref_params):
     t = 20.0 * rev.tau
     anti = abs(bc.density_matrix(state0, 10.0, -10.0, t, ref_params).real)
@@ -135,21 +159,21 @@ def test_spatial_damping_removes_secondary_diagonal(state0, rev, loc_params):
 
 
 def test_decohered_density_initial(state0, box_grid, ref_params):
-    rho = bc.decohered_density(state0, box_grid, 0.0, ref_params)
+    rho = bc.probability_density(state0, box_grid, 0.0, ref_params)
     psi2 = np.abs(bc.wavefunction(state0, box_grid, 0.0)) ** 2
     assert np.max(np.abs(rho - psi2)) < 1e-12
 
 
 def test_decohered_density_ignores_spatial_rate(state0, rev, ref_params, loc_params):
     x = np.linspace(-24.0, 24.0, 97)
-    a = bc.decohered_density(state0, x, 3.3 * rev.tau, ref_params)
-    b = bc.decohered_density(state0, x, 3.3 * rev.tau, loc_params)
+    a = bc.probability_density(state0, x, 3.3 * rev.tau, ref_params)
+    b = bc.probability_density(state0, x, 3.3 * rev.tau, loc_params)
     assert np.array_equal(a, b)
 
 
 def test_decohered_density_reaches_population_mixture(state0, rev, ref_params):
     x = np.linspace(-25.0, 25.0, 2001)
-    late = bc.decohered_density(state0, x, 20.0 * rev.tau, ref_params)
+    late = bc.probability_density(state0, x, 20.0 * rev.tau, ref_params)
     assert np.max(np.abs(late - bc.asymptotic_density(state0, x))) < 1e-6
 
 
@@ -158,7 +182,7 @@ def test_gamma_zero_recovers_coherent_evolution(state20, rev):
     p0 = bc.DecoherenceParams()
     t = 2.31 * rev.tau
     assert np.array_equal(
-        bc.decohered_density(state20, x, t, p0), bc.probability_density(state20, x, t)
+        bc.probability_density(state20, x, t, p0), bc.probability_density(state20, x, t)
     )
 
 
@@ -180,7 +204,7 @@ def test_asymptotic_density_is_the_late_density_row(request, cfg, which):
     slowest = min(bc.beta(int(a), int(b), params, cfg) for a, b in zip(alpha[:-1], alpha[1:]))
     t_late = 800.0 / slowest
     x = np.unique(np.concatenate([np.linspace(-25.0, 25.0, 401), [-24.99, 0.0, 24.99]]))
-    late = density_map(state, x, [t_late], gamma=params.gamma)[0]
+    late = density_map(state, x, [t_late], params)[0]
     assert np.array_equal(bc.asymptotic_density(state, x), late)
 
 
@@ -227,8 +251,8 @@ def test_pair_kernel_rates_are_the_exact_beats(request, cfg, which):
 def test_single_mode_density_never_decoheres(cfg, rev, ref_params):
     state = make_state(cfg, [0.0, 1.0])
     x = np.linspace(-20.0, 20.0, 101)
-    d0 = bc.decohered_density(state, x, 0.0, ref_params)
-    dt = bc.decohered_density(state, x, 5 * rev.tau, ref_params)
+    d0 = bc.probability_density(state, x, 0.0, ref_params)
+    dt = bc.probability_density(state, x, 5 * rev.tau, ref_params)
     assert np.allclose(d0, dt, atol=1e-14)
 
 
@@ -265,8 +289,8 @@ def test_pair_kernel_matches_double_loop(request, cfg, rev, which, gamma, t_tau)
     x = np.linspace(-24.0, 24.0, 97)
     den, vel = _double_loop_density_and_velocity(state, x, t, params)
 
-    assert np.max(np.abs(density_map(state, x, [t], gamma=gamma)[0] - den)) < 1e-13
-    assert np.max(np.abs(bc.decohered_density(state, x, t, params) - den)) < 1e-13
+    assert np.max(np.abs(density_map(state, x, [t], params)[0] - den)) < 1e-13
+    assert np.max(np.abs(bc.probability_density(state, x, t, params) - den)) < 1e-13
     diag = np.diagonal(bc.density_matrix_grid(state, x, x, t, params).values)
     assert np.max(np.abs(diag.real - den)) < 1e-13
     assert np.max(np.abs(diag.imag)) < 1e-13
@@ -311,8 +335,9 @@ def test_carpets_match_long_double_pair_sum(request, cfg, rev, which, gamma):
     # the walls, points just inside them and the center, where both halves meet
     x = np.unique(np.concatenate([np.linspace(-25.0, 25.0, 401), [-24.99, -24.95, 0.0, 24.95, 24.99]]))
     times = np.array([0.0, 0.37, 1.0, 3.0]) * rev.tau
-    rho = density_map(state, x, times, gamma=gamma)
-    vel = bc.velocity_map(state, x, times, bc.DecoherenceParams(gamma=gamma))
+    params = bc.DecoherenceParams(gamma=gamma)
+    rho = density_map(state, x, times, params)
+    vel = bc.velocity_map(state, x, times, params)
     for j, t in enumerate(times):
         den, ref = _long_double_density_and_velocity(state, x, t, gamma)
         assert np.max(np.abs(rho[j] - den)) <= 1e-13 * den.max()
@@ -321,5 +346,5 @@ def test_carpets_match_long_double_pair_sum(request, cfg, rev, which, gamma):
             scale = np.maximum(1.0, np.abs(ref[keep]))
             assert np.max(np.abs(vel[j, keep] - ref[keep]) / scale) <= 1e-13
             # the pointwise field is the same row
-            pointwise = bc.velocity(state, x[keep], t, bc.DecoherenceParams(gamma=gamma))
+            pointwise = bc.velocity(state, x[keep], t, params)
             assert np.max(np.abs(pointwise - ref[keep]) / scale) <= 1e-13

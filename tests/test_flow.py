@@ -59,7 +59,7 @@ def test_velocity_against_phase_gradient(state0, cfg, rev):
     assert np.max(np.abs(got[mask] - v_fd[mask])) < 1e-6
 
 
-@pytest.mark.parametrize("gamma", [None, 1e-300])  # None: psi sums; tiny: beat series
+@pytest.mark.parametrize("gamma", [None, 1e-300])  # None: the default, psi sums; tiny: beat series
 @pytest.mark.parametrize(
     "coeffs",
     [
@@ -69,7 +69,7 @@ def test_velocity_against_phase_gradient(state0, cfg, rev):
 )
 def test_velocity_parity_branches_match_flux_ratio(cfg, rev, coeffs, gamma):
     state = make_state(cfg, coeffs)
-    params = None if gamma is None else bc.DecoherenceParams(gamma=gamma)
+    params = bc.DecoherenceParams() if gamma is None else bc.DecoherenceParams(gamma=gamma)
     x = np.linspace(-24.0, 24.0, 300)  # even count avoids the x = 0 node of sine modes
     t = 0.37 * rev.tau
     psi = bc.wavefunction(state, x, t)
@@ -141,11 +141,11 @@ def test_single_seed_may_lie_outside_the_signal_support(state0, rev):
     tr = bc.integrate_trajectory(state0, 8.0, 0.05 * rev.tau)
     assert tr.x0 == 8.0 and tr.positions[0] == 8.0
     with pytest.raises(DomainError):
-        bc.integrate_ensemble(state0, bc.EnsembleSpec(seeding="explicit", seeds=(8.0,)), 0.05 * rev.tau)
+        bc.integrate_ensemble(state0, bc.EnsembleSpec(seeds=(8.0,)), 0.05 * rev.tau)
 
 
 def test_mirror_seeds_give_mirror_paths(state0, rev):
-    spec = bc.EnsembleSpec(seeding="explicit", seeds=(-2.0, 2.0))
+    spec = bc.EnsembleSpec(seeds=(-2.0, 2.0))
     left, right = bc.integrate_ensemble(state0, spec, 0.5 * rev.tau)
     assert left.status == right.status == "completed"
     assert np.allclose(left.positions, -right.positions, atol=1e-9)
@@ -171,14 +171,15 @@ def test_seeding_validation(state0):
             bc.EnsembleSpec(count=count)
     assert bc.EnsembleSpec(count=np.int64(3)).count == 3
     # an array of seeds used to raise numpy's ambiguous-truth-value ValueError
-    assert bc.EnsembleSpec(seeding="explicit", seeds=np.array([1.0, 2.0])).seeds == (1.0, 2.0)
-    for bad in (None, (), (2.0, 1.0)):
+    assert bc.EnsembleSpec(seeds=np.array([1.0, 2.0])).seeds == (1.0, 2.0)
+    for bad in ((), (2.0, 1.0)):
         with pytest.raises(DomainError, match="non-empty, strictly increasing"):
-            bc.EnsembleSpec(seeding="explicit", seeds=bad)
+            bc.EnsembleSpec(seeds=bad)
+    # a seed list is the explicit seeding; its length is the count
+    assert bc.EnsembleSpec(count=5, seeds=(1.0, 2.0)).count == 2
+    assert bc.EnsembleSpec(count=5, seeds=None) == bc.EnsembleSpec(count=5)
     with pytest.raises(DomainError):
-        bc.EnsembleSpec(seeding="grid")
-    with pytest.raises(DomainError):
-        bc.ensemble_seeds(bc.EnsembleSpec(seeding="explicit", seeds=(0.0, 14.0)), state0.signal)
+        bc.ensemble_seeds(bc.EnsembleSpec(seeds=(0.0, 14.0)), state0.signal)
 
 
 def test_uniform_seeding_requires_signal(cfg, rev):
@@ -190,7 +191,7 @@ def test_uniform_seeding_requires_signal(cfg, rev):
 def test_explicit_seeds_work_without_signal_metadata(cfg, rev):
     # numeric decompositions carry no signal; explicit seeds only need the box
     state = make_state(cfg, [1.0, 0.5])
-    spec = bc.EnsembleSpec(seeding="explicit", seeds=(-10.0, 10.0))
+    spec = bc.EnsembleSpec(seeds=(-10.0, 10.0))
     trajs = bc.integrate_ensemble(state, spec, 0.02 * rev.tau)
     assert [tr.status for tr in trajs] == ["completed", "completed"]
 
@@ -358,8 +359,8 @@ def test_default_tolerance_tracks_a_tight_reference(cfg, rev, x0, damped):
     ((lo, hi),) = signal.support()
     edges = [lo + 0.01, lo + 0.1, hi - 0.1, hi - 0.01]
     seeds = np.union1d(bc.ensemble_seeds(bc.EnsembleSpec(count=12), signal), edges)
-    spec = bc.EnsembleSpec(seeding="explicit", seeds=tuple(seeds))
-    params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA) if damped else None
+    spec = bc.EnsembleSpec(seeds=tuple(seeds))
+    params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA if damped else 0.0)
     # the coherent field is tolerance-limited, so its reference is the costly one
     t_end = (2.0 if damped else 0.25) * rev.tau
     samples = np.linspace(0.0, t_end, 41)
@@ -403,14 +404,14 @@ def test_coherent_quantiles_match_the_ode_oracle(cfg, rev, kind, x0):
     state = bc.decompose(signal, cfg, 50)
     edges = [e for lo, hi in signal.support() for e in (lo + 0.01, lo + 0.1, hi - 0.1, hi - 0.01)]
     seeds = np.union1d(bc.ensemble_seeds(bc.EnsembleSpec(count=12), signal), edges)
-    spec = bc.EnsembleSpec(seeding="explicit", seeds=tuple(seeds))
+    spec = bc.EnsembleSpec(seeds=tuple(seeds))
     t_end = 0.2 * rev.tau  # the oracle's cost sets the horizon
     samples = np.linspace(0.0, t_end, 41)
     run = bc.integrate_ensemble(state, spec, t_end, sample_times=samples)
     assert all(tr.status == "completed" for tr in run)
     assert bc.noncrossing_check(run).ok
     reference, freeze = _integrate_batch(
-        flow._VelocityField(state, None),
+        flow._VelocityField(state, bc.DecoherenceParams()),
         seeds,
         samples,
         t_end=t_end,

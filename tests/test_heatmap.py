@@ -73,6 +73,19 @@ def test_colormap_validation():
         bc.ColorMap(kind="sequential", stops=((0.0, (0, 0, 300)), (1.0, (1, 1, 1))))
 
 
+def test_colormap_rejects_inconsistent_anchors():
+    # vmin > vmax used to paint every pixel the middle color, and a lone
+    # diverging anchor used to be dropped for the automatic symmetric pair
+    for kind, stops in (("sequential", SEQUENTIAL.stops), ("diverging", DIVERGING.stops)):
+        with pytest.raises(DomainError, match="exceeds vmax"):
+            bc.ColorMap(kind, stops, vmin=1.0, vmax=0.0)
+        # equal anchors stay allowed: a zero velocity carpet gives them
+        assert bc.ColorMap(kind, stops, vmin=0.0, vmax=0.0).anchors(np.zeros((2, 2))) == (0.0, 0.0)
+    for anchor in ("vmin", "vmax"):
+        with pytest.raises(DomainError, match="both anchors"):
+            bc.ColorMap("diverging", DIVERGING.stops, **{anchor: 0.5})
+
+
 def _render_whole_array(values, cmap):
     """Reference renderer: a clipped ramp position, a stacked float image
     flipped afterwards, and a clipped rint, each over the whole field."""

@@ -48,7 +48,7 @@ def test_invariants_hold_across_the_parameter_space(case):
 
     # non-negative density, damped and coherent (a negative excess raises)
     for g in (0.0, gamma):
-        assert density_map(state, x, times, gamma=g).min() >= 0.0
+        assert density_map(state, x, times, bc.DecoherenceParams(gamma=g)).min() >= 0.0
 
     # hermiticity of the density matrix, with the spatial damping on
     grid = bc.density_matrix_grid(state, x[::8], x[::8], 0.37 * rev.tau, params)
@@ -57,7 +57,7 @@ def test_invariants_hold_across_the_parameter_space(case):
     # the spatial factor keeps a density matrix: positive semidefinite, with
     # the density of the energy damping alone on its diagonal
     assert np.linalg.eigvalsh(grid.values).min() >= -1e-13 * scale
-    diagonal = density_map(state, x[::8], [0.37 * rev.tau], gamma=gamma)[0]
+    diagonal = density_map(state, x[::8], [0.37 * rev.tau], params)[0]
     assert np.max(np.abs(np.diagonal(grid.values) - diagonal)) <= 1e-12 * scale
 
     # position purity: with 4 alpha_max intervals Simpson integrates every
@@ -85,7 +85,7 @@ def test_invariants_hold_across_the_parameter_space(case):
     # streamlines: every member completes and none cross, coherent and damped
     t_end = 0.25 * rev.tau
     samples = np.linspace(0.0, t_end, 9)
-    for p in (None, params):
+    for p in (bc.DecoherenceParams(), params):
         run = bc.integrate_ensemble(state, bc.EnsembleSpec(count=6), t_end, params=p, sample_times=samples)
         assert all(tr.status == "completed" for tr in run)
         assert bc.noncrossing_check(run).ok
@@ -93,7 +93,7 @@ def test_invariants_hold_across_the_parameter_space(case):
     # one route per field at fixed points: the pointwise values are map rows
     for g in (0.0, gamma):
         p = bc.DecoherenceParams(gamma=g)
-        rows = density_map(state, x, times, gamma=g)
+        rows = density_map(state, x, times, p)
         for j, t in enumerate(times):
             keep = rows[j] > 1e-6 * rows[j].max()
             row = bc.velocity_map(state, x[keep], [t], p)[0]
@@ -102,5 +102,5 @@ def test_invariants_hold_across_the_parameter_space(case):
         alpha = state.alphas[state.coeffs != 0.0]
         rates = [bc.beta(int(a), int(b), params, cfg) for a, b in zip(alpha[:-1], alpha[1:])]
         t_late = 800.0 / min(rates) if rates else 0.0  # exp(-800) is 0.0: no pair survives
-        row = density_map(state, x, [t_late], gamma=gamma)[0]
+        row = density_map(state, x, [t_late], params)[0]
         assert np.array_equal(bc.asymptotic_density(state, x), row)

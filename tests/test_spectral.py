@@ -238,7 +238,8 @@ def _bad_scalar_calls():
         yield from (
             (f"velocity-{t!r}", lambda s, t=t: bc.velocity(s, 1.0, t)),
             (f"wavefunction-{t!r}", lambda s, t=t: bc.wavefunction(s, 1.0, t)),
-            (f"decohered_density-{t!r}", lambda s, t=t: bc.decohered_density(s, 1.0, t, _DAMPED)),
+            # "decohered_density": the damped pointwise density
+            (f"decohered_density-{t!r}", lambda s, t=t: bc.probability_density(s, 1.0, t, _DAMPED)),
             (f"probability_density-{t!r}", lambda s, t=t: bc.probability_density(s, 1.0, t)),
             (f"density_matrix-{t!r}", lambda s, t=t: bc.density_matrix(s, 1.0, 0.0, t, _DAMPED)),
             (f"damping_factor-{t!r}", lambda s, t=t: bc.damping_factor(1, 2, 0.0, 0.0, t, _DAMPED, s.cfg)),
@@ -298,7 +299,7 @@ _PLANE_CALLS = {
     "velocity": lambda s: bc.velocity(s, _PLANE, 1.0),
     "wavefunction": lambda s: bc.wavefunction(s, _PLANE, 1.0),
     "asymptotic_density": lambda s: bc.asymptotic_density(s, _PLANE),
-    "decohered_density": lambda s: bc.decohered_density(s, _PLANE, 1.0, _DAMPED),
+    "decohered_density": lambda s: bc.probability_density(s, _PLANE, 1.0, _DAMPED),  # damped
     "mode_values": lambda s: bc.mode_values(s.alphas, _PLANE, s.cfg),
     "eigenmode": lambda s: bc.eigenmode(bc.mode(1, s.cfg), _PLANE, s.cfg),
 }
