@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decoherence import DecoherenceParams
+from .decoherence import DecoherenceParams, _check_params
 from .errors import DomainError
 from .evolution import CarpetGrid
 from .spectral import CavityConfig, InputSignalSpec
@@ -322,7 +322,7 @@ def standard_meta(cfg: CavityConfig, signal: InputSignalSpec | None, N: int, par
         "hbar": fmt(cfg.hbar),
         "L": fmt(cfg.L),
         "N": N,
-        "gamma": fmt(params.gamma),
+        "gamma": fmt(_check_params(params).gamma),
         "lambda": fmt(params.effective_lambda(cfg)),
     }
     if signal is not None:

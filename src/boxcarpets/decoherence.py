@@ -55,11 +55,18 @@ class DecoherenceParams:
         return localization_rate(cfg) if self.lam == "formula" else self.lam
 
 
+def _check_params(params) -> DecoherenceParams:
+    """The damping model of a public call; anything else, None included, is a ``DomainError``."""
+    if not isinstance(params, DecoherenceParams):
+        raise DomainError(f"damping model must be a DecoherenceParams, got {params!r}")
+    return params
+
+
 def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityConfig) -> float:
     """Coherence decay rate of the (alpha, alpha') pair, gamma * |E' - E| / hbar."""
     a = _check_count(alpha, "mode index", 1)
     b = _check_count(alpha_prime, "mode index", 1)
-    return params.gamma * _beat_unit(cfg) * abs(b**2 - a**2)
+    return _check_params(params).gamma * _beat_unit(cfg) * abs(b**2 - a**2)
 
 
 def damping_factor(
@@ -74,7 +81,7 @@ def damping_factor(
     """Pair damping exp(-beta t - Lambda (x - x')^2 t); equals 1 at t = 0."""
     t = _check_real(t, "time", 0)
     _check_positions([_check_real(x, "position x"), _check_real(x_prime, "position x_prime")], cfg)
-    lam = params.effective_lambda(cfg)
+    lam = _check_params(params).effective_lambda(cfg)
     exponent = beta(alpha, alpha_prime, params, cfg) * t + lam * (x - x_prime) ** 2 * t
     return float(np.exp(-exponent))
 
@@ -233,7 +240,7 @@ def density_map(
     """
     xv = _check_positions(x, state.cfg)
     times = _check_times(times)
-    series = _BeatSeries(state, params.gamma)
+    series = _BeatSeries(state, _check_params(params).gamma)
     table = series.tables(xv)
     out = np.empty((times.size, xv.size))
     for j, t in enumerate(times):
@@ -291,7 +298,7 @@ def density_matrix_grid(
     t = _check_real(t, "time", 0)
     xv = _check_positions(x, state.cfg)
     xpv = _check_positions(x_prime, state.cfg)
-    kernel = _PairKernel(state, params.gamma)
+    kernel = _PairKernel(state, _check_params(params).gamma)
     phi_x, _ = kernel.basis(xv)
     phi_xp, _ = kernel.basis(xpv)
     # a state with no nonzero coefficient has a zero-length mode axis: a zero grid

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DEFAULT_GAMMA, DecoherenceParams, density_matrix_grid
+from .decoherence import DEFAULT_GAMMA, DecoherenceParams, _check_params, density_matrix_grid
 from .errors import DomainError, FitFailure
 from .quadrature import simpson_weights
 from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_count,
@@ -53,7 +53,7 @@ def purity(state: SpectralState, t, params: DecoherenceParams):
     p = p[alpha - 1]
     # damping of each step between neighbouring populated modes, from the
     # exact integer beat alpha_b^2 - alpha_{b-1}^2; one row per step
-    rates = (2.0 * params.gamma * _beat_unit(state.cfg)) * np.diff(alpha**2)
+    rates = (2.0 * _check_params(params).gamma * _beat_unit(state.cfg)) * np.diff(alpha**2)
     damping = np.multiply.outer(-rates, t_arr)
     np.exp(damping, out=damping)
     S = np.zeros((p.size, t_arr.size))
@@ -79,7 +79,7 @@ def purity_via_quadrature(
     """
     points = _check_count(points, "quadrature points", 3)
     x = np.linspace(-state.cfg.half_width, state.cfg.half_width, points)
-    bare = DecoherenceParams(gamma=params.gamma)
+    bare = DecoherenceParams(gamma=_check_params(params).gamma)
     grid = density_matrix_grid(state, x, x, t, bare)
     w = simpson_weights(x)
     return float(w @ np.abs(grid.values) ** 2 @ w)
@@ -464,6 +464,7 @@ def sweep_x0(
     before any center is computed.  Deterministic for fixed inputs.
     """
     _check_count(restarts, "fit restarts", 1)
+    _check_params(params)
     span = _check_real(span_tau, "sweep span_tau", 0, strict=True) * revival_times(cfg).tau
     rows: list[SweepRow | None] = []
     pending = []

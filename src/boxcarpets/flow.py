@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _BeatSeries, _PairKernel, _support
+from .decoherence import DecoherenceParams, _BeatSeries, _check_params, _PairKernel, _support
 from .errors import CarpetError, DomainError, NodeProximityError
 from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_count, _check_positions,
                        _check_real, _check_times, revival_times)
@@ -53,6 +53,12 @@ _RK_A = np.array([
     [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0],
 ])
 _RK_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
+# Dense output: the 4th-order continuous extension of the pair from the same
+# seven slopes (Hairer, Norsett & Wanner, Solving ODEs I, II.6, dopri5's CONTD5).
+_RK_D = np.array([
+    -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
+    701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
+])
 
 
 class _VelocityField:
@@ -86,10 +92,11 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
     (``_BeatSeries``), summed from the nearer wall.
     """
     _require_support(state)
+    gamma = _check_params(params).gamma
     hm = state.cfg.hbar / state.cfg.m
     rows = np.empty((times.size, xv.size))
     bad = np.empty(rows.shape, dtype=bool)
-    if params.gamma == 0.0:
+    if gamma == 0.0:
         c, basis = _support(state)
         Eh = state.energies[state.coeffs != 0.0] / state.cfg.hbar
         phi, dphi = basis(xv)
@@ -100,7 +107,7 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
             dre, dim = (dphi @ ur).T
             rows[j], bad[j] = _flux_ratio(hm, re * dim - im * dre, re**2 + im**2)
         return rows, bad
-    series = _BeatSeries(state, params.gamma)
+    series = _BeatSeries(state, gamma)
     table, sine = series.tables(xv, flux=True)
     for j, t in enumerate(times):
         C, S = series.coefficients(float(t), flux=True)
@@ -276,10 +283,13 @@ def integrate_trajectory(
     support.  At gamma = 0 the path is the quantile of the closed-form
     cumulative probability at each sample time, solved to the position
     tolerance ``tol * 1e-2``; for gamma > 0 it comes from adaptive
-    Dormand-Prince stepping with per-step relative tolerance ``tol``.  The
-    path either reaches ``t_end`` (status 'completed') or is truncated at a
-    node with status 'step-floor-hit'; at gamma = 0 only a seed on a node
-    (density below ``DENSITY_FLOOR``) is, at t = 0.
+    Dormand-Prince stepping, and the samples from its dense output.  The
+    steps are taken at relative tolerance ``tol / 10``, so that the samples,
+    which the interpolant fills about 7x less accurately than the steps,
+    are about as accurate as steps at ``tol`` would be.  The path either
+    reaches ``t_end`` (status 'completed') or is truncated at a node with
+    status 'step-floor-hit'; at gamma = 0 only a seed on a node (density
+    below ``DENSITY_FLOOR``) is, at t = 0.
     """
     return _integrate(state, np.array([_check_real(x0, "seed x0")]), t_end, params, tol, sample_times)[0]
 
@@ -299,9 +309,10 @@ def integrate_ensemble(
     each sample time from the conservation of the probability to its left
     (see ``integrate_trajectory``), with no time stepping.  For gamma > 0
     they are advanced together with a shared adaptive step whose per-step
-    error is bounded by ``tol`` for every member individually, and sample
-    times are hit exactly by step clipping.  Failures are reported per
-    trajectory through its status.
+    error is bounded by ``tol / 10`` for every member individually; the
+    sample times do not limit the step and are filled from the dense output
+    (see ``integrate_trajectory``).  Failures are reported per trajectory
+    through its status.
     """
     if state.signal is not None:
         seeds = ensemble_seeds(spec, state.signal)
@@ -316,6 +327,7 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     t_end = _check_real(t_end, "t_end", 0, strict=True)
     tol = _check_real(tol, "tol", 0, strict=True)
     _check_positions(seeds, state.cfg)
+    _check_params(params)
 
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 257)
@@ -337,8 +349,10 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
             seeds,
             sample_times,
             t_end=t_end,
-            rtol=tol,
-            atol=tol * 1e-2,
+            # the dense output is ~7x less accurate than the steps it fills:
+            # step tighter, so that samples keep the accuracy of steps at tol
+            rtol=tol / 10.0,
+            atol=tol * 1e-3,
             h_start=tau / 16000.0,
             h_floor=tau * 1e-12,
             half_width=state.cfg.half_width,
@@ -421,11 +435,14 @@ def _solve_quantile(cumulative, x, target, t, xtol):
 def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floor, half_width):
     """Shared-step adaptive RK45 over a batch of independent scalar ODEs.
 
-    The step is bounded only by the embedded error estimate, the next sample
-    time and ``t_end``; ``h_start`` is the first step and the step after a
-    member is frozen.  Returns the positions recorded at the sample times
-    (NaN once a component is frozen) and the per-component freeze time (inf
-    when completed).
+    The step is bounded only by the embedded error estimate and ``t_end``;
+    ``h_start`` is the first step and the step after a member is frozen.
+    The sample times do not move the steps: after each accepted step
+    (t, t + h] every sample time in it is filled from the pair's free dense
+    output, and a sample past the wall is reflected into the box like a
+    step.  Returns the positions recorded at the sample times (NaN where a
+    component's accepted steps did not reach, because it was frozen) and the
+    per-component freeze time (inf when completed).
     """
     n = y0.size
     y = y0.astype(float).copy()
@@ -457,14 +474,6 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
             t = t_end  # remaining gap is roundoff
             continue
         h = min(h, t_end - t)
-        target = None
-        if si < ns and sample_times[si] - t <= h * (1 + 1e-12):
-            target = sample_times[si]
-            h = target - t
-            if h <= 0.0:
-                recorded[si, active] = y[active]
-                si += 1
-                continue
 
         floor_mask = None
         for i in range(1, 7):
@@ -493,18 +502,23 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
         enorm = float(ratios[active].max())
 
         if enorm <= 1.0:
+            stop = int(np.searchsorted(sample_times, t + h, side="right"))
+            if stop > si:
+                theta = ((sample_times[si:stop] - t) / h)[:, None]
+                dy = y5 - y
+                b = h * K[0] - dy
+                dense = y + theta * (dy + (1.0 - theta) * (
+                    b + theta * (dy - h * K[6] - b + (1.0 - theta) * (h * (_RK_D @ K)))))
+                recorded[si:stop, active] = _reflect(dense, half_width)[:, active]
+                si = stop
             y = np.where(active, y5, y)
-            over = active & (np.abs(y) > half_width)
-            if over.any():
+            if np.any(np.abs(y) > half_width):
                 # reflect roundoff-level overshoot back inside the box
-                y = np.where(over, np.sign(y) * (2.0 * half_width) - y, y)
-                K[0], _ = field(y, target if target is not None else t + h)
+                y = _reflect(y, half_width)
+                K[0], _ = field(y, t + h)
             else:
                 K[0] = K[6]
-            t = target if target is not None else t + h
-            if target is not None:
-                recorded[si, active] = y[active]
-                si += 1
+            t += h
             fac = 5.0 if enorm == 0.0 else 0.9 * enorm**-0.17 * facold**0.04
             h *= min(growth_cap, max(0.2, fac))
             facold = max(enorm, 1e-4)
@@ -518,7 +532,14 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
             else:
                 h *= max(0.2, 0.9 * enorm**-0.2)
             growth_cap = 1.0
+    # samples beyond the last step lie within roundoff of t_end
+    recorded[si:, active] = y[active]
     return recorded, freeze_time
+
+
+def _reflect(y: np.ndarray, half_width: float) -> np.ndarray:
+    """Mirror the positions beyond +-half_width back into the box."""
+    return np.where(np.abs(y) > half_width, np.sign(y) * (2.0 * half_width) - y, y)
 
 
 @dataclass(frozen=True)

@@ -55,6 +55,9 @@ class ColorMap:
         if self.kind == "diverging" and self.vmin is None:
             a = max(abs(lo), abs(hi))
             lo, hi = -a, a
+        if lo > hi:
+            # only one anchor was given, and the data lie wholly on its far side
+            raise DomainError(f"colormap anchors ({lo!r}, {hi!r}) are inverted: the data lie beyond the given one")
         return lo, hi
 
 

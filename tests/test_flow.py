@@ -272,27 +272,40 @@ def test_integrator_guards():
     def field(x, t):
         return np.ones_like(x), x > 1.0
 
+    def run(samples):
+        return _integrate_batch(
+            field,
+            np.array([-3.0, 0.5]),
+            samples,
+            t_end=3.0,
+            rtol=1e-8,
+            atol=1e-10,
+            h_start=0.05 / 8.0,
+            h_floor=1e-9,
+            half_width=100.0,
+        )
+
     samples = np.linspace(0.0, 3.0, 9)
-    recorded, freeze = _integrate_batch(
-        field,
-        np.array([-3.0, 0.5]),
-        samples,
-        t_end=3.0,
-        rtol=1e-8,
-        atol=1e-10,
-        h_start=0.05 / 8.0,
-        h_floor=1e-9,
-        half_width=100.0,
-    )
+    recorded, freeze = run(samples)
     assert np.isinf(freeze[0])
     assert 0.4 < freeze[1] < 0.6
     assert np.allclose(recorded[:, 0], -3.0 + samples, atol=1e-9)
     assert np.isnan(recorded[-1, 1])
+    # the samples do not move the steps, so a sample placed inside the step
+    # that froze the member (its length is at most h_floor) sees the same freeze
+    inside = np.array([0.0, freeze[1] - 1e-3, freeze[1] + 0.5e-9, 3.0])
+    recorded, again = run(inside)
+    assert np.array_equal(again, freeze)
+    assert recorded[1, 1] == pytest.approx(0.5 + inside[1], abs=1e-9)
+    assert np.all(np.isnan(recorded[2:, 1]))
+    assert np.allclose(recorded[:, 0], -3.0 + inside, atol=1e-9)
 
 
 def test_integrator_reflects_at_the_wall():
     # synthetic right-hand side: unit drift toward the wall at x = 1; an
-    # accepted step past it is mirrored back inside the box
+    # accepted step past it is mirrored back inside the box, and so is a
+    # dense-output sample past it (the error-free field takes steps up to
+    # 5x longer each time, so most samples lie strictly inside steps)
     def field(x, t):
         return np.ones_like(x), np.zeros(x.shape, dtype=bool)
 
@@ -311,6 +324,55 @@ def test_integrator_reflects_at_the_wall():
     assert np.all(np.abs(recorded) <= 1.0)
     # a constant +1 drift never moves a member down without the reflection
     assert np.any(np.diff(recorded[:, 1]) < 0.0)
+
+
+def _one_step(slope, samples, t_end):
+    """Dense samples of x' = slope(t) from x = 0 and x = 1 over a single step."""
+    return _integrate_batch(
+        lambda x, t: (np.full_like(x, slope(t)), np.zeros(x.shape, dtype=bool)),
+        np.array([0.0, 1.0]),
+        samples,
+        t_end=t_end,
+        rtol=1.0,
+        atol=1.0,
+        h_start=t_end,
+        h_floor=1e-12,
+        half_width=100.0,
+    )[0]
+
+
+def test_dense_output_matches_closed_form_paths():
+    theta = np.array([0.0, 0.13, 0.5, 0.87])
+    # 4th order: a quartic path is reproduced inside the step to roundoff
+    quartic = _one_step(lambda t: 4.0 * t**3, theta, 1.0)
+    assert np.max(np.abs(quartic - (theta**4)[:, None] - [0.0, 1.0])) < 1e-14
+    # and on x' = cos t the error at interior samples falls as h^5
+    errors = []
+    for h in (0.4, 0.2):
+        t = theta * h
+        errors.append(np.max(np.abs(_one_step(np.cos, t, h) - np.sin(t)[:, None] - [0.0, 1.0])))
+    assert errors[0] < 1e-6 and errors[0] / errors[1] > 2.0**4.5
+
+    # over many steps the sample grid does not change the steps
+    def run(samples):
+        calls = 0
+
+        def field(x, t):
+            nonlocal calls
+            calls += 1
+            return np.full_like(x, np.cos(t)), np.zeros(x.shape, dtype=bool)
+
+        recorded, freeze = _integrate_batch(field, np.array([0.0, 1.0]), samples, t_end=10.0, rtol=1e-9,
+                                            atol=1e-12, h_start=0.01, h_floor=1e-12, half_width=100.0)
+        assert np.all(np.isinf(freeze))
+        return recorded, calls
+
+    samples = np.linspace(0.0, 10.0, 1001)
+    recorded, calls = run(samples)
+    assert calls == run(samples[[0, -1]])[1]
+    assert calls < samples.size  # so most samples lie strictly inside steps
+    assert recorded[0].tolist() == [0.0, 1.0]
+    assert np.max(np.abs(recorded - np.sin(samples)[:, None] - [0.0, 1.0])) < 1e-8
 
 
 def test_trajectory_validation():
@@ -394,7 +456,7 @@ def test_damped_ensemble_work_is_tolerance_bound(monkeypatch):
     monkeypatch.setattr(flow, "_integrate_batch", counting_batch)
     run = bc.integrate_ensemble(state, config.ensemble, t_end, params=config.deco, sample_times=samples)
     assert len(run) == 20 and all(tr.status == "completed" for tr in run)
-    assert calls < 20_000
+    assert calls < 5_000
 
 
 @pytest.mark.parametrize("kind, x0", [("single", 0.0), ("single", 20.0), ("double", 12.5)])

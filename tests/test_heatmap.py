@@ -84,6 +84,15 @@ def test_colormap_rejects_inconsistent_anchors():
     for anchor in ("vmin", "vmax"):
         with pytest.raises(DomainError, match="both anchors"):
             bc.ColorMap("diverging", DIVERGING.stops, **{anchor: 0.5})
+    # a lone sequential anchor beyond the data used to paint every pixel the
+    # middle color: the anchor taken from the data ends on its wrong side
+    data = np.array([[1.0, 2.0]])
+    for anchor, value in (("vmin", 5.0), ("vmax", 0.5)):
+        cmap = bc.ColorMap("sequential", SEQUENTIAL.stops, **{anchor: value})
+        with pytest.raises(DomainError, match="inverted"):
+            bc.render_heatmap(data, cmap)
+    assert bc.ColorMap("sequential", SEQUENTIAL.stops, vmin=1.5).anchors(data) == (1.5, 2.0)
+    assert bc.ColorMap("sequential", SEQUENTIAL.stops, vmin=2.0).anchors(data) == (2.0, 2.0)
 
 
 def _render_whole_array(values, cmap):

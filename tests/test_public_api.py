@@ -5,8 +5,13 @@ None), and an ensemble is seeded explicitly exactly when it has seeds."""
 import importlib
 import inspect
 import pkgutil
+import re
+
+import numpy as np
+import pytest
 
 import boxcarpets as bc
+from boxcarpets import csvio, decoherence
 
 
 def _public_callables():
@@ -39,3 +44,53 @@ def test_public_signatures_have_one_spelling_per_setting():
             if parameter.name == "seeding":
                 offenders.append(f"{name}(seeding)")
     assert not offenders, f"second spellings of a setting: {offenders}"
+
+
+def _damping_model_calls():
+    """One call per public callable that takes the damping model, with ``params`` substituted."""
+    cfg = bc.CavityConfig()
+    signal = bc.InputSignalSpec("single", 0.0, 10.0)
+    state = bc.decompose(signal, cfg, 8)
+    x = np.array([0.0, 1.0])
+    grid = bc.SpaceTimeGrid(x, [0.0, 1.0])
+    return {
+        "boxcarpets.decoherence.beta": lambda p: bc.beta(1, 3, p, cfg),
+        "boxcarpets.decoherence.damping_factor": lambda p: bc.damping_factor(1, 3, 0.0, 1.0, 1.0, p, cfg),
+        "boxcarpets.decoherence.density_map": lambda p: decoherence.density_map(state, x, [1.0], p),
+        "boxcarpets.decoherence.density_matrix": lambda p: bc.density_matrix(state, 0.0, 1.0, 1.0, p),
+        "boxcarpets.decoherence.density_matrix_grid": lambda p: bc.density_matrix_grid(state, x, x, 1.0, p),
+        "boxcarpets.energy.purity": lambda p: bc.purity(state, 1.0, p),
+        "boxcarpets.energy.purity_curve": lambda p: bc.purity_curve(state, 1.0, p),
+        "boxcarpets.energy.purity_via_quadrature": lambda p: bc.purity_via_quadrature(state, 1.0, p, points=5),
+        "boxcarpets.energy.sweep_x0": lambda p: bc.sweep_x0("single", [0.0], cfg, N=8, params=p),
+        "boxcarpets.evolution.carpet": lambda p: bc.carpet(state, grid, params=p),
+        "boxcarpets.evolution.probability_density": lambda p: bc.probability_density(state, 0.0, 1.0, p),
+        "boxcarpets.flow.integrate_ensemble": lambda p: bc.integrate_ensemble(
+            state, bc.EnsembleSpec(count=2), 1.0, params=p
+        ),
+        "boxcarpets.flow.integrate_trajectory": lambda p: bc.integrate_trajectory(state, 0.0, 1.0, params=p),
+        "boxcarpets.flow.velocity": lambda p: bc.velocity(state, 0.0, 1.0, p),
+        "boxcarpets.flow.velocity_map": lambda p: bc.velocity_map(state, x, [1.0], p),
+        "boxcarpets.csvio.standard_meta": lambda p: csvio.standard_meta(cfg, signal, 8, p),
+    }
+
+
+def test_every_damping_model_entry_point_is_probed():
+    taking = set()
+    for name, obj in _public_callables().items():
+        try:
+            if "params" in inspect.signature(obj).parameters:
+                taking.add(name)
+        except ValueError:
+            continue
+    assert taking == set(_damping_model_calls())
+
+
+@pytest.mark.parametrize("bad", [0.1, None, "coherent"])
+@pytest.mark.parametrize("name", sorted(_damping_model_calls()))
+def test_a_bad_damping_model_is_a_domain_error(name, bad):
+    call = _damping_model_calls()[name]
+    call(bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA))  # the call itself is valid
+    expected = f"damping model must be a DecoherenceParams, got {re.escape(repr(bad))}"
+    with pytest.raises(bc.DomainError, match=expected):
+        call(bad)
