@@ -6,7 +6,6 @@ streamline integration, and energy-domain purity analysis.
 """
 
 from .config import (
-    FitSpec,
     GridSpec,
     OutputSpec,
     RunConfig,
@@ -28,6 +27,7 @@ from .decoherence import (
     localization_rate,
 )
 from .energy import (
+    FitSpec,
     PurityCurve,
     PurityFit,
     SweepRow,

@@ -16,6 +16,7 @@ from functools import reduce
 import numpy as np
 
 from .decoherence import DEFAULT_GAMMA, DecoherenceParams
+from .energy import FitSpec
 from .errors import ConfigError, DomainError
 from .flow import EnsembleSpec
 from .spectral import CavityConfig, InputSignalSpec, _check_count, _check_real, _check_times
@@ -79,22 +80,6 @@ class SweepSpec:
             raise DomainError("sweep stop must not precede start")
         n = int(np.floor((stop - start) / self.step * (1.0 + 1e-9))) + 1
         return np.minimum(start + self.step * np.arange(n), stop)
-
-
-@dataclass(frozen=True)
-class FitSpec:
-    """Purity-curve sampling and fit-restart controls."""
-
-    span_tau: float = 10.0
-    samples: int = 200
-    restarts: int = 20
-    seed: int = 0
-
-    def __post_init__(self):
-        _set_real(self, "fit", "span_tau", 0, strict=True)
-        _set_count(self, "fit", "samples", 50)
-        _set_count(self, "fit", "restarts", 1)
-        _set_count(self, "fit", "seed", 0)
 
 
 @dataclass(frozen=True)

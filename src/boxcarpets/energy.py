@@ -27,17 +27,39 @@ restart of every center, with the designs factored as stacks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoherence import DEFAULT_GAMMA, DecoherenceParams, _check_params, density_matrix_grid
+from .decoherence import DecoherenceParams, _check_params, density_matrix_grid
 from .errors import DomainError, FitFailure
 from .quadrature import simpson_weights
 from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_count,
                        _check_real, _check_times, decompose, revival_times)
 
-DEFAULT_FIT_RESTARTS = 20
+_MIN_FIT_SAMPLES = 50
+
+
+@dataclass(frozen=True)
+class FitSpec:
+    """The fit's purity curve, ``samples`` >= 50 times over ``span_tau`` times
+    tau, and its ``restarts`` starts, all but the first jittered from ``seed``."""
+
+    span_tau: float = 10.0
+    samples: int = 200
+    restarts: int = 20
+    seed: int = 0
+
+    def __post_init__(self):
+        object.__setattr__(self, "span_tau", _check_real(self.span_tau, "fit span_tau", 0, strict=True))
+        for name, least in (("samples", _MIN_FIT_SAMPLES), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _check_count(getattr(self, name), f"fit {name}", least))
+
+
+def _check_spec(value, spec: type, what: str) -> None:
+    """Raise a ``DomainError`` naming ``value`` unless it is a ``spec``."""
+    if not isinstance(value, spec):
+        raise DomainError(f"{what} must be an instance of {spec.__name__}, got {value!r}")
 
 
 def purity(state: SpectralState, t, params: DecoherenceParams):
@@ -118,8 +140,9 @@ def purity_curve(
     """Sample the closed-form purity at t = 0 and log-spaced on [t_max/1000, t_max].
 
     Log spacing concentrates samples on the initial falloff, which is where
-    the fit needs resolution.  Any other sampling is
-    ``PurityCurve(times, purity(state, times, params))``.
+    the fit needs resolution.  A curve that is never fit may have fewer
+    than ``FitSpec``'s 50 samples, so this takes no ``FitSpec``.  Any other
+    sampling is ``PurityCurve(times, purity(state, times, params))``.
     """
     t_max = _check_real(t_max, "purity curve t_max", 0, strict=True)
     samples = _check_count(samples, "purity curve samples", 2)
@@ -335,8 +358,8 @@ def _levenberg_marquardt(theta, curve, dt, vals, floor):
 
 
 def _check_fittable(curve: PurityCurve) -> None:
-    if curve.times.size < 50:
-        raise DomainError(f"fit needs at least 50 samples, got {curve.times.size}")
+    if curve.times.size < _MIN_FIT_SAMPLES:
+        raise DomainError(f"fit needs at least {_MIN_FIT_SAMPLES} samples, got {curve.times.size}")
     vals = curve.values
     if (vals.max() - vals.min()) <= 1e-12 * max(vals.max(), 1e-300):
         raise FitFailure("curve shows no decay to fit")
@@ -385,7 +408,7 @@ def _best_fit(t0: float, rms, theta, coef) -> PurityFit:
     return PurityFit(**candidate)
 
 
-def fit_purity(curve: PurityCurve, restarts: int = DEFAULT_FIT_RESTARTS, seed: int = 0) -> PurityFit:
+def fit_purity(curve: PurityCurve, fit: FitSpec = FitSpec()) -> PurityFit:
     """Fit a baseline plus three exponentials to a purity curve.
 
     The onset time is pinned to the first sample, removing its degeneracy
@@ -393,16 +416,16 @@ def fit_purity(curve: PurityCurve, restarts: int = DEFAULT_FIT_RESTARTS, seed: i
     log-timescales the baseline and amplitudes come from one SVD solve of
     the linear design, and Levenberg-Marquardt refines the log-timescales
     on the projected residual with its exact Golub-Pereyra Jacobian (no
-    finite differences), taken from the same SVD.  All ``restarts``, from
-    jittered log-spaced initial guesses, step together as one batch, and
-    the restart with the smallest rms wins.  Raises ``DomainError`` for a
-    ``restarts`` count that is not an integer >= 1, and ``FitFailure``
-    (best candidate attached) when no restart produces a valid, strictly
-    ordered fit.
+    finite differences), taken from the same SVD.  All ``fit.restarts``,
+    from log-spaced initial guesses jittered by ``fit.seed``, step together
+    as one batch, and the restart with the smallest rms wins.  Raises
+    ``DomainError`` for a ``fit`` that is not a ``FitSpec``, and
+    ``FitFailure`` (best candidate attached) when no restart produces a
+    valid, strictly ordered fit.
     """
-    restarts = _check_count(restarts, "fit restarts", 1)
+    _check_spec(fit, FitSpec, "fit settings")
     _check_fittable(curve)
-    (result,) = _fit_restarts([curve], restarts, seed)
+    (result,) = _fit_restarts([curve], fit.restarts, fit.seed)
     return _best_fit(float(curve.times[0]), *result)
 
 
@@ -411,14 +434,15 @@ def correlation_matrix(state: SpectralState) -> np.ndarray:
     return np.outer(state.coeffs, state.coeffs)
 
 
-def decay_time_map(cfg: CavityConfig, gamma: float, N: int = 50) -> np.ndarray:
+def decay_time_map(cfg: CavityConfig, params: DecoherenceParams, N: int = 50) -> np.ndarray:
     """Pair decay times 1 / beta_aa'; the diagonal never decays (inf).
 
-    Independent of any input signal: only the mode energies and gamma enter.
-    The rates are ``beta``'s, gamma times the exact integer beat
-    |alpha'^2 - alpha^2| in units of ``_beat_unit``.
+    Independent of any input signal: only the mode energies and
+    ``params.gamma`` enter, and gamma = 0 is a ``DomainError``.  The rates
+    are ``beta``'s, gamma times the exact integer beat |alpha'^2 - alpha^2|
+    in units of ``_beat_unit``.
     """
-    gamma = _check_real(gamma, "decay-time map gamma", 0, strict=True)
+    gamma = _check_real(_check_params(params).gamma, "decay-time map gamma", 0, strict=True)
     N = _check_count(N, "mode count N", 1)
     square = np.arange(1, N + 1) ** 2
     with np.errstate(divide="ignore"):
@@ -441,56 +465,56 @@ class SweepRow:
 
 
 def sweep_x0(
-    kind: str,
-    x0_values,
+    signal: InputSignalSpec,
+    centers,
     cfg: CavityConfig,
+    params: DecoherenceParams,
+    fit: FitSpec = FitSpec(),
     N: int = 50,
-    params: DecoherenceParams = DecoherenceParams(gamma=DEFAULT_GAMMA),
-    w: float = 10.0,
-    span_tau: float = 10.0,
-    samples: int = 200,
-    restarts: int = DEFAULT_FIT_RESTARTS,
-    seed: int = 0,
     renormalize: bool = False,
 ) -> list[SweepRow]:
     """Asymptotic purity and fitted decay times across signal centers.
 
-    ``params`` sets the damping; the purity depends on ``params.gamma``
-    alone, so the spatial rate ``params.lam`` changes no row.
+    Each row moves ``signal`` to one of the 1-D ``centers`` and fits its
+    curve as ``fit`` says.  The purity depends on ``params.gamma`` alone.
     ``renormalize`` rescales each truncated state to unit norm, as
-    ``RunConfig.renormalize`` does for the other products.  Invalid centers
-    (truncated or overlapping signals) produce an error row and the sweep
-    continues; a bad ``restarts`` count or ``span_tau`` raises ``DomainError``
-    before any center is computed.  Deterministic for fixed inputs.
+    ``RunConfig.renormalize`` does for the other products.  A truncated or
+    overlapping center, or a failed fit, gets an error row and the sweep
+    continues; any other bad argument raises ``DomainError`` before any
+    center is computed.  Deterministic for fixed inputs.
     """
-    _check_count(restarts, "fit restarts", 1)
+    _check_spec(signal, InputSignalSpec, "sweep signal")
+    _check_spec(fit, FitSpec, "fit settings")
     _check_params(params)
-    span = _check_real(span_tau, "sweep span_tau", 0, strict=True) * revival_times(cfg).tau
+    N = _check_count(N, "mode count N", 1)
+    centers = _check_array(centers, "sweep centers")
+    if centers.ndim != 1:
+        raise DomainError(f"sweep centers must be a 1-D array, got shape {centers.shape}")
+    span = fit.span_tau * revival_times(cfg).tau
     rows: list[SweepRow | None] = []
     pending = []
-    for x0 in np.asarray(x0_values, dtype=float):
+    for x0 in centers.tolist():
         try:
-            spec = InputSignalSpec(kind=kind, x0=float(x0), w=w)
-            state = decompose(spec, cfg, N)
+            state = decompose(replace(signal, x0=x0), cfg, N)
             if renormalize:
                 state = state.renormalized()
             chi_inf = purity_asymptote(state)
-            curve = purity_curve(state, span, params, samples=samples)
+            curve = purity_curve(state, span, params, samples=fit.samples)
             _check_fittable(curve)
         except (DomainError, FitFailure) as exc:
-            rows.append(SweepRow(x0=float(x0), error=str(exc)))
+            rows.append(SweepRow(x0=x0, error=str(exc)))
             continue
-        pending.append((len(rows), float(x0), chi_inf, curve))
+        pending.append((len(rows), x0, chi_inf, curve))
         rows.append(None)
     # every restart of every valid center in one batch; a center whose fit
     # fails gets an error row
-    fits = _fit_restarts([curve for *_, curve in pending], restarts, seed)
+    fits = _fit_restarts([curve for *_, curve in pending], fit.restarts, fit.seed)
     for (i, x0, chi_inf, curve), result in zip(pending, fits):
         try:
-            fit = _best_fit(float(curve.times[0]), *result)
+            best = _best_fit(float(curve.times[0]), *result)
         except FitFailure as exc:
             rows[i] = SweepRow(x0=x0, error=str(exc))
             continue
-        t1, t2, t3 = fit.timescales
-        rows[i] = SweepRow(x0=x0, chi_inf=chi_inf, t1=t1, t2=t2, t3=t3, residual=fit.residual)
+        t1, t2, t3 = best.timescales
+        rows[i] = SweepRow(x0=x0, chi_inf=chi_inf, t1=t1, t2=t2, t3=t3, residual=best.residual)
     return rows

@@ -118,7 +118,7 @@ def _product_purity(r: _Run) -> list[Path]:
 
 
 def _product_fit(r: _Run) -> list[Path]:
-    fit = fit_purity(r.purity, restarts=r.config.fit.restarts, seed=r.config.fit.seed)
+    fit = fit_purity(r.purity, r.config.fit)
     fit_path = r.out / "purity_fit.csv"
     csvio.write_fit(fit, fit_path, meta=r.meta)
     curve_path = r.out / "purity_fit_curve.csv"
@@ -127,27 +127,16 @@ def _product_fit(r: _Run) -> list[Path]:
 
 
 def _product_sweep(r: _Run) -> list[Path]:
-    config = r.config
-    rows = sweep_x0(
-        config.signal.kind,
-        config.sweep.values(config.signal, config.cavity),
-        config.cavity,
-        N=config.n_modes,
-        params=config.deco,
-        w=config.signal.w,
-        span_tau=config.fit.span_tau,
-        samples=config.fit.samples,
-        restarts=config.fit.restarts,
-        seed=config.fit.seed,
-        renormalize=config.renormalize,
-    )
+    c = r.config
+    rows = sweep_x0(c.signal, c.sweep.values(c.signal, c.cavity), c.cavity, c.deco, c.fit, N=c.n_modes,
+                    renormalize=c.renormalize)
     path = r.out / "sweep.csv"
     csvio.write_sweep(rows, path, meta=r.meta)
     return [path]
 
 
 def _product_decaymap(r: _Run) -> list[Path]:
-    times = decay_time_map(r.config.cavity, r.config.deco.gamma, r.config.n_modes)
+    times = decay_time_map(r.config.cavity, r.config.deco, r.config.n_modes)
     csv_path = r.out / "decay_times.csv"
     csvio.write_mode_matrix(times, csv_path, meta=r.meta)
     # image on a log scale; the never-decaying diagonal takes the top color

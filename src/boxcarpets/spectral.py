@@ -89,9 +89,8 @@ def mode(alpha: int, cfg: CavityConfig) -> Mode:
 
 
 def eigenenergy(alpha: int, cfg: CavityConfig) -> float:
-    """Energy of mode ``alpha``: (hbar * pi * alpha)^2 / (2 m L^2)."""
-    alpha = _check_count(alpha, "mode index", 1)
-    return (cfg.hbar * np.pi * alpha / cfg.L) ** 2 / (2.0 * cfg.m)
+    """Energy of mode ``alpha``, ``mode(alpha, cfg).E``: (hbar k)^2 / (2 m)."""
+    return mode(alpha, cfg).E
 
 
 def eigenmode(md: Mode, x, cfg: CavityConfig):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -148,7 +149,7 @@ def test_correlation_matrix_structure(state0):
 
 
 def test_decay_time_map(cfg, rev, ref_params):
-    times = bc.decay_time_map(cfg, bc.DEFAULT_GAMMA, 50)
+    times = bc.decay_time_map(cfg, ref_params, 50)
     # the same rate as beta, from the exact integer beat
     rates = [[bc.beta(a, b, ref_params, cfg) for b in range(1, 51)] for a in range(1, 51)]
     with np.errstate(divide="ignore"):
@@ -158,7 +159,7 @@ def test_decay_time_map(cfg, rev, ref_params):
     assert times[0, 2] > times[0, 4] > times[0, 40]
     assert times[0, 9] == times[9, 0]
     with pytest.raises(DomainError):
-        bc.decay_time_map(cfg, 0.0, 10)
+        bc.decay_time_map(cfg, bc.DecoherenceParams(), 10)
 
 
 # -- curves and fits ----------------------------------------------------------
@@ -231,12 +232,12 @@ def test_fit_keeps_timescale_overflow_silent(cfg, rev, ref_params):
     curve = bc.purity_curve(state, 10 * rev.tau, ref_params)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        fit = bc.fit_purity(curve, seed=7)
+        fit = bc.fit_purity(curve, bc.FitSpec(seed=7))
     assert [str(w.message) for w in caught] == []
     # so warnings-as-errors cannot skip a restart and move the fit
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        strict = bc.fit_purity(curve, seed=7)
+        strict = bc.fit_purity(curve, bc.FitSpec(seed=7))
     assert strict == fit
 
 
@@ -376,10 +377,11 @@ def test_fit_is_no_worse_than_minpack(cfg, rev, ref_params, group):
         for seed, x0 in WIDE_CENTERS.items():
             state = bc.decompose(bc.InputSignalSpec("single", x0, 2.0), cfg, 800)
             curve = bc.purity_curve(state, 10 * rev.tau, ref_params)
-            fits.append((curve, seed, bc.fit_purity(curve, seed=seed).residual))
+            fits.append((curve, seed, bc.fit_purity(curve, bc.FitSpec(seed=seed)).residual))
     else:
-        xs = bc.SweepSpec().values(group)
-        rows = bc.sweep_x0(group, xs, cfg)
+        signal = bc.InputSignalSpec(group)
+        xs = bc.SweepSpec().values(signal, cfg)
+        rows = bc.sweep_x0(signal, xs, cfg, ref_params)
         assert len(xs) > 30 and all(r.error is None for r in rows)
         fits = []
         for row in rows:
@@ -413,7 +415,7 @@ def test_fit_work_is_one_factorization_per_point(state0, rev, ref_params, monkey
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
-    bc.fit_purity(curve, seed=0)
+    bc.fit_purity(curve, bc.FitSpec(seed=0))
     assert 0 < sum(designs) <= 800
 
 
@@ -458,7 +460,7 @@ def test_fit_restart_errors(state0, rev, ref_params, monkeypatch):
     with monkeypatch.context() as m:
         _poison_first_call(m, [0])
         with pytest.raises(FitFailure, match="no restart converged"):
-            bc.fit_purity(curve, restarts=1)
+            bc.fit_purity(curve, bc.FitSpec(restarts=1))
     with monkeypatch.context() as m:
         m.setattr(np.linalg, "svd", raising(np.linalg.LinAlgError))
         with pytest.raises(FitFailure, match="no restart converged"):
@@ -467,7 +469,7 @@ def test_fit_restart_errors(state0, rev, ref_params, monkeypatch):
 
 def test_fit_rejects_non_finite_steps_before_factoring(state0, rev, ref_params, monkeypatch):
     curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
-    clean = bc.fit_purity(curve, restarts=1)
+    clean = bc.fit_purity(curve, bc.FitSpec(restarts=1))
     solve = energy._solve_spd3
     steps = []
 
@@ -487,28 +489,53 @@ def test_fit_rejects_non_finite_steps_before_factoring(state0, rev, ref_params, 
     monkeypatch.setattr(energy, "_solve_spd3", first_step_nan)
     monkeypatch.setattr(np.linalg, "svd", finite_svd)
     # the rejected step raises the damping; the restart goes on from its start
-    fit = bc.fit_purity(curve, restarts=1)
+    fit = bc.fit_purity(curve, bc.FitSpec(restarts=1))
     assert len(steps) > 2 and fit.residual == pytest.approx(clean.residual, rel=1e-9)
 
 
-def test_fit_and_sweep_validate_restarts(cfg, state0, rev, ref_params, monkeypatch):
-    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
-    # the sweep checks the count once, before any center is decomposed
-    monkeypatch.setattr(energy, "decompose", None)
+def test_fit_spec_validates_restarts_and_seed(state0, rev, ref_params):
+    # the fit and the sweep take restarts and seed only through a FitSpec;
+    # fit_purity(curve, seed=True) used to run with seed 1
     for bad in (0, -3, 2.5, np.float64(2.0), True, np.bool_(True), "4", None):
-        with pytest.raises(DomainError, match="restarts"):
-            bc.fit_purity(curve, restarts=bad)
-        with pytest.raises(DomainError, match="restarts"):
-            bc.sweep_x0("single", [0.0, 22.0], cfg, restarts=bad)
-    assert bc.fit_purity(curve, restarts=np.int64(1)) == bc.fit_purity(curve, restarts=1)
+        with pytest.raises(DomainError, match="fit restarts"):
+            bc.FitSpec(restarts=bad)
+    for bad in (True, np.True_, -1, 1.5):
+        with pytest.raises(DomainError, match="fit seed"):
+            bc.FitSpec(seed=bad)
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    one = bc.fit_purity(curve, bc.FitSpec(restarts=np.int64(1), seed=np.int64(3)))
+    assert one == bc.fit_purity(curve, bc.FitSpec(restarts=1, seed=3))
+
+
+@pytest.mark.parametrize("bad", [20, None, "single"])
+@pytest.mark.parametrize("argument", ["fit_purity-fit", "sweep_x0-signal", "sweep_x0-fit"])
+def test_fit_and_sweep_take_only_specs(cfg, state0, rev, ref_params, monkeypatch, argument, bad):
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    calls = {
+        "fit_purity-fit": lambda: bc.fit_purity(curve, bad),
+        "sweep_x0-signal": lambda: bc.sweep_x0(bad, [0.0], cfg, ref_params),
+        "sweep_x0-fit": lambda: bc.sweep_x0(bc.InputSignalSpec(), [0.0], cfg, ref_params, bad),
+    }
+    # the sweep checks its settings once, before any center is decomposed
+    monkeypatch.setattr(energy, "decompose", None)
+    with pytest.raises(DomainError, match=f"must be an instance of .*, got {re.escape(repr(bad))}$"):
+        calls[argument]()
+
+
+@pytest.mark.parametrize("centers", [["1", True], [np.nan], [[0.0, 5.0]]])
+def test_sweep_centers_are_checked_before_any_center(cfg, ref_params, monkeypatch, centers):
+    # ["1", True] used to give two valid rows at x0 = 1.0
+    monkeypatch.setattr(energy, "decompose", None)
+    with pytest.raises(DomainError, match="sweep centers"):
+        bc.sweep_x0(bc.InputSignalSpec(), centers, cfg, ref_params)
 
 
 # -- sweep ---------------------------------------------------------------------
 
 
-def test_sweep_shapes_and_trends(cfg):
+def test_sweep_shapes_and_trends(cfg, ref_params):
     xs = np.array([0.0, 6.0, 10.0, 12.5, 14.0, 20.0, 22.0])
-    rows = bc.sweep_x0("single", xs, cfg, restarts=4)
+    rows = bc.sweep_x0(bc.InputSignalSpec(), xs, cfg, ref_params, bc.FitSpec(restarts=4))
     assert len(rows) == 7
     by_x0 = {r.x0: r for r in rows}
     assert by_x0[22.0].error is not None and "x0" in by_x0[22.0].error
@@ -522,29 +549,33 @@ def test_sweep_shapes_and_trends(cfg):
 
 def test_sweep_keeps_a_failed_center_to_its_row(cfg, rev, ref_params, monkeypatch):
     xs = [0.0, 6.0, 12.5]
-    clean = bc.sweep_x0("single", xs, cfg, restarts=4)
+    four = bc.FitSpec(restarts=4)
+    clean = bc.sweep_x0(bc.InputSignalSpec(), xs, cfg, ref_params, four)
     # every restart of the center at 6 meets a design that cannot be
     # factored; the sweep stacks the centers in order, 4 restarts each
     _poison_first_call(monkeypatch, [4, 5, 6, 7])
-    rows = bc.sweep_x0("single", xs, cfg, restarts=4)
+    rows = bc.sweep_x0(bc.InputSignalSpec(), xs, cfg, ref_params, four)
     assert rows[1] == bc.SweepRow(x0=6.0, error="no restart converged")
     assert rows[0] == clean[0] and rows[2] == clean[2]
     assert all(r.error is None for r in clean)
 
 
-def test_sweep_renormalize(cfg):
+def test_sweep_renormalize(cfg, ref_params):
     # a w = 2 lobe loses about 3% of its norm to the 50-mode truncation
     state = bc.decompose(bc.InputSignalSpec("single", 4.0, 2.0), cfg, 50)
-    rows = [bc.sweep_x0("single", [4.0], cfg, w=2.0, samples=50, restarts=2, renormalize=flag)[0]
-            for flag in (False, True)]
+    signal, fit = bc.InputSignalSpec(w=2.0), bc.FitSpec(samples=50, restarts=2)
+    rows = [bc.sweep_x0(signal, [4.0], cfg, ref_params, fit, renormalize=flag)[0] for flag in (False, True)]
     assert rows[0].chi_inf == bc.purity_asymptote(state)
     assert rows[1].chi_inf == bc.purity_asymptote(state.renormalized())
     assert rows[1].chi_inf > rows[0].chi_inf
 
 
-def test_sweep_double_dip(cfg, state0):
-    rows = bc.sweep_x0("double", np.array([10.0, 12.5, 15.0]), cfg, restarts=4)
+def test_sweep_double_dip(cfg, state0, ref_params):
+    signal = bc.InputSignalSpec("double", 12.5)
+    rows = bc.sweep_x0(signal, np.array([2.0, 10.0, 12.5, 15.0]), cfg, ref_params, bc.FitSpec(restarts=4))
     by_x0 = {r.x0: r for r in rows}
+    # an overlapping center keeps its error row
+    assert "overlap" in by_x0[2.0].error
     assert by_x0[12.5].chi_inf == pytest.approx(bc.purity_asymptote(state0), abs=1e-9)
     assert by_x0[12.5].chi_inf < by_x0[10.0].chi_inf
     assert by_x0[12.5].chi_inf < by_x0[15.0].chi_inf

@@ -161,7 +161,7 @@ def test_ensemble_csv_pads_missing_samples(tmp_path):
 
 
 def test_matrix_csv_inf_sentinel(tmp_path, cfg):
-    times = bc.decay_time_map(cfg, bc.DEFAULT_GAMMA, 5)
+    times = bc.decay_time_map(cfg, bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA), 5)
     csvio.write_mode_matrix(times, tmp_path / "m.csv")
     rows = [ln for ln in (tmp_path / "m.csv").read_text().splitlines() if not ln.startswith("#")]
     assert rows[1].split(",")[1] == "inf"
@@ -188,7 +188,7 @@ def test_data_rows_match_fmt_byte_for_byte(tmp_path):
 def test_curve_rows_match_fmt_byte_for_byte(tmp_path):
     config = bc.parse_config("")
     curve = products._Run(config, tmp_path).purity
-    fit = bc.fit_purity(curve, restarts=config.fit.restarts, seed=config.fit.seed)
+    fit = bc.fit_purity(curve, config.fit)
     csvio.write_purity_curve(curve, tmp_path / "p.csv")
     csvio.write_fit_curve(curve, fit, tmp_path / "f.csv")
     tables = {

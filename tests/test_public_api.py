@@ -1,6 +1,7 @@
 """One spelling per setting in the public signatures: the damping model is
 always a ``DecoherenceParams`` (its default is the coherent model, never
-None), and an ensemble is seeded explicitly exactly when it has seeds."""
+None), the fit settings always a ``FitSpec``, and an ensemble is seeded
+explicitly exactly when it has seeds."""
 
 import importlib
 import inspect
@@ -12,6 +13,14 @@ import pytest
 
 import boxcarpets as bc
 from boxcarpets import csvio, decoherence
+
+# settings with one spelling: a field of this spec, and no parameter elsewhere
+SPEC_FIELDS = {
+    "gamma": "boxcarpets.decoherence.DecoherenceParams",
+    "restarts": "boxcarpets.energy.FitSpec",
+    "seed": "boxcarpets.energy.FitSpec",
+    "span_tau": "boxcarpets.energy.FitSpec",
+}
 
 
 def _public_callables():
@@ -43,6 +52,8 @@ def test_public_signatures_have_one_spelling_per_setting():
                 offenders.append(f"{name}(params=None)")
             if parameter.name == "seeding":
                 offenders.append(f"{name}(seeding)")
+            if SPEC_FIELDS.get(parameter.name, name) != name:
+                offenders.append(f"{name}({parameter.name})")
     assert not offenders, f"second spellings of a setting: {offenders}"
 
 
@@ -62,7 +73,8 @@ def _damping_model_calls():
         "boxcarpets.energy.purity": lambda p: bc.purity(state, 1.0, p),
         "boxcarpets.energy.purity_curve": lambda p: bc.purity_curve(state, 1.0, p),
         "boxcarpets.energy.purity_via_quadrature": lambda p: bc.purity_via_quadrature(state, 1.0, p, points=5),
-        "boxcarpets.energy.sweep_x0": lambda p: bc.sweep_x0("single", [0.0], cfg, N=8, params=p),
+        "boxcarpets.energy.decay_time_map": lambda p: bc.decay_time_map(cfg, p, 8),
+        "boxcarpets.energy.sweep_x0": lambda p: bc.sweep_x0(signal, [0.0], cfg, p, N=8),
         "boxcarpets.evolution.carpet": lambda p: bc.carpet(state, grid, params=p),
         "boxcarpets.evolution.probability_density": lambda p: bc.probability_density(state, 0.0, 1.0, p),
         "boxcarpets.flow.integrate_ensemble": lambda p: bc.integrate_ensemble(

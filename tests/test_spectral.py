@@ -51,6 +51,14 @@ def test_eigenenergy(cfg):
         bc.eigenenergy(0, cfg)
 
 
+@pytest.mark.parametrize("box", [bc.CavityConfig(), bc.CavityConfig(L=37.3), bc.CavityConfig(m=2.5, hbar=0.7, L=10.1)])
+def test_eigenenergy_is_the_mode_energy(box):
+    # a second formula, (hbar pi alpha / L)^2 / 2m, rounded 85 of these
+    # energies differently in the last box
+    for alpha in range(1, 201):
+        assert bc.eigenenergy(alpha, box) == bc.mode(alpha, box).E
+
+
 def test_orthonormality(cfg):
     x = np.linspace(-25.0, 25.0, 10001)
     w = bc.simpson_weights(x)
@@ -249,8 +257,9 @@ def _bad_scalar_calls():
             (f"integrate_trajectory-t_end-{t!r}", lambda s, t=t: bc.integrate_trajectory(s, 0.0, t)),
             (f"integrate_trajectory-x0-{t!r}", lambda s, t=t: bc.integrate_trajectory(s, t, 1.0)),
             (f"regular-{t!r}", lambda s, t=t: bc.SpaceTimeGrid.regular(s.cfg, 3, 3, t)),
-            (f"decay_time_map-{t!r}", lambda s, t=t: bc.decay_time_map(s.cfg, t)),
-            (f"sweep_x0-span_tau-{t!r}", lambda s, t=t: bc.sweep_x0("single", [0.0], s.cfg, span_tau=t)),
+            # the decay map's gamma and the sweep's span_tau are spec fields
+            (f"decay_time_map-{t!r}", lambda s, t=t: bc.decay_time_map(s.cfg, bc.DecoherenceParams(gamma=t))),
+            (f"FitSpec-span_tau-{t!r}", lambda s, t=t: bc.FitSpec(span_tau=t)),
         )
 
 
