@@ -19,7 +19,7 @@ from .decoherence import DEFAULT_GAMMA, DecoherenceParams
 from .energy import FitSpec
 from .errors import ConfigError, DomainError
 from .flow import EnsembleSpec
-from .spectral import CavityConfig, InputSignalSpec, _check_count, _check_real, _check_times
+from .spectral import CavityConfig, InputSignalSpec, _check_bool, _check_count, _check_real, _check_times
 
 PRODUCT_NAMES = ("carpet", "trajectories", "densmat", "purity", "sweep", "fit", "decaymap")
 
@@ -113,6 +113,7 @@ class RunConfig:
     def __post_init__(self):
         self.signal.validate(self.cavity)
         object.__setattr__(self, "n_modes", _check_count(self.n_modes, "modes count", 1))
+        object.__setattr__(self, "renormalize", _check_bool(self.renormalize, "modes renormalize"))
 
 
 _DEFAULT = RunConfig()

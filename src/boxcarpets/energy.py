@@ -34,8 +34,8 @@ import numpy as np
 from .decoherence import DecoherenceParams, _check_params, density_matrix_grid
 from .errors import DomainError, FitFailure
 from .quadrature import simpson_weights
-from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_count,
-                       _check_real, _check_times, decompose, revival_times)
+from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_bool,
+                       _check_count, _check_real, _check_spec, _check_times, decompose, revival_times)
 
 _MIN_FIT_SAMPLES = 50
 
@@ -54,12 +54,6 @@ class FitSpec:
         object.__setattr__(self, "span_tau", _check_real(self.span_tau, "fit span_tau", 0, strict=True))
         for name, least in (("samples", _MIN_FIT_SAMPLES), ("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, _check_count(getattr(self, name), f"fit {name}", least))
-
-
-def _check_spec(value, spec: type, what: str) -> None:
-    """Raise a ``DomainError`` naming ``value`` unless it is a ``spec``."""
-    if not isinstance(value, spec):
-        raise DomainError(f"{what} must be an instance of {spec.__name__}, got {value!r}")
 
 
 def purity(state: SpectralState, t, params: DecoherenceParams):
@@ -144,6 +138,7 @@ def purity_curve(
     than ``FitSpec``'s 50 samples, so this takes no ``FitSpec``.  Any other
     sampling is ``PurityCurve(times, purity(state, times, params))``.
     """
+    _check_spec(state, SpectralState, "purity curve state")
     t_max = _check_real(t_max, "purity curve t_max", 0, strict=True)
     samples = _check_count(samples, "purity curve samples", 2)
     times = np.concatenate([[0.0], np.geomspace(t_max / 1000.0, t_max, samples - 1)])
@@ -423,6 +418,7 @@ def fit_purity(curve: PurityCurve, fit: FitSpec = FitSpec()) -> PurityFit:
     ``FitFailure`` (best candidate attached) when no restart produces a
     valid, strictly ordered fit.
     """
+    _check_spec(curve, PurityCurve, "fitted curve")
     _check_spec(fit, FitSpec, "fit settings")
     _check_fittable(curve)
     (result,) = _fit_restarts([curve], fit.restarts, fit.seed)
@@ -442,6 +438,7 @@ def decay_time_map(cfg: CavityConfig, params: DecoherenceParams, N: int = 50) ->
     are ``beta``'s, gamma times the exact integer beat |alpha'^2 - alpha^2|
     in units of ``_beat_unit``.
     """
+    _check_spec(cfg, CavityConfig, "decay-time map cavity")
     gamma = _check_real(_check_params(params).gamma, "decay-time map gamma", 0, strict=True)
     N = _check_count(N, "mode count N", 1)
     square = np.arange(1, N + 1) ** 2
@@ -477,7 +474,7 @@ def sweep_x0(
 
     Each row moves ``signal`` to one of the 1-D ``centers`` and fits its
     curve as ``fit`` says.  The purity depends on ``params.gamma`` alone.
-    ``renormalize`` rescales each truncated state to unit norm, as
+    ``renormalize``, a bool, rescales each truncated state to unit norm, as
     ``RunConfig.renormalize`` does for the other products.  A truncated or
     overlapping center, or a failed fit, gets an error row and the sweep
     continues; any other bad argument raises ``DomainError`` before any
@@ -485,8 +482,10 @@ def sweep_x0(
     """
     _check_spec(signal, InputSignalSpec, "sweep signal")
     _check_spec(fit, FitSpec, "fit settings")
+    _check_spec(cfg, CavityConfig, "sweep cavity")
     _check_params(params)
     N = _check_count(N, "mode count N", 1)
+    renormalize = _check_bool(renormalize, "sweep renormalize")
     centers = _check_array(centers, "sweep centers")
     if centers.ndim != 1:
         raise DomainError(f"sweep centers must be a 1-D array, got shape {centers.shape}")

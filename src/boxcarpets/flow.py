@@ -9,12 +9,16 @@ rule checked by ``noncrossing_check``).
 The field has one route per kind of point.  At fixed points (``velocity``
 and ``velocity_map``, which share one row function) a row is two mode sums
 of psi at gamma = 0 and a beat-wavenumber series when damped.  Points that
-move on every call, the damped integrator's, reduce the pair matrix
-(``_VelocityField``).
+move on every call reduce the pair matrix (``_PairField``): the damped
+integrator's velocity and the cumulative probability F(x, t) to the left of
+x are two reductions of that one pair field, and F's closed form holds at
+any gamma.
 
 A coherent (gamma = 0) streamline keeps the probability to its left
-constant, F(x(t), t) = F(x0, 0), and F has a closed form; those paths are
-solved as quantiles of F at each sample time, with no time stepping.
+constant, F(x(t), t) = F(x0, 0); those paths are solved as quantiles of F
+at each sample time, with no time stepping.  Damped streamlines do not
+carry F: the energy damping delocalizes the density without a flux that
+transports it.
 
 Damped paths are integrated.  Near density nodes the field diverges.  The
 integrator treats a density below ``DENSITY_FLOOR`` as a node-proximity
@@ -59,28 +63,6 @@ _RK_D = np.array([
     -12715105075 / 11282082432, 0.0, 87487479700 / 32700410799, -10690763975 / 1880347072,
     701980252875 / 199316789632, -1453857185 / 822651844, 69997945 / 29380423,
 ])
-
-
-class _VelocityField:
-    """The (possibly damped) velocity field at points that move on every call.
-
-    The integrator's field: each call reduces the pair matrix ``_PairKernel``
-    against the support modes and slopes at the points, at any gamma.
-    Evaluation returns the velocities together with a mask of positions
-    whose density sits below the node floor (velocity forced to zero there).
-    """
-
-    def __init__(self, state: SpectralState, params: DecoherenceParams):
-        _require_support(state)
-        self.kernel = _PairKernel(state, params.gamma)
-        self.hm = state.cfg.hbar / state.cfg.m
-
-    def __call__(self, x: np.ndarray, t: float):
-        phi, dphi = self.kernel.basis(x)
-        M = self.kernel(t)
-        den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
-        num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
-        return _flux_ratio(self.hm, num, den)
 
 
 def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, params: DecoherenceParams):
@@ -128,32 +110,47 @@ def _require_support(state: SpectralState) -> None:
         raise DomainError("velocity field undefined for a state with no nonzero coefficients")
 
 
-class _Cumulative:
-    """Closed-form cumulative probability F(x, t) of a coherent state and its density.
+class _PairField:
+    """The pair matrix of ``_PairKernel`` reduced at points that move on every call.
 
-    With y = x + L/2, R = Re M(t) and B_ab = A_ab / k_b, where
-    A_ab = 1/(k_a - k_b) - 1/(k_a + k_b) off the diagonal and 0 on it,
+    Two reductions of one kernel, at any gamma.  ``velocity`` is the
+    integrator's field: it reduces Re M and Im M against the support modes
+    and slopes at the points, and returns the velocities together with a
+    mask of positions whose density sits below the node floor (velocity
+    forced to zero there).  ``cumulative`` is the probability F(x, t) to the
+    left of x and its density.  With y = x + L/2, R = Re M(t) and
+    B_ab = A_ab / k_b, where A_ab = 1/(k_a - k_b) - 1/(k_a + k_b) off the
+    diagonal and 0 on it,
 
         F = y tr(R) / L - sum_a R_aa phi_a phi'_a / (2 k_a^2) + sum_ab phi_a (R o B)_ab phi'_b
 
-    and dF/dx = rho = phi R phi^T.  At gamma = 0 the diagonal of R is c^2 at
-    every t, so only the off-diagonal part is rebuilt per time.
+    and dF/dx = rho = phi R phi^T.  The energy damping leaves the diagonal
+    of R at c^2 for every t and gamma, so only the off-diagonal part is
+    rebuilt per time and F(L/2) = tr R is conserved.
     """
 
-    def __init__(self, state: SpectralState):
+    def __init__(self, state: SpectralState, gamma: float):
         _require_support(state)
-        self.kernel = _PairKernel(state, 0.0)
+        self.kernel = _PairKernel(state, gamma)
+        self.hm = state.cfg.hbar / state.cfg.m
         k = self.kernel.basis.k
         with np.errstate(divide="ignore"):
             A = 1.0 / (k[:, None] - k[None, :]) - 1.0 / (k[:, None] + k[None, :])
         np.fill_diagonal(A, 0.0)
         self.B = A / k[None, :]
         self.diag = self.kernel.c**2 / (2.0 * k**2)
-        self.total = float(np.sum(self.kernel.c**2))  # tr R, conserved at gamma = 0
+        self.total = float(np.sum(self.kernel.c**2))  # tr R, conserved
         self.half_width = state.cfg.half_width
         self._t = None
 
-    def __call__(self, x: np.ndarray, t: float):
+    def velocity(self, x: np.ndarray, t: float):
+        phi, dphi = self.kernel.basis(x)
+        M = self.kernel(t)
+        den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
+        num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
+        return _flux_ratio(self.hm, num, den)
+
+    def cumulative(self, x: np.ndarray, t: float):
         if t != self._t:
             R = self.kernel(t).real
             # one product gives both reductions: [R | R o B]
@@ -339,13 +336,13 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     if sample_times[-1] > t_end * (1 + 1e-12):
         raise DomainError("sample_times must lie within [0, t_end]")
 
+    field = _PairField(state, params.gamma)
     if params.gamma == 0.0:
-        xtol = tol * 1e-2
-        recorded, freeze_time = _quantile_batch(_Cumulative(state), seeds, sample_times, xtol)
+        recorded, freeze_time = _quantile_batch(field, seeds, sample_times, tol * 1e-2)
     else:
         tau = revival_times(state.cfg).tau
         recorded, freeze_time = _integrate_batch(
-            _VelocityField(state, params),
+            field.velocity,
             seeds,
             sample_times,
             t_end=t_end,
@@ -369,7 +366,7 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     return trajectories
 
 
-def _quantile_batch(cumulative, x0, sample_times, xtol):
+def _quantile_batch(field, x0, sample_times, xtol):
     """Coherent streamlines as quantiles: solve F(x, t_j) = F(x0, 0) per sample time.
 
     Same return pair as ``_integrate_batch``.  A seed whose density is below
@@ -378,7 +375,7 @@ def _quantile_batch(cumulative, x0, sample_times, xtol):
     n = x0.size
     recorded = np.full((sample_times.size, n), np.nan)
     freeze_time = np.full(n, np.inf)
-    target, rho0 = cumulative(x0, 0.0)
+    target, rho0 = field.cumulative(x0, 0.0)
     live = rho0 >= DENSITY_FLOOR
     freeze_time[~live] = 0.0
     x, target = x0[live], target[live]
@@ -387,12 +384,12 @@ def _quantile_batch(cumulative, x0, sample_times, xtol):
             recorded[j] = x0
             continue
         if x.size:
-            x = _solve_quantile(cumulative, x, target, float(t), xtol)
+            x = _solve_quantile(field, x, target, float(t), xtol)
         recorded[j, live] = x
     return recorded, freeze_time
 
 
-def _solve_quantile(cumulative, x, target, t, xtol):
+def _solve_quantile(field, x, target, t, xtol):
     """Vectorized safeguarded Newton for F(x, t) = target, warm-started at ``x``.
 
     F increases with x (dF/dx = rho >= 0), so the sign of each residual
@@ -403,16 +400,16 @@ def _solve_quantile(cumulative, x, target, t, xtol):
     when its bracket is narrower than ``xtol``.  A Newton step that leaves
     the bracket is replaced by bisection.
     """
-    hw = cumulative.half_width
+    hw = field.half_width
     x = x.copy()
     lo = np.full(x.size, -hw)
     hi = np.full(x.size, hw)
     # roundoff of F grows with the y tr(R) / L term
-    floor_scale = 4.0 * np.finfo(float).eps * cumulative.total / (2.0 * hw)
+    floor_scale = 4.0 * np.finfo(float).eps * field.total / (2.0 * hw)
     todo = np.arange(x.size)
     for _ in range(_QUANTILE_ITERATIONS):
         xi = x[todo]
-        F, rho = cumulative(xi, t)
+        F, rho = field.cumulative(xi, t)
         r = F - target[todo]
         lo_i = np.where(r < 0.0, xi, lo[todo])
         hi_i = np.where(r > 0.0, xi, hi[todo])

@@ -277,6 +277,8 @@ def decompose(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> Spectral
     Modes resonant with the lobe (alpha * w equal to L) take the limit
     sqrt(w/L) * trig(k0 c) instead.
     """
+    _check_spec(spec, InputSignalSpec, "signal")
+    _check_spec(cfg, CavityConfig, "cavity")
     spec.validate(cfg)
     N = _check_count(N, "mode count N", 1)
     alphas = np.arange(1, N + 1)
@@ -313,6 +315,19 @@ def _check_count(value, what: str, least: int) -> int:
     if value < least:
         raise DomainError(f"{what} must be >= {least}, got {value!r}")
     return int(value)
+
+
+def _check_bool(value, what: str) -> bool:
+    """``value`` as a Python bool, once it is checked to be a Python or numpy bool."""
+    if not isinstance(value, (bool, np.bool_)):
+        raise DomainError(f"{what} must be a bool, got {value!r}")
+    return bool(value)
+
+
+def _check_spec(value, spec: type, what: str) -> None:
+    """Raise a ``DomainError`` naming ``value`` unless it is a ``spec``."""
+    if not isinstance(value, spec):
+        raise DomainError(f"{what} must be an instance of {spec.__name__}, got {value!r}")
 
 
 def _is_real(value) -> bool:

@@ -375,6 +375,20 @@ def test_mode_count_must_be_an_integer():
     assert bc.parse_config(bc.serialize_config(cfg)) == cfg
 
 
+def test_renormalize_must_be_a_bool(cfg, ref_params):
+    # "no" used to renormalize the state and serialize as "renormalize = no",
+    # which parses back as False
+    with pytest.raises(DomainError, match="modes renormalize must be a bool, got 'no'"):
+        bc.RunConfig(renormalize="no")
+    with pytest.raises(ConfigError, match="modes renormalize must be a bool, got 'no'"):
+        bc.apply_overrides(bc.parse_config(""), renormalize="no")
+    with pytest.raises(DomainError, match="sweep renormalize must be a bool, got 1"):
+        bc.sweep_x0(bc.InputSignalSpec(), [0.0], cfg, ref_params, renormalize=1)
+    config = bc.RunConfig(renormalize=np.bool_(True))
+    assert config.renormalize is True
+    assert bc.parse_config(bc.serialize_config(config)) == config
+
+
 def test_spec_counts_accept_numpy_integers():
     fit = FitSpec(samples=np.int64(60), restarts=np.int32(3), seed=np.int64(7))
     grid = GridSpec(x_points=np.int64(11), t_points=np.uint16(5))

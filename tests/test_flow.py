@@ -4,6 +4,7 @@ import pytest
 import boxcarpets as bc
 from boxcarpets.errors import DomainError, NodeProximityError
 from boxcarpets import flow
+from boxcarpets.decoherence import density_map
 from boxcarpets.flow import _integrate_batch
 
 from conftest import make_state
@@ -473,7 +474,7 @@ def test_coherent_quantiles_match_the_ode_oracle(cfg, rev, kind, x0):
     assert all(tr.status == "completed" for tr in run)
     assert bc.noncrossing_check(run).ok
     reference, freeze = _integrate_batch(
-        flow._VelocityField(state, bc.DecoherenceParams()),
+        flow._PairField(state, 0.0).velocity,
         seeds,
         samples,
         t_end=t_end,
@@ -498,17 +499,61 @@ def test_coherent_ensemble_work_is_sample_bound(monkeypatch):
     t_end = config.grid.t_max_tau * bc.revival_times(config.cavity).tau
     samples = np.linspace(0.0, t_end, config.grid.t_points)
     calls = 0
-    evaluate = flow._Cumulative.__call__
+    evaluate = flow._PairField.cumulative
 
     def counted(self, x, t):
         nonlocal calls
         calls += 1
         return evaluate(self, x, t)
 
-    monkeypatch.setattr(flow._Cumulative, "__call__", counted)
+    monkeypatch.setattr(flow._PairField, "cumulative", counted)
     run = bc.integrate_ensemble(state, config.ensemble, t_end, sample_times=samples)
     assert len(run) == 20 and all(tr.status == "completed" for tr in run)
     assert calls < 15_000
+
+
+@pytest.mark.parametrize("kind, x0", [("single", 0.0), ("single", 20.0), ("double", 12.5)])
+def test_damped_cumulative_integrates_the_density(cfg, rev, ref_params, kind, x0):
+    # the closed form of F holds at gamma > 0: dF/dx is density_map and F(L/2) the trace
+    state = bc.decompose(bc.InputSignalSpec(kind, x0, 10.0), cfg, 50)
+    field = flow._PairField(state, ref_params.gamma)
+    x = np.linspace(-cfg.half_width, cfg.half_width, 2001)
+    h = x[1] - x[0]
+    for t in np.array([0.0, 0.37, 1.0, 3.0, 8.0]) * rev.tau:
+        F, rho = field.cumulative(x, t)
+        density = density_map(state, x, [t], ref_params)[0]
+        assert np.max(np.abs(rho - density)) <= 1e-14
+        assert abs(F[-1] - field.total) <= 1e-14
+        # composite Simpson over every odd-length prefix of the grid
+        simpson = np.cumsum(h / 3.0 * (density[:-2:2] + 4.0 * density[1:-1:2] + density[2::2]))
+        assert np.max(np.abs(F[2::2] - simpson)) <= 1e-9
+
+
+def test_damped_streamlines_do_not_transport_the_probability():
+    # energy damping delocalizes without a flux that carries the density:
+    # F(x_i(t), t) = F(x_i(0), 0) holds on coherent paths only
+    config = bc.parse_config("")
+    state = bc.build_state(config)
+    t_end = config.grid.t_max_tau * bc.revival_times(config.cavity).tau
+
+    def transport_defect(params):
+        run = bc.integrate_ensemble(state, config.ensemble, t_end, params=params)
+        assert len(run) == 20 and all(tr.status == "completed" for tr in run)
+        field = flow._PairField(state, params.gamma)
+        start = field.cumulative(np.array([tr.positions[0] for tr in run]), 0.0)[0]
+        end = field.cumulative(np.array([tr.positions[-1] for tr in run]), t_end)[0]
+        return float(np.max(np.abs(end - start)))
+
+    assert config.deco.gamma > 0.0
+    assert transport_defect(config.deco) > 0.02
+    assert transport_defect(bc.DecoherenceParams()) <= 1e-12
+    # the quantile solver run on the damped cumulative does carry it
+    field = flow._PairField(state, config.deco.gamma)
+    seeds = bc.ensemble_seeds(config.ensemble, config.signal)
+    recorded, freeze = flow._quantile_batch(field, seeds, np.array([0.0, t_end]), 1e-10)
+    assert np.all(np.isinf(freeze))
+    defect = field.cumulative(recorded[-1], t_end)[0] - field.cumulative(seeds, 0.0)[0]
+    assert np.max(np.abs(defect)) <= 1e-12
 
 
 def test_coherent_members_at_nodes(cfg, rev):

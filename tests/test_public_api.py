@@ -1,7 +1,8 @@
 """One spelling per setting in the public signatures: the damping model is
 always a ``DecoherenceParams`` (its default is the coherent model, never
 None), the fit settings always a ``FitSpec``, and an ensemble is seeded
-explicitly exactly when it has seeds."""
+explicitly exactly when it has seeds.  A cavity, signal, state or curve
+argument of the wrong type is a ``DomainError``, as a bad damping model is."""
 
 import importlib
 import inspect
@@ -106,3 +107,26 @@ def test_a_bad_damping_model_is_a_domain_error(name, bad):
     expected = f"damping model must be a DecoherenceParams, got {re.escape(repr(bad))}"
     with pytest.raises(bc.DomainError, match=expected):
         call(bad)
+
+
+def _typed_argument_calls():
+    """One call per entry point whose cavity, signal, state or curve argument is ``bad``."""
+    cfg = bc.CavityConfig()
+    signal = bc.InputSignalSpec("single", 0.0, 10.0)
+    params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA)
+    return {
+        "decompose-cfg": lambda bad: bc.decompose(signal, bad, 8),
+        "decompose-spec": lambda bad: bc.decompose(bad, cfg, 8),
+        "decay_time_map-cfg": lambda bad: bc.decay_time_map(bad, params, 8),
+        "sweep_x0-cfg": lambda bad: bc.sweep_x0(signal, [0.0], bad, params, N=8),
+        "purity_curve-state": lambda bad: bc.purity_curve(bad, 1.0, params),
+        "fit_purity-curve": lambda bad: bc.fit_purity(bad),
+    }
+
+
+@pytest.mark.parametrize("bad", [None, [1.0, 2.0]], ids=["None", "list"])
+@pytest.mark.parametrize("name", sorted(_typed_argument_calls()))
+def test_a_wrongly_typed_argument_is_a_domain_error(name, bad):
+    # each of these used to raise AttributeError from inside the call
+    with pytest.raises(bc.DomainError, match=f"must be an instance of .*, got {re.escape(repr(bad))}$"):
+        _typed_argument_calls()[name](bad)
