@@ -36,7 +36,8 @@ def _set_real(spec, section: str, name: str, least=None, strict: bool = False) -
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Render-grid shape: axis point counts and the time span in tau units."""
+    """Render-grid shape: axis point counts, the time span and the distinct
+    density-matrix snapshot times, both in tau units."""
 
     x_points: int = 1001
     t_points: int = 1001
@@ -47,8 +48,10 @@ class GridSpec:
         _set_count(self, "grid", "x_points", 2)
         _set_count(self, "grid", "t_points", 2)
         _set_real(self, "grid", "t_max_tau", 0, strict=True)
-        snapshots = _check_times(self.snapshots_tau, "grid snapshots_tau")
-        object.__setattr__(self, "snapshots_tau", tuple(snapshots.tolist()))
+        snapshots = _check_times(self.snapshots_tau, "grid snapshots_tau").tolist()
+        if len(set(snapshots)) < len(snapshots):
+            raise DomainError("grid snapshots_tau must not repeat a value")  # each names its own files
+        object.__setattr__(self, "snapshots_tau", tuple(snapshots))
 
 
 @dataclass(frozen=True)

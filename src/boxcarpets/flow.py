@@ -22,10 +22,11 @@ transports it.
 
 Damped paths are integrated.  Near density nodes the field diverges.  The
 integrator treats a density below ``DENSITY_FLOOR`` as a node-proximity
-signal: the step is rejected and halved, and once the step floor is reached
-the affected trajectory is returned truncated with status ``step-floor-hit``
-instead of blowing up.  In both routes a seed whose density is below the
-floor stops at t = 0 with that status.
+signal: a stage that meets it fails the step like its error test, so the
+controller shrinks the step.  A member that still fails at the step floor,
+or has no valid slope where a step starts, is returned truncated with status
+``step-floor-hit`` instead of blowing up.  In both routes a seed whose
+density is below the floor stops at t = 0 with that status.
 """
 
 from __future__ import annotations
@@ -433,13 +434,16 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
     """Shared-step adaptive RK45 over a batch of independent scalar ODEs.
 
     The step is bounded only by the embedded error estimate and ``t_end``;
-    ``h_start`` is the first step and the step after a member is frozen.
+    ``h_start`` is the first step and the step after a freeze at ``h_floor``.
     The sample times do not move the steps: after each accepted step
     (t, t + h] every sample time in it is filled from the pair's free dense
     output, and a sample past the wall is reflected into the box like a
-    step.  Returns the positions recorded at the sample times (NaN where a
-    component's accepted steps did not reach, because it was frozen) and the
-    per-component freeze time (inf when completed).
+    step.  A stage that flags an active component below the node floor fails
+    the step like its error test; a component that fails at ``h_floor``, or
+    is flagged where a step starts, is frozen there.  Returns the positions
+    recorded at the sample times (NaN where a component's accepted steps did
+    not reach, because it was frozen) and the per-component freeze time (inf
+    when completed).
     """
     n = y0.size
     y = y0.astype(float).copy()
@@ -455,9 +459,8 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
 
     K = np.empty((7, n))  # stage slopes; row 0 is the FSAL slope at (t, y)
     K[0], bad = field(y, t)
-    if bad.any():
-        freeze_time[bad] = t
-        active &= ~bad
+    freeze_time[bad] = t
+    active &= ~bad
 
     h = h_start
     facold = 1e-4
@@ -472,30 +475,21 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
             continue
         h = min(h, t_end - t)
 
-        floor_mask = None
         for i in range(1, 7):
             yi = y + h * (_RK_A[i, :i] @ K[:i])
             K[i], bad = field(yi, t + _RK_C[i] * h)
             hit = bad & active
             if hit.any():
-                floor_mask = hit
                 break
 
-        if floor_mask is not None:
-            # node proximity: halve the step; at the floor, truncate the offenders
-            if h <= h_floor:
-                freeze_time[floor_mask] = t
-                active &= ~floor_mask
-                h = h_start
-            else:
-                h *= 0.5
-            growth_cap = 1.0
-            continue
-
-        y5 = yi  # the last stage input is the 5th-order solution
-        err = h * (_RK_E @ K)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
-        ratios = np.abs(err) / scale
+        if hit.any():
+            # node proximity: the flagged members fail the step like its error test
+            ratios = np.where(hit, np.inf, 0.0)
+        else:
+            y5 = yi  # the last stage input is the 5th-order solution
+            err = h * (_RK_E @ K)
+            scale = atol + rtol * np.maximum(np.abs(y), np.abs(y5))
+            ratios = np.abs(err) / scale
         enorm = float(ratios[active].max())
 
         if enorm <= 1.0:
@@ -512,7 +506,10 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
             if np.any(np.abs(y) > half_width):
                 # reflect roundoff-level overshoot back inside the box
                 y = _reflect(y, half_width)
-                K[0], _ = field(y, t + h)
+                K[0], bad = field(y, t + h)
+                # a member reflected onto the node floor has no valid slope: it stops here
+                freeze_time[bad & active] = t + h
+                active &= ~bad
             else:
                 K[0] = K[6]
             t += h

@@ -99,7 +99,8 @@ def _product_densmat(r: _Run) -> list[Path]:
     paths = [corr_path, corr_ppm]
     for snap in r.config.grid.snapshots_tau:
         grid = density_matrix_grid(r.state, x, x, snap * r.tau, r.config.deco)
-        tag = format(snap, "g")
+        # shortest round-trip digits: distinct snapshots name distinct files
+        tag = np.format_float_positional(snap, trim="-")
         meta = r.meta | {"t_tau": tag}
         re_csv = r.out / f"densmat_re_t{tag}.csv"
         im_csv = r.out / f"densmat_im_t{tag}.csv"
@@ -139,10 +140,11 @@ def _product_decaymap(r: _Run) -> list[Path]:
     times = decay_time_map(r.config.cavity, r.config.deco, r.config.n_modes)
     csv_path = r.out / "decay_times.csv"
     csvio.write_mode_matrix(times, csv_path, meta=r.meta)
-    # image on a log scale; the never-decaying diagonal takes the top color
+    # image on a log scale; the never-decaying diagonal takes the top color,
+    # and a one-mode map, which is all diagonal, the middle one
     logt = np.log10(times)
     finite = np.isfinite(logt)
-    top = float(logt[finite].max())
+    top = float(logt[finite].max()) if finite.any() else 0.0
     ppm_path = r.out / "decay_times.ppm"
     ppm_path.write_bytes(render_heatmap(np.where(finite, logt, top), SEQUENTIAL))
     return [csv_path, ppm_path]

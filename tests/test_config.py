@@ -165,7 +165,7 @@ def test_readme_example_config_is_the_reference():
     renormalize=st.booleans(),
     seeds=st.one_of(st.none(), st.lists(st.floats(-5.0, 5.0), min_size=1, max_size=4, unique=True)),
     bounds=st.tuples(st.one_of(st.none(), st.floats(0.0, 5.0)), st.one_of(st.none(), st.floats(5.0, 20.0))),
-    snapshots=st.lists(st.floats(0.0, 30.0), max_size=3),
+    snapshots=st.lists(st.floats(0.0, 30.0), max_size=3, unique=True),
     count=st.integers(min_value=1, max_value=40),
     numpy_scalars=st.booleans(),
 )
@@ -223,6 +223,14 @@ def test_apply_overrides_validates():
     assert "tmax" in str(err.value)
     with pytest.raises(ConfigError):
         bc.apply_overrides(base, tmax_tau=float("inf"))
+
+
+def test_repeated_snapshot_is_rejected():
+    # each snapshot names its own density-matrix files
+    with pytest.raises(DomainError):
+        GridSpec(snapshots_tau=(0.5, 1.0, 0.5))
+    with pytest.raises(ConfigError, match="snapshots_tau"):
+        bc.parse_config("[grid]\nsnapshots_tau = 1, 1.0\n")
 
 
 def test_spec_dataclass_validation():

@@ -327,6 +327,46 @@ def test_integrator_reflects_at_the_wall():
     assert np.any(np.diff(recorded[:, 1]) < 0.0)
 
 
+def _counted(field):
+    """``field`` with a call counter in its ``calls`` attribute."""
+
+    def counted(x, t):
+        counted.calls += 1
+        return field(x, t)
+
+    counted.calls = 0
+    return counted
+
+
+def test_node_floor_stage_fails_the_step_like_its_error_test():
+    # the field of test_integrator_guards: a stage past x = 1 shrinks the
+    # step by the controller's factor 0.2, so the freeze at the floor crossing
+    # t = 0.5 is reached in a few rejected steps, not ~40 halvings
+    field = _counted(lambda x, t: (np.ones_like(x), x > 1.0))
+    recorded, freeze = _integrate_batch(field, np.array([-3.0, 0.5]), np.linspace(0.0, 3.0, 9), t_end=3.0,
+                                        rtol=1e-8, atol=1e-10, h_start=0.05 / 8.0, h_floor=1e-9,
+                                        half_width=100.0)
+    assert np.isinf(freeze[0])
+    assert abs(freeze[1] - 0.5) <= 1e-9
+    assert field.calls < 200
+
+
+def test_member_reflected_onto_the_node_floor_stops_there():
+    # one error-free step from 0.5 ends at 1.005, past the wall at 1; it is
+    # mirrored to 0.995, where the field is flagged: no slope is carried on
+    def raw(x, t):
+        bad = (x > 0.99) & (x <= 1.0)
+        return np.where(bad, 0.0, 1.0), bad
+
+    field = _counted(raw)
+    recorded, freeze = _integrate_batch(field, np.array([0.5]), np.array([0.0, 0.505, 0.8]), t_end=0.8,
+                                        rtol=1.0, atol=1.0, h_start=0.505, h_floor=1e-9, half_width=1.0)
+    assert freeze.tolist() == [0.505]
+    assert recorded[:2, 0] == pytest.approx([0.5, 0.995], abs=1e-12)
+    assert np.isnan(recorded[2, 0])
+    assert field.calls <= 10
+
+
 def _one_step(slope, samples, t_end):
     """Dense samples of x' = slope(t) from x = 0 and x = 1 over a single step."""
     return _integrate_batch(

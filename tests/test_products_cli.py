@@ -141,6 +141,42 @@ def test_densmat_product(tmp_path):
     assert header.startswith("alpha,1,2,")
 
 
+def test_default_densmat_names(tmp_path):
+    config = small_config(tmp_path, ("densmat",))
+    grid = dataclasses.replace(config.grid, snapshots_tau=bc.GridSpec().snapshots_tau)
+    config = dataclasses.replace(config, grid=grid)
+    names = {f.split("/")[-1] for f in bc.run(config)["products"]["densmat"]}
+    assert {n for n in names if n.startswith("densmat_re") and n.endswith(".csv")} == {
+        "densmat_re_t0.csv", "densmat_re_t0.5.csv", "densmat_re_t1.csv", "densmat_re_t20.csv"
+    }
+
+
+def test_close_densmat_snapshots_write_distinct_files(tmp_path):
+    # 1.0000001 and 1.0000002 agree to 6 significant digits
+    config = small_config(tmp_path, ("densmat",))
+    grid = dataclasses.replace(config.grid, snapshots_tau=(1.0000001, 1.0000002))
+    config = dataclasses.replace(config, grid=grid)
+    manifest = bc.run(config)
+    assert manifest["failures"] == {}
+    names = [f.split("/")[-1] for f in manifest["products"]["densmat"]]
+    planes = [name for name in names if name.startswith("densmat_")]
+    assert len(planes) == len(set(planes)) == len(list(tmp_path.glob("densmat_*"))) == 6
+    assert "densmat_re_t1.0000002.csv" in planes
+    # the pixmaps of so close times may round to the same pixels; the tables differ
+    tables = [name for name in planes if name.endswith(".csv")]
+    assert len({manifest["checksums"][name] for name in tables}) == 4
+    assert "t_tau=1.0000001" in (tmp_path / "densmat_im_t1.0000001.csv").read_text().splitlines()[0]
+
+
+def test_decaymap_of_one_mode(tmp_path):
+    # the one-mode map is all never-decaying diagonal: [[inf]]
+    config = dataclasses.replace(small_config(tmp_path, ("decaymap",)), n_modes=1)
+    assert bc.run(config)["failures"] == {}
+    rows = [ln for ln in (tmp_path / "decay_times.csv").read_text().splitlines() if not ln.startswith("#")]
+    assert rows[1].split(",")[1:] == ["inf"]
+    assert (tmp_path / "decay_times.ppm").read_bytes().startswith(b"P6\n1 1\n255\n")
+
+
 def test_fit_product_and_failure_exit_code(tmp_path):
     assert bc.run(small_config(tmp_path / "ok", ("fit",)))["failures"] == {}
     # a coherent run has a constant purity curve: the fit product must fail
