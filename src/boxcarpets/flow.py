@@ -15,10 +15,15 @@ x are two reductions of that one pair field, and F's closed form holds at
 any gamma.
 
 A coherent (gamma = 0) streamline keeps the probability to its left
-constant, F(x(t), t) = F(x0, 0); those paths are solved as quantiles of F
-at each sample time, with no time stepping.  Damped streamlines do not
-carry F: the energy damping delocalizes the density without a flux that
-transports it.
+constant, F(x(t), t) = F(x0, 0); those paths are solved as quantiles of F,
+with no time stepping.  The coherent state repeats with the period
+T_p = T_rev / g, g the gcd of its integer beats alpha_b^2 - alpha_a^2
+(T_p = tau for one parity class), and its real coefficients make F even in
+t, so F is the same at t, T_p - t and t + T_p.  Each sample time is folded
+onto [0, T_p / 2] and the quantile is solved once per distinct folded time.
+Damped streamlines do not carry F: the energy damping delocalizes the
+density without a flux that transports it, and it is not periodic, so the
+damped route does not fold.
 
 Damped paths are integrated.  Near density nodes the field diverges.  The
 integrator treats a density below ``DENSITY_FLOOR`` as a node-proximity
@@ -38,10 +43,10 @@ import numpy as np
 from .decoherence import DecoherenceParams, _BeatSeries, _check_params, _PairKernel, _support
 from .errors import CarpetError, DomainError, NodeProximityError
 from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_count, _check_positions,
-                       _check_real, _check_times, revival_times)
+                       _check_real, _check_times, _coherent_period, revival_times)
 
 DENSITY_FLOOR = 1e-12
-_QUANTILE_ITERATIONS = 200  # per sample; bisection alone needs ~40 across the box
+_QUANTILE_ITERATIONS = 200  # per solve; bisection alone needs ~40 across the box
 
 # Dormand-Prince 5(4) pair; the propagated solution is 5th order and the
 # last stage is the first evaluation of the next step (FSAL).  Row 6 of the
@@ -127,7 +132,9 @@ class _PairField:
 
     and dF/dx = rho = phi R phi^T.  The energy damping leaves the diagonal
     of R at c^2 for every t and gamma, so only the off-diagonal part is
-    rebuilt per time and F(L/2) = tr R is conserved.
+    rebuilt per time and F(L/2) = tr R is conserved.  ``period`` is the
+    period of F in t: ``spectral._coherent_period`` at gamma = 0, and None
+    when damped, since the damping is not periodic.
     """
 
     def __init__(self, state: SpectralState, gamma: float):
@@ -142,6 +149,7 @@ class _PairField:
         self.diag = self.kernel.c**2 / (2.0 * k**2)
         self.total = float(np.sum(self.kernel.c**2))  # tr R, conserved
         self.half_width = state.cfg.half_width
+        self.period = _coherent_period(state) if gamma == 0.0 else None
         self._t = None
 
     def velocity(self, x: np.ndarray, t: float):
@@ -279,8 +287,10 @@ def integrate_trajectory(
 
     Any seed inside the box is accepted, also one outside the signal
     support.  At gamma = 0 the path is the quantile of the closed-form
-    cumulative probability at each sample time, solved to the position
-    tolerance ``tol * 1e-2``; for gamma > 0 it comes from adaptive
+    cumulative probability at each distinct folded time, solved to the
+    position tolerance ``tol * 1e-2``: F repeats with the state's period
+    T_p and is even in t, so a sample time t is solved at
+    min(t mod T_p, T_p - t mod T_p).  For gamma > 0 it comes from adaptive
     Dormand-Prince stepping, and the samples from its dense output.  The
     steps are taken at relative tolerance ``tol / 10``, so that the samples,
     which the interpolant fills about 7x less accurately than the steps,
@@ -304,13 +314,13 @@ def integrate_ensemble(
 
     Seeds are resolved against the signal support (``ensemble_seeds``).
     Trajectories never interact.  At gamma = 0 every member is solved at
-    each sample time from the conservation of the probability to its left
-    (see ``integrate_trajectory``), with no time stepping.  For gamma > 0
-    they are advanced together with a shared adaptive step whose per-step
-    error is bounded by ``tol / 10`` for every member individually; the
-    sample times do not limit the step and are filled from the dense output
-    (see ``integrate_trajectory``).  Failures are reported per trajectory
-    through its status.
+    each distinct folded time from the conservation of the probability to
+    its left (see ``integrate_trajectory``), with no time stepping.  For
+    gamma > 0 they are advanced together with a shared adaptive step whose
+    per-step error is bounded by ``tol / 10`` for every member
+    individually; the sample times do not limit the step and are filled
+    from the dense output (see ``integrate_trajectory``).  Failures are
+    reported per trajectory through its status.
     """
     if state.signal is not None:
         seeds = ensemble_seeds(spec, state.signal)
@@ -368,10 +378,16 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
 
 
 def _quantile_batch(field, x0, sample_times, xtol):
-    """Coherent streamlines as quantiles: solve F(x, t_j) = F(x0, 0) per sample time.
+    """Coherent streamlines as quantiles: solve F(x, t) = F(x0, 0) once per distinct folded time.
 
-    Same return pair as ``_integrate_batch``.  A seed whose density is below
-    the node floor stops at t = 0; every other member completes.
+    Same return pair as ``_integrate_batch``.  Where F has the period
+    ``field.period`` (gamma = 0), it is also even in t, because the
+    coefficients are real: F at t, T_p - t and t + T_p agree.  Each sample
+    time then folds onto [0, T_p / 2] (``_fold_times``), and the distinct
+    folded times are solved in increasing order, each warm-started from the
+    last, and copied back to every sample.  A damped F is not folded.  A
+    seed whose density is below the node floor stops at t = 0; every other
+    member completes.
     """
     n = x0.size
     recorded = np.full((sample_times.size, n), np.nan)
@@ -379,15 +395,41 @@ def _quantile_batch(field, x0, sample_times, xtol):
     target, rho0 = field.cumulative(x0, 0.0)
     live = rho0 >= DENSITY_FLOOR
     freeze_time[~live] = 0.0
+    folded, group = _fold_times(sample_times, field.period)
     x, target = x0[live], target[live]
-    for j, t in enumerate(sample_times):
-        if t <= 0.0:
-            recorded[j] = x0
-            continue
-        if x.size:
+    solved = np.empty((folded.size, x.size))
+    for j, t in enumerate(folded):
+        if t > 0.0 and x.size:
             x = _solve_quantile(field, x, target, float(t), xtol)
-        recorded[j, live] = x
+        solved[j] = x
+    recorded[:, live] = solved[group]
+    recorded[sample_times <= 0.0] = x0  # also a seed on a node
     return recorded, freeze_time
+
+
+def _fold_times(times, period):
+    """The distinct folded sample times in increasing order, and each sample's index among them.
+
+    A time t folds to min(r, period - r) with r = t mod period; a folded
+    time within 1e-13 period of 0 is exactly 0, and folded times within
+    1e-13 period of their neighbour are one.  A period of 0.0 (a stationary
+    state) folds every time to 0; None (damped) folds none.
+    """
+    if period is None:
+        folded, tol = times, 0.0
+    elif period == 0.0:
+        folded, tol = np.zeros_like(times), 0.0
+    else:
+        r = np.mod(times, period)
+        folded = np.minimum(r, period - r)
+        tol = 1e-13 * period
+        folded[folded <= tol] = 0.0
+    order = np.argsort(folded, kind="stable")
+    ordered = folded[order]
+    first = np.concatenate(([True], np.diff(ordered) > tol))
+    group = np.empty(times.size, dtype=int)
+    group[order] = np.cumsum(first) - 1
+    return ordered[first], group
 
 
 def _solve_quantile(field, x, target, t, xtol):

@@ -64,6 +64,20 @@ def revival_times(cfg: CavityConfig) -> RevivalTimes:
     return RevivalTimes(t_revival=t_rev, tau=t_rev / 8.0)
 
 
+def _coherent_period(state: SpectralState) -> float:
+    """Period T_p = T_rev / g of the coherent (gamma = 0) state, 0.0 if it is stationary.
+
+    Every beat is the integer alpha_b^2 - alpha_a^2 times ``_beat_unit``,
+    and ``_beat_unit`` times T_rev is 2 pi, so the state repeats after
+    T_rev / g, with g the gcd of alpha^2 - alpha_0^2 over the populated
+    modes (8 for one parity class, where T_p = tau).  With one populated
+    mode g is 0: no beat, and every time is a period.
+    """
+    square = state.alphas[state.coeffs != 0.0] ** 2
+    g = math.gcd(*(square - square[:1]).tolist())
+    return revival_times(state.cfg).t_revival / g if g else 0.0
+
+
 def _beat_unit(cfg: CavityConfig) -> float:
     """(E_alpha' - E_alpha) / hbar per unit of alpha'^2 - alpha^2."""
     return cfg.hbar * np.pi**2 / (2.0 * cfg.m * cfg.L**2)

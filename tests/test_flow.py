@@ -3,7 +3,7 @@ import pytest
 
 import boxcarpets as bc
 from boxcarpets.errors import DomainError, NodeProximityError
-from boxcarpets import flow
+from boxcarpets import flow, spectral
 from boxcarpets.decoherence import density_map
 from boxcarpets.flow import _integrate_batch
 
@@ -533,11 +533,12 @@ def test_coherent_quantiles_match_the_ode_oracle(cfg, rev, kind, x0):
 
 
 def test_coherent_ensemble_work_is_sample_bound(monkeypatch):
-    # the quantile solve has no time steps: its work is a few evaluations per sample
-    config = bc.parse_config("")
-    state = bc.build_state(config)
-    t_end = config.grid.t_max_tau * bc.revival_times(config.cavity).tau
-    samples = np.linspace(0.0, t_end, config.grid.t_points)
+    # the quantile solve has no time steps: its work is a few evaluations per
+    # distinct folded time, 63 of the 1001 samples at x0 = 0 (T_p = tau) and
+    # 501 at x0 = 20 (T_p = T_rev)
+    default = bc.parse_config("")
+    t_end = default.grid.t_max_tau * bc.revival_times(default.cavity).tau
+    samples = np.linspace(0.0, t_end, default.grid.t_points)
     calls = 0
     evaluate = flow._PairField.cumulative
 
@@ -547,9 +548,104 @@ def test_coherent_ensemble_work_is_sample_bound(monkeypatch):
         return evaluate(self, x, t)
 
     monkeypatch.setattr(flow._PairField, "cumulative", counted)
+    for config, bound in ((default, 1_000), (bc.apply_overrides(default, x0=20.0), 3_500)):
+        calls = 0
+        run = bc.integrate_ensemble(bc.build_state(config), config.ensemble, t_end, sample_times=samples)
+        assert len(run) == 20 and all(tr.status == "completed" for tr in run)
+        assert calls < bound
+
+
+@pytest.mark.parametrize(
+    "kind, x0, periods_per_revival", [("single", 0.0, 8), ("single", 20.0, 1), ("double", 12.5, 8)]
+)
+def test_coherent_cumulative_repeats_with_the_period_and_is_even_in_time(cfg, rev, kind, x0, periods_per_revival):
+    # the fold rests on F(x, T_p - t) = F(x, t + T_p) = F(x, t) at gamma = 0
+    state = bc.decompose(bc.InputSignalSpec(kind, x0, 10.0), cfg, 50)
+    period = spectral._coherent_period(state)
+    assert period == pytest.approx(rev.t_revival / periods_per_revival, rel=1e-15)
+    field = flow._PairField(state, 0.0)
+    assert field.period == period
+    x = np.linspace(-cfg.half_width, cfg.half_width, 2001)
+
+    def defect(trial):
+        worst = 0.0
+        for t in np.array([0.0, 0.13, 0.37, 0.5, 0.81, 2.6]) * trial:
+            F = field.cumulative(x, t)[0].copy()
+            for image in (trial - t, t + trial, t + 3.0 * trial):
+                worst = max(worst, float(np.max(np.abs(field.cumulative(x, image)[0] - F))))
+        return worst / field.total
+
+    assert defect(period) <= 1e-12
+    # half the period is not one: the fold needs the exact gcd
+    assert defect(period / 2.0) > 0.1
+
+
+def test_coherent_period_is_the_revival_time_over_the_beat_gcd(cfg, rev):
+    # populated modes (1, 2): g = 3; (2, 4): g = 12; (1, 3, 5): g = 8; one mode: stationary
+    for coeffs, g in (([0.6, 0.8], 3), ([0.0, 0.6, 0.0, 0.8], 12), ([0.6, 0.0, 0.6, 0.0, 0.5], 8)):
+        assert spectral._coherent_period(make_state(cfg, coeffs)) == rev.t_revival / g
+    assert spectral._coherent_period(make_state(cfg, [0.0, 0.0, 1.0])) == 0.0
+    assert flow._PairField(make_state(cfg, [0.6, 0.8]), bc.DEFAULT_GAMMA).period is None
+
+
+def _sequential_quantiles(state, seeds, samples, xtol):
+    """The unfolded reference: one warm-started quantile solve per sample time, in time order."""
+    field = flow._PairField(state, 0.0)
+    target = field.cumulative(seeds, 0.0)[0]
+    x, rows = seeds, []
+    for t in samples:
+        if t > 0.0:
+            x = flow._solve_quantile(field, x, target, float(t), xtol)
+        rows.append(x)
+    return np.array(rows)
+
+
+def test_folded_positions_repeat_bit_for_bit(state20, double125):
+    # samples every tenth of the period over three periods, without t = 0:
+    # sample j lies at t, 10 - j at T_p - t, j + 10 at t + T_p, and 10, 20, 30
+    # at multiples of T_p, which fold to exactly 0
+    spec = bc.EnsembleSpec(count=8)
+    for state in (state20, double125):
+        period = spectral._coherent_period(state)
+        samples = np.linspace(0.0, 3.0 * period, 31)[1:]
+        run = bc.integrate_ensemble(state, spec, samples[-1], sample_times=samples)
+        # row j is sample j; no row 0
+        positions = np.vstack([np.full(spec.count, np.nan), np.array([tr.positions for tr in run]).T])
+        seeds = bc.ensemble_seeds(spec, state.signal)
+        for j in (10, 20, 30):
+            assert np.array_equal(positions[j], seeds)
+        for j in range(1, 6):
+            assert not np.array_equal(positions[j], seeds)
+            for image in (10 - j, j + 10, 20 - j, j + 20, 30 - j):
+                assert np.array_equal(positions[image], positions[j])
+
+
+def test_stationary_state_stays_at_its_seeds(cfg, rev):
+    state = make_state(cfg, [0.0, 0.0, 1.0])
+    seeds = np.array([-20.0, -3.0, 4.0, 11.0])
+    samples = np.linspace(0.0, 3.0 * rev.tau, 17)
+    run = bc.integrate_ensemble(state, bc.EnsembleSpec(seeds=tuple(seeds)), samples[-1], sample_times=samples)
+    for seed, tr in zip(seeds, run):
+        assert tr.status == "completed" and np.array_equal(tr.times, samples)
+        assert np.all(tr.positions == seed)
+
+
+@pytest.mark.parametrize("grid", ["default", "random"])
+def test_folded_quantiles_match_the_sequential_solve(rev, grid):
+    # on the lattice (63 distinct folded times of 1001) and off it, where almost none coincide
+    config = bc.parse_config("")
+    state = bc.build_state(config)
+    t_end = config.grid.t_max_tau * rev.tau
+    if grid == "default":
+        samples = np.linspace(0.0, t_end, config.grid.t_points)
+    else:
+        samples = np.unique(np.random.default_rng(7).uniform(0.0, t_end, 300))
+    seeds = bc.ensemble_seeds(config.ensemble, config.signal)
     run = bc.integrate_ensemble(state, config.ensemble, t_end, sample_times=samples)
-    assert len(run) == 20 and all(tr.status == "completed" for tr in run)
-    assert calls < 15_000
+    assert all(tr.status == "completed" for tr in run)
+    positions = np.array([tr.positions for tr in run]).T
+    reference = _sequential_quantiles(state, seeds, samples, 1e-8 * 1e-2)
+    assert float(np.max(np.abs(positions - reference))) <= 1e-9
 
 
 @pytest.mark.parametrize("kind, x0", [("single", 0.0), ("single", 20.0), ("double", 12.5)])
