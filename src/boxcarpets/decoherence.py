@@ -18,6 +18,7 @@ trace.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -207,26 +208,89 @@ class _BeatSeries:
         cos(n theta) = (-1)^n cos(n theta_w), sum_n (-1)^n C_n = 0 and
         sin(n theta) = -(-1)^n sin(n theta_w).  So the density and flux
         near a wall are sums of small terms, not cancellations of order-one
-        ones.
+        ones.  The sines of the multiples of theta / 2 and theta are built
+        by angle addition (``_sine_rows``).
         """
         right = x > 0.0
         half = np.where(right, self.half_width - x, x + self.half_width) * (np.pi / (4.0 * self.half_width))
-        n = np.arange(self.size, dtype=float)[:, None]
-        table = np.empty((self.size, x.size))
-        np.multiply(n, half, out=table)
-        np.sin(table, out=table)
+        table = _sine_rows(self.size, half)
         np.square(table, out=table)
         table *= -2.0
         odd = table[1::2]
         np.negative(odd, out=odd, where=right)
         if not flux:
             return table
-        sine = np.empty((self.size, x.size))
-        np.multiply(n, 2.0 * half, out=sine)
-        np.sin(sine, out=sine)
+        sine = _sine_rows(self.size, 2.0 * half)
         even = sine[0::2]
         np.negative(even, out=even, where=right)
         return table, sine
+
+
+# multiples of an angle per block of the angle-addition sine table
+_ANGLE_BLOCK = 40
+
+
+def _sine_rows(size: int, h: np.ndarray) -> np.ndarray:
+    """sin(n h) for n = 0 .. size - 1, one row per n, by angle addition.
+
+    With n = B q + r, B = ``_ANGLE_BLOCK``, a = B q h and b = r h,
+    sin(n h) = sin a + (cos a sin b - sin a 2 sin^2(b / 2)), so sin and cos
+    run on B + size / B rows instead of sin on size rows.  Like sin(n h)
+    itself, sin a carries the rounding of the product B q h; the bracket
+    adds a few roundings of numbers no larger than |sin b| + b^2 / 2.  The
+    first block (q = 0) is sin(r h) exactly.
+    """
+    b = np.arange(min(size, _ANGLE_BLOCK), dtype=float)[:, None] * h
+    sin_b = np.sin(b)
+    vers_b = np.sin(0.5 * b)
+    np.square(vers_b, out=vers_b)
+    vers_b *= 2.0
+    a = np.arange(0, size, _ANGLE_BLOCK, dtype=float)[:, None] * h
+    sin_a, cos_a = np.sin(a), np.cos(a)
+    out = np.empty((size, h.size))
+    scratch = np.empty_like(sin_b)
+    for q, start in enumerate(range(0, size, _ANGLE_BLOCK)):
+        rows = out[start:start + _ANGLE_BLOCK]
+        m = rows.shape[0]
+        np.multiply(sin_b[:m], cos_a[q], out=rows)
+        np.multiply(vers_b[:m], sin_a[q], out=scratch[:m])
+        rows -= scratch[:m]
+        rows += sin_a[q]
+    return out
+
+
+# rows per matrix product of ``_row_blocks``
+_ROW_BLOCK = 32
+
+
+def _row_blocks(rows, tables):
+    """Products of coefficient rows with per-grid tables, in fixed-shape blocks.
+
+    ``rows`` yields, per row, one coefficient vector for each of ``tables``.
+    For each block of up to ``_ROW_BLOCK`` consecutive rows this yields
+    (start, stop, products), products[k] holding the rows start .. stop - 1
+    of coefficients_k @ tables[k].  They are views of buffers that the next
+    block overwrites.  Each block is copied into one reusable, zero-padded
+    (_ROW_BLOCK, size) buffer per table, so every product has one shape and
+    a row's bits do not depend on which rows, or how many, come with it.
+    """
+    coeffs = [np.zeros((_ROW_BLOCK, table.shape[0])) for table in tables]
+    products = [np.empty((_ROW_BLOCK, table.shape[1])) for table in tables]
+    rows = iter(rows)
+    start = 0
+    while True:
+        m = 0
+        for row in itertools.islice(rows, _ROW_BLOCK):
+            for buffer, c in zip(coeffs, row):
+                buffer[m] = c
+            m += 1
+        if m == 0:
+            return
+        for buffer, product, table in zip(coeffs, products, tables):
+            buffer[m:] = 0.0
+            np.matmul(buffer, table, out=product)
+        yield start, start + m, [product[:m] for product in products]
+        start += m
 
 
 def density_map(
@@ -236,15 +300,18 @@ def density_map(
 
     Sums populations plus all pairwise coherence terms, folded onto the
     beat wavenumbers (``_BeatSeries``); the spatial damping rate ``params.lam``
-    never enters because the density lives on the x = x' diagonal.
+    never enters because the density lives on the x = x' diagonal.  The
+    rows are reduced against the grid's table in fixed blocks of 32
+    (``_row_blocks``), so row j has the same bits whatever other times come
+    with times[j], and in whatever order.
     """
     xv = _check_positions(x, state.cfg)
     times = _check_times(times)
     series = _BeatSeries(state, _check_params(params).gamma)
-    table = series.tables(xv)
     out = np.empty((times.size, xv.size))
-    for j, t in enumerate(times):
-        out[j] = series.coefficients(float(t)) @ table
+    coefficients = ((series.coefficients(float(t)),) for t in times)
+    for start, stop, (rho,) in _row_blocks(coefficients, (series.tables(xv),)):
+        out[start:stop] = rho
     return _clamp_density(out)
 
 
@@ -252,12 +319,15 @@ def asymptotic_density(state: SpectralState, x):
     """Long-time density: the populations' share of the density series.
 
     That is the bare population-weighted sum of squared modes, the
-    ``_BeatSeries.base`` coefficients alone; ``density_map`` gives the same
-    row, bit for bit, once every pair's damping has underflowed.
+    ``_BeatSeries.base`` coefficients alone, reduced in the same fixed-shape
+    block as a ``density_map`` row.  So every ``density_map`` row at a time
+    where each pair's damping has underflowed equals it bit for bit, whatever
+    other times share the map.
     """
     xv = _check_positions(x, state.cfg)
     series = _BeatSeries(state, 0.0)
-    rho = _clamp_density(series.base @ series.tables(xv))
+    _, _, (rho,) = next(_row_blocks([(series.base,)], (series.tables(xv),)))
+    rho = _clamp_density(rho[0])
     return rho if np.ndim(x) else float(rho[0])
 
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _BeatSeries, _check_params, _PairKernel, _support
+from .decoherence import DecoherenceParams, _BeatSeries, _check_params, _PairKernel, _row_blocks, _support
 from .errors import CarpetError, DomainError, NodeProximityError
 from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_count, _check_positions,
                        _check_real, _check_times, _coherent_period, revival_times)
@@ -77,7 +77,8 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
     At gamma = 0 each row is two mode sums, psi and its slope, from one
     evaluation of the basis: |psi|^2 keeps its relative accuracy where the
     density is small.  Damped rows are beat-wavenumber series
-    (``_BeatSeries``), summed from the nearer wall.
+    (``_BeatSeries``), summed from the nearer wall and reduced in the fixed
+    row blocks of ``_row_blocks``.
     """
     _require_support(state)
     gamma = _check_params(params).gamma
@@ -96,10 +97,9 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
             rows[j], bad[j] = _flux_ratio(hm, re * dim - im * dre, re**2 + im**2)
         return rows, bad
     series = _BeatSeries(state, gamma)
-    table, sine = series.tables(xv, flux=True)
-    for j, t in enumerate(times):
-        C, S = series.coefficients(float(t), flux=True)
-        rows[j], bad[j] = _flux_ratio(hm, S @ sine, C @ table)
+    coefficients = (series.coefficients(float(t), flux=True) for t in times)
+    for start, stop, (den, num) in _row_blocks(coefficients, series.tables(xv, flux=True)):
+        rows[start:stop], bad[start:stop] = _flux_ratio(hm, num, den)
     return rows, bad
 
 

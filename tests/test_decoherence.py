@@ -204,8 +204,10 @@ def test_asymptotic_density_is_the_late_density_row(request, cfg, which):
     slowest = min(bc.beta(int(a), int(b), params, cfg) for a, b in zip(alpha[:-1], alpha[1:]))
     t_late = 800.0 / slowest
     x = np.unique(np.concatenate([np.linspace(-25.0, 25.0, 401), [-24.99, 0.0, 24.99]]))
-    late = density_map(state, x, [t_late], params)[0]
-    assert np.array_equal(bc.asymptotic_density(state, x), late)
+    # a late row has the asymptotic bits whatever other times share its map
+    late = density_map(state, x, [0.0, 0.5 * t_late, t_late, 2.0 * t_late], params)
+    assert np.array_equal(bc.asymptotic_density(state, x), late[2])
+    assert np.array_equal(bc.asymptotic_density(state, x), late[3])
 
 
 def test_asymptotic_density_trace(state20, box_grid):
@@ -348,3 +350,27 @@ def test_carpets_match_long_double_pair_sum(request, cfg, rev, which, gamma):
             # the pointwise field is the same row
             pointwise = bc.velocity(state, x[keep], t, params)
             assert np.max(np.abs(pointwise - ref[keep]) / scale) <= 1e-13
+
+
+# -- the sine tables of the beat series ----------------------------------------
+
+
+@pytest.mark.parametrize("multiple", [1.0, 2.0])
+def test_angle_addition_sines_are_as_accurate_as_direct_sines(multiple):
+    # the angles of _BeatSeries.tables, theta / 2 (density) and theta (flux),
+    # from the nearer wall of 2001 points in an L = 50 box, n up to 1600
+    x = np.linspace(-25.0, 25.0, 2001)
+    h = multiple * np.where(x > 0.0, 25.0 - x, x + 25.0) * (np.pi / 100.0)
+    size = 1601
+    table = decoherence._sine_rows(size, h)
+    direct = np.sin(np.arange(size, dtype=float)[:, None] * h)
+    exact = np.sin(np.arange(size, dtype=np.longdouble)[:, None] * h.astype(np.longdouble))
+    error, direct_error = (np.abs(t - exact).astype(float) for t in (table, direct))
+    assert error.max() <= 1.01 * direct_error.max()
+    # next to the walls the angles are small: each point's error relative to
+    # its largest entry, worst over the five interior points at each wall
+    near = np.r_[1:6, x.size - 6:x.size - 1]
+    scale = np.abs(exact[:, near]).max(axis=0).astype(float)
+    assert np.max(error[:, near].max(axis=0) / scale) <= np.max(direct_error[:, near].max(axis=0) / scale)
+    # the first block of multiples is sin(r h) itself
+    assert np.array_equal(table[:40], direct[:40])
