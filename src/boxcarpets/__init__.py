@@ -60,7 +60,7 @@ from .flow import (
     velocity,
     velocity_map,
 )
-from .heatmap import DIVERGING, SEQUENTIAL, ColorMap, render_heatmap
+from .heatmap import DIVERGING, SEQUENTIAL, render_heatmap
 from .products import build_state, run
 from .quadrature import decompose_numeric, simpson_integral, simpson_weights
 from .spectral import (

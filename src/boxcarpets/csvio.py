@@ -267,9 +267,9 @@ def write_ensemble(trajectories, sample_times, path, meta_path, meta: dict | Non
     sample_times = np.asarray(sample_times, dtype=float)
     cols = np.full((sample_times.size, n), np.nan)
     for j, tr in enumerate(trajectories):
-        cols[: tr.times.size, j] = tr.positions
         if tr.times.size and not np.array_equal(tr.times, sample_times[: tr.times.size]):
             raise DomainError("trajectory samples do not align with the common grid")
+        cols[: tr.times.size, j] = tr.positions
     head = _meta_line(meta or {}) + "\nt," + ",".join(f"x_{j}" for j in range(1, n + 1)) + "\n"
     _write_grid(path, head.encode(), sample_times, cols)
 

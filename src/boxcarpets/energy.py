@@ -34,8 +34,8 @@ import numpy as np
 from .decoherence import DecoherenceParams, _check_params, density_matrix_grid
 from .errors import DomainError, FitFailure
 from .quadrature import simpson_weights
-from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_bool,
-                       _check_count, _check_real, _check_spec, _check_times, decompose, revival_times)
+from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_axis,
+                       _check_bool, _check_count, _check_real, _check_spec, _check_times, decompose, revival_times)
 
 _MIN_FIT_SAMPLES = 50
 
@@ -109,12 +109,10 @@ class PurityCurve:
     values: np.ndarray
 
     def __post_init__(self):
-        t = _check_array(self.times, "purity curve times")
+        t = _check_axis(self.times, "purity curve times", least=2)
         v = _check_array(self.values, "purity curve values")
-        if t.ndim != 1 or t.shape != v.shape or t.size < 2:
-            raise DomainError("purity curve needs matching 1-D time and value arrays")
-        if np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
-            raise DomainError("purity curve times must be nonnegative and strictly increasing")
+        if t.shape != v.shape or t[0] < 0.0:
+            raise DomainError("purity curve needs nonnegative times and one value for each")
         if np.any(v <= 0.0) or np.any(v > 1.0 + 1e-9):
             raise DomainError("purity values must lie in (0, 1]")
         if np.any(np.diff(v) > 1e-12):

@@ -17,8 +17,8 @@ import numpy as np
 from . import flow
 from .decoherence import DecoherenceParams, density_map
 from .errors import DomainError
-from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_array, _check_count, _check_positions,
-                       _check_real, _check_times, mode_values)
+from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_array, _check_axis, _check_count,
+                       _check_positions, _check_real, mode_values)
 
 
 def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
@@ -59,12 +59,10 @@ class SpaceTimeGrid:
     t: np.ndarray
 
     def __post_init__(self):
-        xv = _check_array(self.x, "grid positions")
-        tv = _check_times(self.t, "grid times")
-        if xv.ndim != 1 or xv.size < 1 or tv.size < 1:
-            raise DomainError("grid axes must be non-empty 1-D arrays")
-        if np.any(np.diff(xv) <= 0.0) or np.any(np.diff(tv) <= 0.0):
-            raise DomainError("grid axes must be strictly increasing")
+        xv = _check_axis(self.x, "grid positions")
+        tv = _check_axis(self.t, "grid times")
+        if tv[0] < 0.0:
+            raise DomainError("grid times must be nonnegative")
         xv.setflags(write=False)
         tv.setflags(write=False)
         object.__setattr__(self, "x", xv)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .decoherence import DecoherenceParams, _BeatSeries, _check_params, _PairKernel, _row_blocks, _support
 from .errors import CarpetError, DomainError, NodeProximityError
-from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_count, _check_positions,
+from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_axis, _check_count, _check_positions,
                        _check_real, _check_times, _coherent_period, revival_times)
 
 DENSITY_FLOOR = 1e-12
@@ -218,12 +218,10 @@ class Trajectory:
 
     def __post_init__(self):
         object.__setattr__(self, "x0", _check_real(self.x0, "trajectory seed"))
-        t = _check_array(self.times, "trajectory times")
+        t = _check_axis(self.times, "trajectory times", least=0)
         p = _check_array(self.positions, "trajectory positions")
-        if t.shape != p.shape or t.ndim != 1:
+        if t.shape != p.shape:
             raise DomainError("trajectory times and positions must be matching 1-D arrays")
-        if t.size > 1 and np.any(np.diff(t) <= 0.0):
-            raise DomainError("trajectory times must be strictly increasing")
         if self.status not in ("completed", "step-floor-hit"):
             raise DomainError(f"unknown trajectory status {self.status!r}")
         t.setflags(write=False)
@@ -245,9 +243,7 @@ class EnsembleSpec:
         if self.seeds is None:
             object.__setattr__(self, "count", _check_count(self.count, "ensemble count", 1))
             return
-        seeds = _check_array(self.seeds, "explicit seeds")
-        if seeds.ndim != 1 or seeds.size < 1 or np.any(np.diff(seeds) <= 0.0):
-            raise DomainError("explicit seeds must be a non-empty, strictly increasing 1-D list")
+        seeds = _check_axis(self.seeds, "explicit seeds")
         object.__setattr__(self, "seeds", tuple(seeds.tolist()))
         object.__setattr__(self, "count", seeds.size)
 
@@ -339,12 +335,8 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
 
     if sample_times is None:
         sample_times = np.linspace(0.0, t_end, 257)
-    sample_times = _check_times(sample_times, "sample_times")
-    if sample_times.size < 1:
-        raise DomainError("sample_times must be a non-empty 1-D array")
-    if np.any(np.diff(sample_times) <= 0.0):
-        raise DomainError("sample_times must be strictly increasing")
-    if sample_times[-1] > t_end * (1 + 1e-12):
+    sample_times = _check_axis(sample_times, "sample_times")
+    if sample_times[0] < 0.0 or sample_times[-1] > t_end * (1 + 1e-12):
         raise DomainError("sample_times must lie within [0, t_end]")
 
     field = _PairField(state, params.gamma)
@@ -601,9 +593,7 @@ def noncrossing_check(trajectories: list[Trajectory], slack: float = 1e-9) -> No
     for tr in trajectories:
         if not np.array_equal(tr.times, times[: tr.times.size]):
             raise DomainError("trajectories do not share a common sample-time grid")
-    seeds = np.array([tr.x0 for tr in trajectories])
-    if np.any(np.diff(seeds) <= 0.0):
-        raise DomainError("trajectories must be ordered by strictly increasing seed")
+    _check_axis([tr.x0 for tr in trajectories], "trajectory seeds")
     # the running set changes only where a member stops: one block per stop
     sizes = np.array([tr.times.size for tr in trajectories])
     start = 0

@@ -22,7 +22,7 @@ from .energy import PurityCurve, correlation_matrix, decay_time_map, fit_purity,
 from .errors import CarpetError
 from .evolution import SpaceTimeGrid, carpet
 from .flow import integrate_ensemble
-from .heatmap import DIVERGING, SEQUENTIAL, ColorMap, render_heatmap
+from .heatmap import DIVERGING, SEQUENTIAL, render_heatmap
 from .spectral import SpectralState, decompose, revival_times
 
 
@@ -66,12 +66,12 @@ def _product_carpet(r: _Run) -> list[Path]:
     csv_path = r.out / f"carpet_{quantity}.csv"
     csvio.write_carpet(cp, csv_path, meta=r.meta)
     if quantity == "density":
-        cmap = ColorMap(kind="sequential", stops=SEQUENTIAL.stops, vmin=0.0, vmax=float(cp.values.max()))
+        stops, lo, hi = SEQUENTIAL, 0.0, float(cp.values.max())
     else:
         span = float(np.percentile(np.abs(cp.values), 99.5))
-        cmap = ColorMap(kind="diverging", stops=DIVERGING.stops, vmin=-span, vmax=span)
+        stops, lo, hi = DIVERGING, -span, span
     ppm_path = r.out / f"carpet_{quantity}.ppm"
-    ppm_path.write_bytes(render_heatmap(cp.values, cmap))
+    ppm_path.write_bytes(render_heatmap(cp.values, stops, lo, hi))
     return [csv_path, ppm_path]
 
 
@@ -93,9 +93,8 @@ def _product_densmat(r: _Run) -> list[Path]:
     corr_path = r.out / "corrmatrix.csv"
     csvio.write_mode_matrix(corr, corr_path, meta=r.meta | {"plane": "energy_t0"})
     corr_ppm = r.out / "corrmatrix.ppm"
-    span = float(np.abs(corr).max())
-    cmap = ColorMap(kind="diverging", stops=DIVERGING.stops, vmin=-min(span, 0.3), vmax=min(span, 0.3))
-    corr_ppm.write_bytes(render_heatmap(corr, cmap))
+    span = min(float(np.abs(corr).max()), 0.3)
+    corr_ppm.write_bytes(render_heatmap(corr, DIVERGING, -span, span))
     paths = [corr_path, corr_ppm]
     for snap in r.config.grid.snapshots_tau:
         grid = density_matrix_grid(r.state, x, x, snap * r.tau, r.config.deco)
@@ -104,10 +103,12 @@ def _product_densmat(r: _Run) -> list[Path]:
         meta = r.meta | {"t_tau": tag}
         re_csv = r.out / f"densmat_re_t{tag}.csv"
         im_csv = r.out / f"densmat_im_t{tag}.csv"
-        csvio.write_plane(x, x, grid.values.real, re_csv, meta=meta | {"plane": "real"})
+        real = grid.values.real
+        csvio.write_plane(x, x, real, re_csv, meta=meta | {"plane": "real"})
         csvio.write_plane(x, x, grid.values.imag, im_csv, meta=meta | {"plane": "imag"})
         ppm = r.out / f"densmat_re_t{tag}.ppm"
-        ppm.write_bytes(render_heatmap(grid.values.real, DIVERGING))
+        span = max(-float(real.min()), float(real.max()))  # two reductions, no |real| copy
+        ppm.write_bytes(render_heatmap(real, DIVERGING, -span, span))
         paths += [re_csv, im_csv, ppm]
     return paths
 
@@ -146,7 +147,8 @@ def _product_decaymap(r: _Run) -> list[Path]:
     finite = np.isfinite(logt)
     top = float(logt[finite].max()) if finite.any() else 0.0
     ppm_path = r.out / "decay_times.ppm"
-    ppm_path.write_bytes(render_heatmap(np.where(finite, logt, top), SEQUENTIAL))
+    image = np.where(finite, logt, top)
+    ppm_path.write_bytes(render_heatmap(image, SEQUENTIAL, float(image.min()), top))
     return [csv_path, ppm_path]
 
 

@@ -240,6 +240,9 @@ class SpectralState:
     signal: InputSignalSpec | None = None
 
     def __post_init__(self):
+        _check_spec(self.cfg, CavityConfig, "spectral state cavity")
+        if self.signal is not None:
+            _check_spec(self.signal, InputSignalSpec, "spectral state signal")
         arr = _check_array(self.coeffs, "coefficients").copy()
         if arr.ndim != 1 or arr.size < 1:
             raise DomainError("coefficients must form a non-empty 1-D array")
@@ -390,6 +393,17 @@ def _check_array(values, what: str) -> np.ndarray:
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")
+    return arr
+
+
+def _check_axis(values, what: str, least: int = 1) -> np.ndarray:
+    """``values`` as a 1-D float array (``_check_array``) of at least ``least``
+    strictly increasing entries."""
+    arr = _check_array(values, what)
+    if arr.ndim != 1 or arr.size < least or np.any(np.diff(arr) <= 0.0):
+        need = "non-empty, " if least == 1 else ""
+        more = f" of {least} or more entries" if least > 1 else ""
+        raise DomainError(f"{what} must be a {need}strictly increasing 1-D array{more}")
     return arr
 
 

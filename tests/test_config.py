@@ -266,10 +266,6 @@ def test_spec_dataclass_validation():
     assert SweepSpec(start=0.0, stop=20.0, step=0.5).values("single").size == 41
 
 
-def _colormap(**kw):
-    return bc.ColorMap(kind="sequential", stops=bc.SEQUENTIAL.stops, **kw)
-
-
 # every real-valued spec field: how to build a spec with value v, and the attribute
 # that stores it (the last entry, for a tuple)
 _REAL_FIELDS = {
@@ -287,8 +283,6 @@ _REAL_FIELDS = {
     "sweep step": (lambda v: SweepSpec(step=v), "step"),
     "fit span_tau": (lambda v: FitSpec(span_tau=v), "span_tau"),
     "explicit seeds": (lambda v: bc.EnsembleSpec(seeds=(-1.0, v)), "seeds"),
-    "colormap vmin": (lambda v: _colormap(vmin=v), "vmin"),
-    "colormap vmax": (lambda v: _colormap(vmax=v), "vmax"),
 }
 
 _NOT_REAL = {
@@ -301,7 +295,7 @@ _NOT_REAL = {
     "0-d-array": np.array(2.0),
 }
 # None leaves these unset
-_OPTIONAL = ("sweep start", "sweep stop", "colormap vmin", "colormap vmax")
+_OPTIONAL = ("sweep start", "sweep stop")
 
 
 @pytest.mark.parametrize(

@@ -196,6 +196,16 @@ def test_ensemble_csv_pads_missing_samples(tmp_path):
     assert "step-floor-hit" in (tmp_path / "e.meta").read_text()
 
 
+def test_ensemble_csv_rejects_samples_off_the_common_grid(tmp_path):
+    times = np.linspace(0.0, 1.0, 5)
+    shifted = bc.Trajectory(x0=0.0, times=times[:3] + 0.1, positions=np.zeros(3))
+    # more samples than the grid used to raise numpy's broadcast ValueError
+    longer = bc.Trajectory(x0=0.0, times=np.linspace(0.0, 1.25, 6), positions=np.zeros(6))
+    for tr in (shifted, longer):
+        with pytest.raises(bc.DomainError, match="do not align with the common grid"):
+            csvio.write_ensemble([tr], times, tmp_path / "e.csv", tmp_path / "e.meta")
+
+
 def test_matrix_csv_inf_sentinel(tmp_path, cfg):
     times = bc.decay_time_map(cfg, bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA), 5)
     csvio.write_mode_matrix(times, tmp_path / "m.csv")

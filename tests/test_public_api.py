@@ -121,6 +121,7 @@ def _typed_argument_calls():
         "sweep_x0-cfg": lambda bad: bc.sweep_x0(signal, [0.0], bad, params, N=8),
         "purity_curve-state": lambda bad: bc.purity_curve(bad, 1.0, params),
         "fit_purity-curve": lambda bad: bc.fit_purity(bad),
+        "SpectralState-cfg": lambda bad: bc.SpectralState(bad, [1.0]),
     }
 
 
@@ -130,3 +131,14 @@ def test_a_wrongly_typed_argument_is_a_domain_error(name, bad):
     # each of these used to raise AttributeError from inside the call
     with pytest.raises(bc.DomainError, match=f"must be an instance of .*, got {re.escape(repr(bad))}$"):
         _typed_argument_calls()[name](bad)
+
+
+@pytest.mark.parametrize("bad", ["x", bc.CavityConfig()], ids=["str", "cavity"])
+def test_a_spectral_state_signal_is_a_signal_spec_or_none(bad):
+    # None records no signal; anything else used to construct, and every later call failed
+    signal = bc.InputSignalSpec("single", 0.0, 10.0)
+    assert bc.SpectralState(bc.CavityConfig(), [1.0], signal).signal == signal
+    assert bc.SpectralState(bc.CavityConfig(), [1.0]).signal is None
+    expected = f"signal must be an instance of InputSignalSpec, got {re.escape(repr(bad))}$"
+    with pytest.raises(bc.DomainError, match=expected):
+        bc.SpectralState(bc.CavityConfig(), [1.0], signal=bad)
