@@ -17,14 +17,22 @@ def _pixels(data: bytes, width: int, height: int) -> np.ndarray:
     return body.reshape(height, width, 3)
 
 
+def _assert_mid_color(img):
+    assert (img == img[0, 0]).all()
+    # midpoint of the ramp, not an end color
+    assert not np.array_equal(img[0, 0], np.array(SEQUENTIAL[0][1]))
+    assert not np.array_equal(img[0, 0], np.array(SEQUENTIAL[-1][1]))
+
+
+def test_constant_field_renders_mid_color():
+    # a zero velocity carpet is constant, and its data range gives equal anchors
+    _assert_mid_color(_pixels(bc.render_heatmap(np.full((4, 5), 3.7), SEQUENTIAL, 3.7, 3.7), 5, 4))
+
+
 def test_equal_anchors_render_mid_color():
-    # a zero velocity carpet gives equal anchors
-    for field in (np.full((4, 5), 3.7), np.arange(20.0).reshape(4, 5)):
-        img = _pixels(bc.render_heatmap(field, SEQUENTIAL, 3.7, 3.7), 5, 4)
-        assert (img == img[0, 0]).all()
-        # midpoint of the ramp, not an end color
-        assert not np.array_equal(img[0, 0], np.array(SEQUENTIAL[0][1]))
-        assert not np.array_equal(img[0, 0], np.array(SEQUENTIAL[-1][1]))
+    # equal anchors paint the middle color over a field that is not constant too
+    field = np.arange(20.0).reshape(4, 5)
+    _assert_mid_color(_pixels(bc.render_heatmap(field, SEQUENTIAL, 3.7, 3.7), 5, 4))
 
 
 def test_two_by_two_hits_anchor_colors():
@@ -84,6 +92,7 @@ _NOT_REAL = {
     "bool": True,
     "numpy-bool": np.bool_(False),
     "str": "2",
+    "None": None,  # used to ask for an automatic anchor
     "complex": 2j,
     "array": np.array([2.0]),
     "0-d-array": np.array(2.0),
@@ -103,9 +112,15 @@ def test_anchors_must_be_ordered():
     for stops in (SEQUENTIAL, DIVERGING):
         with pytest.raises(DomainError, match="exceeds hi"):
             bc.render_heatmap(np.zeros((2, 2)), stops, 1.0, 0.0)
-    field = np.array([[0.0, 0.5, 1.0]])
-    expected = bc.render_heatmap(field, SEQUENTIAL, 0.0, 1.0)
-    assert bc.render_heatmap(field, SEQUENTIAL, np.int64(0), np.float32(1.0)) == expected
+
+
+@pytest.mark.parametrize("anchor", ["lo", "hi"])
+@pytest.mark.parametrize("good", [np.float32(2.5), np.int64(2), 2], ids=["float32", "int64", "int"])
+def test_real_anchors_of_any_type_render_as_floats(anchor, good):
+    field = np.array([[-1.0, 0.0, 1.0, 2.0, 2.25, 3.5]])
+    anchors = {"lo": -1.0, "hi": 3.5} | {anchor: good}
+    as_float = {k: float(v) for k, v in anchors.items()}
+    assert bc.render_heatmap(field, SEQUENTIAL, **anchors) == bc.render_heatmap(field, SEQUENTIAL, **as_float)
 
 
 def _render_whole_array(values, stops, lo, hi):
