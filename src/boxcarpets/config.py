@@ -123,12 +123,10 @@ _DEFAULT = RunConfig()
 
 
 def _as_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "on", "1"):
-        return True
-    if t in ("false", "no", "off", "0"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
+    try:
+        return configparser.ConfigParser.BOOLEAN_STATES[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"expected a boolean, got {text!r}") from None
 
 
 def _as_name_list(text: str) -> tuple[str, ...]:

@@ -164,9 +164,8 @@ def _format_rows(first, rows) -> bytes:
     # log10 may be one off next to a power of ten: rescale those values once
     off = (head >= 1e17).astype(np.int64) - (head < 1e16)
     redo = np.flatnonzero(off)
-    if redo.size:
-        k[redo] = np.clip(k[redo] + off[redo], 16 - _P_MAX, 16 - _P_MIN)
-        head[redo], tail[redo] = _scale(a[redo], k[redo])
+    k[redo] = np.clip(k[redo] + off[redo], 16 - _P_MAX, 16 - _P_MIN)
+    head[redo], tail[redo] = _scale(a[redo], k[redo])
     floor = np.floor(tail)
     frac = tail - floor
     slow = fast & ((head < 1e16 + _EDGE) | (head > 1e17 - _EDGE) | (np.abs(frac - 0.5) <= _TIE_TOL))
@@ -192,9 +191,8 @@ def _format_rows(first, rows) -> bytes:
 
     ndig = np.full(n, 17, dtype=np.int64)
     trailing = np.flatnonzero(digits % 10 == 0)
-    if trailing.size:
-        nonzero = src[trailing, _DIGIT0 + 16 : _DIGIT0 - 1 : -1] != ord("0")
-        ndig[trailing] = np.where(zero[trailing], 1, 17 - nonzero.argmax(axis=1))
+    nonzero = src[trailing, _DIGIT0 + 16 : _DIGIT0 - 1 : -1] != ord("0")
+    ndig[trailing] = np.where(zero[trailing], 1, 17 - nonzero.argmax(axis=1))
     key = np.where((k >= -4) & (k < 17), k + 4, np.where(np.abs(k) < 100, _FIXED_KEYS, _FIXED_KEYS + 1))
     layout = np.take(_LAYOUTS, (key * 18 + ndig) * 2 + neg, axis=0) + (np.arange(n) * _SRC_WIDTH)[:, None]
     out = np.take(src.ravel(), layout)

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_count, _check_positions, _check_real,
-                       _check_times, _ModeBasis)
+                       _check_spec, _check_times, _ModeBasis)
 
 #: Damping control reproducing beta * tau = (alpha'^2 - alpha^2) / 10.
 DEFAULT_GAMMA = 2.0 / (5.0 * np.pi)
@@ -107,7 +107,8 @@ class _PairKernel:
     slopes, and the density matrix keeps the whole of M.  Everything that
     does not depend on t is formed once per state.  The damping rates
     |E_a - E_b| / hbar are ``beta``'s exact integer beats
-    |alpha_a^2 - alpha_b^2| times ``_beat_unit``.
+    |alpha_a^2 - alpha_b^2| times ``_beat_unit``.  Zero rates and t = 0 go
+    through the same product: their damping factor is exactly 1.
     """
 
     def __init__(self, state: SpectralState, gamma: float):
@@ -118,15 +119,13 @@ class _PairKernel:
         self.gamma = gamma
         # complex once here, so that no call casts it again
         self.W = np.outer(self.c, self.c).astype(complex)
-        if gamma > 0.0:
-            square = state.alphas[populated] ** 2
-            self.absdEh = _beat_unit(cfg) * np.abs(square[:, None] - square[None, :])
+        square = state.alphas[populated] ** 2
+        self.absdEh = _beat_unit(cfg) * np.abs(square[:, None] - square[None, :])
 
     def __call__(self, t: float) -> np.ndarray:
         z = np.exp(-1j * self.Eh * t)
         M = z[:, None] * z.conj()
-        if self.gamma > 0.0 and t > 0.0:
-            M *= np.exp((-self.gamma * t) * self.absdEh)
+        M *= np.exp((-self.gamma * t) * self.absdEh)
         M *= self.W
         return M
 
@@ -179,14 +178,14 @@ class _BeatSeries:
         self.half_width = cfg.half_width
 
     def coefficients(self, t: float, flux: bool = False):
-        """C(t), and with ``flux`` also S(t), each of length ``size``."""
-        p = self.omega.size
-        damped = self.gamma > 0.0 and t > 0.0
-        if damped:
-            p = int(np.searchsorted(self.omega, _EXP_UNDERFLOW / (self.gamma * t), side="right"))
-        omega, minus, plus, w = self.omega[:p], self.minus[:p], self.plus[:p], self.w[:p]
-        if damped:
-            w = w * np.exp((-self.gamma * t) * omega)
+        """C(t), and with ``flux`` also S(t), each of length ``size``.  A zero
+        rate gamma t takes the same sums undamped: its damping factor is exactly 1."""
+        omega, minus, plus, w = self.omega, self.minus, self.plus, self.w
+        rate = self.gamma * t
+        if rate:
+            p = int(np.searchsorted(omega, _EXP_UNDERFLOW / rate, side="right"))
+            omega, minus, plus = omega[:p], minus[:p], plus[:p]
+            w = w[:p] * np.exp(-rate * omega)
         phase = omega * t
         q = np.cos(phase) * w
         C = self.base + np.bincount(minus, q, self.size) - np.bincount(plus, q, self.size)
@@ -305,6 +304,7 @@ def density_map(
     (``_row_blocks``), so row j has the same bits whatever other times come
     with times[j], and in whatever order.
     """
+    _check_spec(state, SpectralState, "density map state")
     xv = _check_positions(x, state.cfg)
     times = _check_times(times)
     series = _BeatSeries(state, _check_params(params).gamma)
@@ -363,7 +363,8 @@ def density_matrix_grid(
     """Evaluate rho(x, x'; t) on the tensor grid of the two position axes.
 
     The mode sum carries the pair phases and energy damping; the spatial
-    damping factorizes out as exp(-Lambda (x - x')^2 t) on the grid.
+    damping factorizes out as exp(-Lambda (x - x')^2 t) on the grid.  Zero
+    rates and t = 0 go through the same products: each factor is exactly 1.
     """
     t = _check_real(t, "time", 0)
     xv = _check_positions(x, state.cfg)
@@ -373,9 +374,7 @@ def density_matrix_grid(
     phi_xp, _ = kernel.basis(xpv)
     # a state with no nonzero coefficient has a zero-length mode axis: a zero grid
     values = phi_x @ kernel(t) @ phi_xp.T
-    lam = params.effective_lambda(state.cfg)
-    if lam > 0.0 and t > 0.0:
-        values = values * np.exp(-lam * t * (xv[:, None] - xpv[None, :]) ** 2)
+    values *= np.exp(-params.effective_lambda(state.cfg) * t * (xv[:, None] - xpv[None, :]) ** 2)
     return DensityMatrixGrid(xv, xpv, t, values)
 
 

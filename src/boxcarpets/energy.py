@@ -63,6 +63,7 @@ def purity(state: SpectralState, t, params: DecoherenceParams):
     S_b(t) = sum_{a<b} p_a exp(-2 beta_ab t) for all times at once; then
     chi = sum p^2 + 2 p . S.
     """
+    _check_spec(state, SpectralState, "purity state")
     t_arr = _check_times(t if np.ndim(t) else [t], "purity times")
     p = state.populations
     alpha = state.alphas[p != 0.0]
@@ -384,7 +385,8 @@ def _fit_restarts(curves: list[PurityCurve], restarts: int, seed: int):
 
 
 def _best_fit(t0: float, rms, theta, coef) -> PurityFit:
-    """The checked fit of the restart with the smallest rms, the first on ties."""
+    """The fit of the restart with the smallest rms, the first on ties; one that
+    ``PurityFit`` rejects is a ``FitFailure`` with the candidate attached."""
     if np.all(np.isnan(rms)):
         raise FitFailure("no restart converged")
     best = int(np.nanargmin(rms))
@@ -394,11 +396,10 @@ def _best_fit(t0: float, rms, theta, coef) -> PurityFit:
     amps = tuple(float(a) for a in coef[best, 1:][order])
     chi0 = float(coef[best, 0])
     candidate = {"chi0": chi0, "amplitudes": amps, "timescales": ts, "t0": t0, "residual": float(rms[best])}
-    if not (0.0 < ts[0] < ts[1] < ts[2]):
-        raise FitFailure("fitted timescales are degenerate", best=candidate)
-    if chi0 <= 0.0:
-        raise FitFailure("fitted baseline is not positive", best=candidate)
-    return PurityFit(**candidate)
+    try:
+        return PurityFit(**candidate)
+    except DomainError as exc:
+        raise FitFailure(str(exc), best=candidate) from None
 
 
 def fit_purity(curve: PurityCurve, fit: FitSpec = FitSpec()) -> PurityFit:

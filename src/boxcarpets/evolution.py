@@ -18,7 +18,7 @@ from . import flow
 from .decoherence import DecoherenceParams, density_map
 from .errors import DomainError
 from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_array, _check_axis, _check_count,
-                       _check_positions, _check_real, mode_values)
+                       _check_positions, _check_real, _check_spec, mode_values)
 
 
 def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
@@ -105,7 +105,7 @@ def carpet(
     params: DecoherenceParams = DecoherenceParams(),
 ) -> CarpetGrid:
     """Evaluate a density or velocity carpet on ``grid`` in one field-map call."""
-    _check_positions(grid.x, state.cfg)
+    _check_spec(state, SpectralState, "carpet state")
     if quantity not in ("density", "velocity"):
         raise DomainError(f"quantity must be 'density' or 'velocity', got {quantity!r}")
     if quantity == "density":

@@ -43,7 +43,7 @@ import numpy as np
 from .decoherence import DecoherenceParams, _BeatSeries, _check_params, _PairKernel, _row_blocks, _support
 from .errors import CarpetError, DomainError, NodeProximityError
 from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_axis, _check_count, _check_positions,
-                       _check_real, _check_times, _coherent_period, revival_times)
+                       _check_real, _check_spec, _check_times, _coherent_period, revival_times)
 
 DENSITY_FLOOR = 1e-12
 _QUANTILE_ITERATIONS = 200  # per solve; bisection alone needs ~40 across the box
@@ -183,6 +183,7 @@ def velocity(state: SpectralState, x, t: float, params: DecoherenceParams = Deco
     t = 0.  Raises ``NodeProximityError`` where the density is below the
     node floor.
     """
+    _check_spec(state, SpectralState, "velocity state")
     t = _check_real(t, "time", 0)
     xv = _check_positions(x, state.cfg)
     rows, masks = _velocity_rows(state, xv, np.array([t]), params)
@@ -203,6 +204,7 @@ def velocity_map(
     Row j is ``velocity`` at times[j], bit for bit: both are rows of
     ``_velocity_rows``.
     """
+    _check_spec(state, SpectralState, "velocity map state")
     xv = _check_positions(x, state.cfg)
     return _velocity_rows(state, xv, _check_times(times), params)[0]
 
@@ -318,6 +320,7 @@ def integrate_ensemble(
     from the dense output (see ``integrate_trajectory``).  Failures are
     reported per trajectory through its status.
     """
+    _check_spec(state, SpectralState, "ensemble state")
     if state.signal is not None:
         seeds = ensemble_seeds(spec, state.signal)
     elif spec.seeds is None:

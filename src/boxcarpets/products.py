@@ -23,7 +23,7 @@ from .errors import CarpetError
 from .evolution import SpaceTimeGrid, carpet
 from .flow import integrate_ensemble
 from .heatmap import DIVERGING, SEQUENTIAL, render_heatmap
-from .spectral import SpectralState, decompose, revival_times
+from .spectral import SpectralState, _check_spec, decompose, revival_times
 
 
 def build_state(config: RunConfig) -> SpectralState:
@@ -180,6 +180,7 @@ def run(config: RunConfig, parallelism: int = 1) -> dict:
     per-product file lists, sha256 checksums, and any per-product failure
     messages (callers map failures to a nonzero exit).
     """
+    _check_spec(config, RunConfig, "run configuration")
     if not config.output.products:
         raise CarpetError("no products requested")
     out = Path(config.output.directory)

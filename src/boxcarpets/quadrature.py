@@ -25,19 +25,14 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     if h <= 0 or not np.allclose(steps, h, rtol=1e-9, atol=0.0):
         raise DomainError("Simpson quadrature requires a uniform, increasing grid")
 
+    m = n if n % 2 else n - 3  # the composite rule's odd prefix
     w = np.zeros(n)
-    if n % 2 == 1:
-        w[0] = w[-1] = 1.0
-        w[1:-1:2] = 4.0
-        w[2:-2:2] = 2.0
-        w *= h / 3.0
-    else:
-        if n >= 6:
-            w1 = np.zeros(n - 3)
-            w1[0] = w1[-1] = 1.0
-            w1[1:-1:2] = 4.0
-            w1[2:-2:2] = 2.0
-            w[: n - 3] += w1 * (h / 3.0)
+    if m > 1:
+        w[0] = w[m - 1] = 1.0
+        w[1 : m - 1 : 2] = 4.0
+        w[2 : m - 2 : 2] = 2.0
+        w[:m] *= h / 3.0
+    if m < n:
         w[n - 4 :] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
     return w
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import boxcarpets as bc
-from boxcarpets import decoherence
+from boxcarpets import decoherence, flow
 from boxcarpets.decoherence import density_map
 from boxcarpets.errors import DomainError
 
@@ -184,6 +184,29 @@ def test_gamma_zero_recovers_coherent_evolution(state20, rev):
     assert np.array_equal(
         bc.probability_density(state20, x, t, p0), bc.probability_density(state20, x, t)
     )
+
+
+@pytest.mark.parametrize("t_tau", [0.0, 0.37, 3.0])
+@pytest.mark.parametrize("which", ["state0", "state20"])
+def test_zero_rates_take_the_damped_path_bit_for_bit(request, rev, which, t_tau):
+    # gamma = 0, lambda = 0 and t = 0 have no branch of their own: their
+    # damping factor is exactly 1, as that of a rate of 1e-300 is
+    state = request.getfixturevalue(which)
+    t = t_tau * rev.tau
+    x = np.linspace(-24.9, 24.9, 97)
+    pairs = [
+        (bc.DecoherenceParams(), bc.DecoherenceParams(gamma=1e-300)),
+        (bc.DecoherenceParams(), bc.DecoherenceParams(lam=1e-300)),
+        (bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA), bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA, lam=1e-300)),
+    ]
+    for zero, tiny in pairs:
+        assert density_map(state, x, [t], zero).tobytes() == density_map(state, x, [t], tiny).tobytes()
+        dm_zero = bc.density_matrix_grid(state, x, x[::3], t, zero).values
+        assert dm_zero.tobytes() == bc.density_matrix_grid(state, x, x[::3], t, tiny).values.tobytes()
+    # the pair field takes only the energy rate
+    zero, tiny = flow._PairField(state, 0.0), flow._PairField(state, 1e-300)
+    for got, want in zip(zero.cumulative(x, t) + zero.velocity(x, t), tiny.cumulative(x, t) + tiny.velocity(x, t)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_asymptotic_density_symmetry_and_values(state20, state0, box_grid):

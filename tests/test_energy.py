@@ -248,6 +248,33 @@ def test_fit_rejects_constant_curve():
         bc.fit_purity(curve)
 
 
+@pytest.mark.parametrize(
+    ("log_scales", "chi0", "message"),
+    [
+        ((0.5, 0.5, 2.0), 0.2, "fit timescales must be positive and strictly increasing"),
+        ((0.5, 1.0, 2.0), 0.0, "fit baseline must be positive"),
+        ((0.5, 1.0, 2.0), -0.1, "fit baseline must be positive"),
+    ],
+    ids=["equal-timescales", "zero-baseline", "negative-baseline"],
+)
+def test_a_best_restart_that_purity_fit_rejects_is_a_fit_failure(state0, rev, ref_params, monkeypatch, log_scales,
+                                                                   chi0, message):
+    # PurityFit alone states the rules on timescale order and baseline
+    rms = np.array([0.5, 0.125])  # restart 1 is the best
+    theta = np.array([[0.0, 1.0, 2.0], log_scales])
+    coef = np.array([[0.3, 0.1, 0.1, 0.1], [chi0, 0.1, 0.2, 0.3]])
+    monkeypatch.setattr(energy, "_fit_restarts", lambda curves, restarts, seed: [(rms, theta, coef)] * len(curves))
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    with pytest.raises(FitFailure, match=f"^{message}$") as caught:
+        bc.fit_purity(curve)
+    timescales = tuple(float(s) for s in np.exp(log_scales))
+    best = {"chi0": chi0, "amplitudes": (0.1, 0.2, 0.3), "timescales": timescales, "t0": 0.0, "residual": 0.125}
+    assert caught.value.best == best
+    rows = bc.sweep_x0(bc.InputSignalSpec("single", 0.0, 10.0), [-5.0, 0.0], bc.CavityConfig(), ref_params)
+    assert [row.error for row in rows] == [message, message]
+    assert all(np.isnan(row.t1) and np.isnan(row.residual) for row in rows)
+
+
 def test_fit_needs_enough_samples(rev):
     curve = _synthetic_curve(0.2, (0.3, 0.3, 0.2), (1.0, 10.0, 100.0), 1000.0, n=20)
     with pytest.raises(DomainError):

@@ -46,6 +46,20 @@ def test_density_equals_wavefunction_square(state20, box_grid, rev):
         assert np.max(np.abs(rho - psi2)) < 1e-12
 
 
+@pytest.mark.parametrize("k", [1, 100, 10_000])
+def test_long_times_lose_only_the_rounding_of_t(state20, rev, k):
+    # wavefunction takes float energies times t, the density series exact
+    # integer beats.  k revivals later both rows differ from the row at
+    # 0.37 tau alike, by an error that grows like k: the rounding of t
+    # itself.  So the float energies add no error of their own.
+    x = np.linspace(-25.0, 25.0, 1001)
+    t0 = 0.37 * rev.tau
+    ref = bc.probability_density(state20, x, t0)
+    t = t0 + k * rev.t_revival
+    for rho in (np.abs(bc.wavefunction(state20, x, t)) ** 2, bc.probability_density(state20, x, t)):
+        assert np.max(np.abs(rho - ref)) <= 2e-13 * k * ref.max()
+
+
 def test_density_symmetry_of_centered_signal(state0, rev):
     x = np.linspace(-25.0, 25.0, 501)
     for t in (0.0, 0.3 * rev.tau, 1.7 * rev.tau):

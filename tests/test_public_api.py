@@ -110,7 +110,7 @@ def test_a_bad_damping_model_is_a_domain_error(name, bad):
 
 
 def _typed_argument_calls():
-    """One call per entry point whose cavity, signal, state or curve argument is ``bad``."""
+    """One call per entry point whose cavity, signal, state, curve or run-configuration argument is ``bad``."""
     cfg = bc.CavityConfig()
     signal = bc.InputSignalSpec("single", 0.0, 10.0)
     params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA)
@@ -122,6 +122,13 @@ def _typed_argument_calls():
         "purity_curve-state": lambda bad: bc.purity_curve(bad, 1.0, params),
         "fit_purity-curve": lambda bad: bc.fit_purity(bad),
         "SpectralState-cfg": lambda bad: bc.SpectralState(bad, [1.0]),
+        "velocity-state": lambda bad: bc.velocity(bad, 0.0, 1.0),
+        "velocity_map-state": lambda bad: bc.velocity_map(bad, [0.0], [1.0]),
+        "carpet-state": lambda bad: bc.carpet(bad, bc.SpaceTimeGrid([0.0, 1.0], [0.0, 1.0])),
+        "density_map-state": lambda bad: decoherence.density_map(bad, [0.0], [0.0]),
+        "integrate_ensemble-state": lambda bad: bc.integrate_ensemble(bad, bc.EnsembleSpec(count=2), 1.0),
+        "purity-state": lambda bad: bc.purity(bad, 0.0, params),
+        "run-config": lambda bad: bc.run(bad),
     }
 
 

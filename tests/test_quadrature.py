@@ -30,6 +30,20 @@ def test_even_count_converges_at_fourth_order():
     assert errs[1] < errs[0] / 12  # ~2^4 reduction
 
 
+@pytest.mark.parametrize("n", range(3, 13))
+def test_weights_are_the_written_out_rule(n):
+    # (1, 4, 2, ..., 4, 1) h/3 on the odd prefix; an even count closes the
+    # last three intervals with (1, 3, 3, 1) 3h/8
+    x = np.linspace(-0.7, 2.2, n)
+    h = (x[-1] - x[0]) / (n - 1)
+    odd = n if n % 2 else n - 3
+    pattern = [1.0] + [4.0, 2.0] * ((odd - 3) // 2) + [4.0, 1.0] if odd > 1 else []
+    expected = np.array([p * (h / 3.0) for p in pattern] + [0.0] * (n - len(pattern)))
+    if n % 2 == 0:
+        expected[-4:] += np.array([1.0, 3.0, 3.0, 1.0]) * (3.0 * h / 8.0)
+    assert bc.simpson_weights(x).tobytes() == expected.tobytes()
+
+
 def test_rejects_bad_grids():
     with pytest.raises(DomainError):
         bc.simpson_weights(np.array([0.0, 1.0]))
