@@ -324,6 +324,7 @@ def asymptotic_density(state: SpectralState, x):
     where each pair's damping has underflowed equals it bit for bit, whatever
     other times share the map.
     """
+    _check_spec(state, SpectralState, "asymptotic density state")
     xv = _check_positions(x, state.cfg)
     series = _BeatSeries(state, 0.0)
     _, _, (rho,) = next(_row_blocks([(series.base,)], (series.tables(xv),)))
@@ -366,6 +367,7 @@ def density_matrix_grid(
     damping factorizes out as exp(-Lambda (x - x')^2 t) on the grid.  Zero
     rates and t = 0 go through the same products: each factor is exactly 1.
     """
+    _check_spec(state, SpectralState, "density matrix state")
     t = _check_real(t, "time", 0)
     xv = _check_positions(x, state.cfg)
     xpv = _check_positions(x_prime, state.cfg)

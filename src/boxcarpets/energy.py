@@ -21,8 +21,10 @@ amplitudes are the least-squares solution of the linear design for given
 log-timescales, and Levenberg-Marquardt moves the log-timescales on the
 projected residual with its exact Jacobian, both from one SVD of the
 design per point.  The Levenberg-Marquardt program is plain numpy and
-steps many problems at once: every restart of a fit, and in a sweep every
-restart of every center, with the designs factored as stacks.
+steps many problems at once, with the designs factored as stacks.  A fit
+runs its restarts in rounds of 4, each round one batch (in a sweep, over
+every center not yet finished), and stops once 2 restarts agree on its
+best rms: most curves confirm their minimum in the first round.
 """
 
 from __future__ import annotations
@@ -43,7 +45,9 @@ _MIN_FIT_SAMPLES = 50
 @dataclass(frozen=True)
 class FitSpec:
     """The fit's purity curve, ``samples`` >= 50 times over ``span_tau`` times
-    tau, and its ``restarts`` starts, all but the first jittered from ``seed``."""
+    tau, and its starts, all but the first jittered from ``seed``.
+    ``restarts`` is a cap, run in rounds of 4: a curve stops after the round
+    in which 2 of its restarts agree on its best rms."""
 
     span_tau: float = 10.0
     samples: int = 200
@@ -175,6 +179,10 @@ _BLOCK = 64
 _XTOL = _FTOL = 1e-14
 _GTOL = 1e-8
 _MAX_EVALS = 4000
+# restarts per round of a fit, and the relative rms gap within which two
+# restarts confirm a curve's minimum and finish it
+_ROUND = 4
+_AGREE = 1e-9
 
 
 def _timescales(theta):
@@ -360,13 +368,19 @@ def _check_fittable(curve: PurityCurve) -> None:
 
 
 def _fit_restarts(curves: list[PurityCurve], restarts: int, seed: int):
-    """Every restart of every curve in one Levenberg-Marquardt batch.
+    """Up to ``restarts`` restarts of every curve, in rounds of ``_ROUND``.
 
     The curves must share their sample count.  Restart 0 starts at
     log-spaced timescales over the curve's span, the others at jittered
-    copies drawn from ``seed``.  Returns per curve the rms (restarts,),
-    log-timescales (restarts, 3) and coefficients (restarts, 4), NaN for a
-    restart whose design could not be factored.
+    copies drawn from ``seed``.  Round k runs restarts k _ROUND ...
+    (k + 1) _ROUND - 1, the last round what is left under the cap, as one
+    Levenberg-Marquardt batch over the curves not yet finished.  A curve
+    finishes after a round in which at least 2 of its finite restarts so far
+    lie within ``_AGREE`` (relative) of its best rms.  Problems in a batch
+    are independent, so a curve that runs every round gets the bits of one
+    batch of all its restarts.  Returns per curve, for the restarts that
+    ran, in order, the rms (n,), log-timescales (n, 3) and coefficients
+    (n, 4), NaN for a restart whose design could not be factored.
     """
     if not curves:
         return []
@@ -376,12 +390,26 @@ def _fit_restarts(curves: list[PurityCurve], restarts: int, seed: int):
     jitter = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(restarts - 1, 3))
     starts = np.vstack([np.zeros(3), jitter])
     base = np.log(np.geomspace(span / 100.0, span, 3, axis=1))
-    theta0 = (base[:, None, :] + starts).reshape(-1, 3)
-    curve = np.repeat(np.arange(len(curves)), restarts)
-    theta, coef, F = _levenberg_marquardt(theta0, curve, dt, vals, span * 1e-12)
-    rms = np.sqrt(F / dt.shape[1])
-    split = np.arange(restarts, len(theta0), restarts)
-    return list(zip(np.split(rms, split), np.split(theta, split), np.split(coef, split)))
+    n = len(curves)
+    rms = np.full((n, restarts), np.nan)
+    theta, coef = np.full((n, restarts, 3), np.nan), np.full((n, restarts, 4), np.nan)
+    ran, active = np.full(n, restarts), np.arange(n)
+    for lo in range(0, restarts, _ROUND):
+        hi = min(lo + _ROUND, restarts)
+        theta0 = (base[active, None, :] + starts[lo:hi]).reshape(-1, 3)
+        th, c, F = _levenberg_marquardt(theta0, np.repeat(active, hi - lo), dt, vals, span * 1e-12)
+        rms[active, lo:hi] = np.sqrt(F / dt.shape[1]).reshape(len(active), -1)
+        theta[active, lo:hi] = th.reshape(len(active), -1, 3)
+        coef[active, lo:hi] = c.reshape(len(active), -1, 4)
+        # NaN, an unfactored restart, never agrees; fmin skips it silently
+        seen = rms[active, :hi]
+        best = np.fmin.reduce(seen, axis=1)
+        agree = np.count_nonzero(seen - best[:, None] <= _AGREE * best[:, None], axis=1) >= 2
+        ran[active[agree]] = hi
+        active = active[~agree]
+        if not active.size:
+            break
+    return [(rms[i, :k], theta[i, :k], coef[i, :k]) for i, k in enumerate(ran)]
 
 
 def _best_fit(t0: float, rms, theta, coef) -> PurityFit:
@@ -410,9 +438,11 @@ def fit_purity(curve: PurityCurve, fit: FitSpec = FitSpec()) -> PurityFit:
     log-timescales the baseline and amplitudes come from one SVD solve of
     the linear design, and Levenberg-Marquardt refines the log-timescales
     on the projected residual with its exact Golub-Pereyra Jacobian (no
-    finite differences), taken from the same SVD.  All ``fit.restarts``,
-    from log-spaced initial guesses jittered by ``fit.seed``, step together
-    as one batch, and the restart with the smallest rms wins.  Raises
+    finite differences), taken from the same SVD.  The restarts, from
+    log-spaced initial guesses jittered by ``fit.seed``, run in rounds of 4,
+    each round stepping together as one batch, until 2 of them agree on the
+    best rms within a relative 1e-9 or ``fit.restarts`` have run; the
+    restart with the smallest rms wins, the first on ties.  Raises
     ``DomainError`` for a ``fit`` that is not a ``FitSpec``, and
     ``FitFailure`` (best candidate attached) when no restart produces a
     valid, strictly ordered fit.
@@ -472,7 +502,9 @@ def sweep_x0(
     """Asymptotic purity and fitted decay times across signal centers.
 
     Each row moves ``signal`` to one of the 1-D ``centers`` and fits its
-    curve as ``fit`` says.  The purity depends on ``params.gamma`` alone.
+    curve as ``fit`` says; each round of restarts is one batch over every
+    center whose fit is not yet confirmed (see ``fit_purity``).  The purity
+    depends on ``params.gamma`` alone.
     ``renormalize``, a bool, rescales each truncated state to unit norm, as
     ``RunConfig.renormalize`` does for the other products.  A truncated or
     overlapping center, or a failed fit, gets an error row and the sweep
@@ -504,8 +536,8 @@ def sweep_x0(
             continue
         pending.append((len(rows), x0, chi_inf, curve))
         rows.append(None)
-    # every restart of every valid center in one batch; a center whose fit
-    # fails gets an error row
+    # the restarts of every valid center in shared rounds; a center whose
+    # fit fails gets an error row
     fits = _fit_restarts([curve for *_, curve in pending], fit.restarts, fit.seed)
     for (i, x0, chi_inf, curve), result in zip(pending, fits):
         try:

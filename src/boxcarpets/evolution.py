@@ -32,6 +32,7 @@ def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
 
 def wavefunction(state: SpectralState, x, t: float):
     """Complex amplitude sum_alpha c_alpha phi_alpha(x) exp(-i E_alpha t / hbar)."""
+    _check_spec(state, SpectralState, "wavefunction state")
     t = _check_real(t, "time", 0)
     xv = _check_positions(x, state.cfg)
     phi = mode_values(state.alphas, xv, state.cfg)

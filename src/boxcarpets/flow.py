@@ -297,6 +297,7 @@ def integrate_trajectory(
     status 'step-floor-hit'; at gamma = 0 only a seed on a node (density
     below ``DENSITY_FLOOR``) is, at t = 0.
     """
+    _check_spec(state, SpectralState, "trajectory state")
     return _integrate(state, np.array([_check_real(x0, "seed x0")]), t_end, params, tol, sample_times)[0]
 
 

@@ -227,7 +227,6 @@ def test_fit_of_reference_curve_is_tight(state0, rev, ref_params):
 
 
 def test_fit_keeps_timescale_overflow_silent(cfg, rev, ref_params):
-    # at this curve and seed a restart drives a log-timescale past exp's range
     state = bc.decompose(bc.InputSignalSpec("single", 16.751, 2.0), cfg, 100)
     curve = bc.purity_curve(state, 10 * rev.tau, ref_params)
     with warnings.catch_warnings(record=True) as caught:
@@ -239,6 +238,22 @@ def test_fit_keeps_timescale_overflow_silent(cfg, rev, ref_params):
         warnings.simplefilter("error")
         strict = bc.fit_purity(curve, bc.FitSpec(seed=7))
     assert strict == fit
+    # a log-timescale of 720 is past exp's range (~709.8): its timescale
+    # overflows to infinity, silently, and its design column is the constant one
+    dt, span = curve.times, curve.times[-1]
+    theta = np.array([[np.log(span / 100.0), np.log(span / 10.0), 720.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        c, r, J, ok = energy._project(theta, dt, curve.values[None], span * 1e-12)
+        _, _, F = energy._levenberg_marquardt(theta, np.zeros(1, dtype=int), dt[None], curve.values[None],
+                                              np.array([span * 1e-12]))
+    design = np.column_stack([np.ones_like(dt)] + [np.exp(-dt / s) for s in np.exp(theta[0, :2])])
+    want, *_ = np.linalg.lstsq(design, curve.values, rcond=None)
+    # the minimum-norm solution splits the baseline evenly between the two constant columns
+    assert ok[0] and c[0, 3] == pytest.approx(c[0, 0], rel=1e-9)
+    assert np.allclose(c[0, [0, 1, 2]] + [c[0, 3], 0.0, 0.0], want, rtol=1e-9, atol=0.0)
+    assert np.allclose(r[0], design @ want - curve.values, rtol=0.0, atol=1e-12 * curve.values.max())
+    assert np.all(J[0, 2] == 0.0) and np.isfinite(F[0])
 
 
 def test_fit_rejects_constant_curve():
@@ -492,6 +507,161 @@ def test_fit_restart_errors(state0, rev, ref_params, monkeypatch):
         m.setattr(np.linalg, "svd", raising(np.linalg.LinAlgError))
         with pytest.raises(FitFailure, match="no restart converged"):
             bc.fit_purity(curve)
+
+
+def _one_batch(curves, restarts, seed, lm):
+    """Every restart of every curve in one ``lm`` batch, as the fit ran before
+    its rounds: per curve the rms, log-timescales and coefficients of each restart."""
+    dt = np.stack([c.times - c.times[0] for c in curves])
+    span = dt[:, -1]
+    jitter = np.random.default_rng(seed).uniform(-1.5, 1.5, size=(restarts - 1, 3))
+    base = np.log(np.geomspace(span / 100.0, span, 3, axis=1))
+    theta0 = (base[:, None, :] + np.vstack([np.zeros(3), jitter])).reshape(-1, 3)
+    curve = np.repeat(np.arange(len(curves)), restarts)
+    theta, coef, F = lm(theta0, curve, dt, np.stack([c.values for c in curves]), span * 1e-12)
+    rms = np.sqrt(F / dt.shape[1])
+    return [(rms[curve == i], theta[curve == i], coef[curve == i]) for i in range(len(curves))]
+
+
+def _never_agree(lm, curves):
+    """``lm`` with the squared first start log-timescale added to F of every
+    problem of ``curves``, so that no two of their restarts agree."""
+    def apart(theta0, curve, dt, vals, floor):
+        theta, coef, F = lm(theta0, curve, dt, vals, floor)
+        return theta, coef, F + np.where(np.isin(curve, curves), theta0[:, 0] ** 2, 0.0)
+    return apart
+
+
+def _recording(monkeypatch, lm):
+    """Route the fit's batches through ``lm``; returns the list of their curve arrays."""
+    batches = []
+
+    def recorded(theta0, curve, dt, vals, floor):
+        batches.append(curve.copy())
+        return lm(theta0, curve, dt, vals, floor)
+
+    monkeypatch.setattr(energy, "_levenberg_marquardt", recorded)
+    return batches
+
+
+@pytest.mark.parametrize("cap, rounds", [(1, [1]), (2, [2]), (5, [4, 1]), (6, [4, 2]), (20, [4] * 5)],
+                         ids=["1", "2", "4+1", "4+2", "5x4"])
+def test_rounds_that_never_agree_give_the_bits_of_one_batch(state0, rev, ref_params, monkeypatch, cap, rounds):
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    apart = _never_agree(energy._levenberg_marquardt, [0])
+    (want,) = _one_batch([curve], cap, 0, apart)
+    batches = _recording(monkeypatch, apart)
+    got = energy._fit_restarts([curve], cap, 0)[0]
+    assert [len(b) for b in batches] == rounds
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+def _scripted(monkeypatch, script):
+    """Make round k of a one-curve fit give restart j the rms ``script[k][j]``
+    (NaN: a restart that could not be factored); returns the batches."""
+    def lm(theta0, curve, dt, vals, floor):
+        F = np.square(script[len(batches) - 1]) * dt.shape[1]
+        return theta0, np.zeros((len(theta0), 4)), F
+
+    batches = _recording(monkeypatch, lm)
+    return batches
+
+
+@pytest.mark.parametrize(
+    "script, ran",
+    [
+        # two restarts within 1e-9 of the best: done after round 1
+        ([[1.0, 1.0 + 5e-10, 2.0, 3.0]], 4),
+        # pairwise apart by more than 1e-9: round 2 runs, and its 1 + 5e-10 agrees with round 1's best
+        ([[1.0 + 9e-9, 1.0 + 6e-9, 1.0 + 3e-9, 1.0], [2.0, 1.0 + 5e-10, 3.0, 4.0]], 8),
+        # a NaN restart never counts toward the two, nor does an all-NaN round warn
+        ([[1.0, np.nan, np.nan, 2.0], [np.nan] * 4, [np.nan, 1.0, 3.0, 4.0]], 12),
+        ([[np.nan] * 4] * 5, 20),
+    ],
+    ids=["round-1", "round-2", "nan", "all-nan"],
+)
+def test_a_curve_stops_once_two_restarts_agree(state0, rev, ref_params, monkeypatch, script, ran):
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    batches = _scripted(monkeypatch, script)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rms, theta, coef = energy._fit_restarts([curve], 20, 0)[0]
+    assert len(batches) == ran // 4 and len(rms) == len(theta) == len(coef) == ran
+    assert np.allclose(rms, np.concatenate(script[:ran // 4]), rtol=1e-15, atol=0.0, equal_nan=True)
+
+
+def test_a_curve_that_stops_leaves_the_others_untouched(state0, state20, rev, ref_params, monkeypatch):
+    curves = [bc.purity_curve(s, 10 * rev.tau, ref_params) for s in (state0, state20)]
+    lm = energy._levenberg_marquardt
+    alone = energy._fit_restarts(curves[:1], 20, 0)[0]
+    (never,) = _one_batch(curves[1:], 20, 0, _never_agree(lm, [0]))
+    # curve 0 stops after round 1; curve 1 never agrees and runs all 5
+    batches = _recording(monkeypatch, _never_agree(lm, [1]))
+    got = energy._fit_restarts(curves, 20, 0)
+    assert [b.tolist() for b in batches] == [[0] * 4 + [1] * 4] + [[1] * 4] * 4
+    for result, want in zip(got, (alone, never)):
+        for g, w in zip(result, want):
+            assert np.array_equal(g, w)
+
+
+def _seeded_fit_cases():
+    """The fittable curves of the seeded configurations of ``test_invariants``
+    at the default fit settings, and the wide-spectrum curves, with their seeds."""
+    from test_invariants import _random_case
+
+    fit = bc.FitSpec()
+    cases = []
+    for case in range(40):
+        cfg, signal, N, gamma = _random_case(np.random.default_rng(20211 + case))
+        span = fit.span_tau * bc.revival_times(cfg).tau
+        curve = bc.purity_curve(bc.decompose(signal, cfg, N), span, bc.DecoherenceParams(gamma=gamma), fit.samples)
+        try:
+            energy._check_fittable(curve)
+        except FitFailure:
+            continue
+        cases.append((curve, fit.seed))
+    cfg = bc.CavityConfig()
+    span = fit.span_tau * bc.revival_times(cfg).tau
+    for seed, x0 in WIDE_CENTERS.items():
+        state = bc.decompose(bc.InputSignalSpec("single", x0, 2.0), cfg, 800)
+        cases.append((bc.purity_curve(state, span, bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA)), seed))
+    return cases
+
+
+def test_rounds_find_the_minimum_of_all_restarts():
+    # measured: rms within 4.7e-11 (relative; case 23, N = 63), timescales
+    # within 6.5e-8; a 1e-12 agreement tolerance leaves the same rms gap
+    cases = _seeded_fit_cases()
+    assert len(cases) == 36 + len(WIDE_CENTERS)
+    ran = []
+    for seed in sorted({seed for _, seed in cases}):
+        curves = [curve for curve, s in cases if s == seed]
+        pairs = zip(energy._fit_restarts(curves, 20, seed), _one_batch(curves, 20, seed, energy._levenberg_marquardt))
+        for (rms, theta, _), (every, every_theta, _) in pairs:
+            got, want = np.nanargmin(rms), np.nanargmin(every)
+            assert abs(rms[got] - every[want]) <= 1e-10 * every[want]
+            scales, every_scales = np.sort(np.exp(theta[got])), np.sort(np.exp(every_theta[want]))
+            assert np.allclose(scales, every_scales, rtol=1e-7, atol=0.0)
+            ran.append(len(rms))
+    # most curves confirm their minimum in round 1; fits at roundoff run every round
+    assert ran.count(4) > len(cases) / 2
+
+
+def test_default_sweep_projects_a_fifth_of_the_designs(cfg, ref_params, monkeypatch):
+    # one batch of all 20 restarts projected 20,475 designs on this sweep
+    project = energy._project
+    designs = []
+
+    def counting(theta, *args):
+        designs.append(len(theta))
+        return project(theta, *args)
+
+    monkeypatch.setattr(energy, "_project", counting)
+    signal = bc.InputSignalSpec("single")
+    rows = bc.sweep_x0(signal, bc.SweepSpec().values(signal, cfg), cfg, ref_params)
+    assert all(row.error is None for row in rows)
+    assert 0 < sum(designs) < 5000
 
 
 def test_fit_rejects_non_finite_steps_before_factoring(state0, rev, ref_params, monkeypatch):

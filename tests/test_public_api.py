@@ -128,6 +128,10 @@ def _typed_argument_calls():
         "density_map-state": lambda bad: decoherence.density_map(bad, [0.0], [0.0]),
         "integrate_ensemble-state": lambda bad: bc.integrate_ensemble(bad, bc.EnsembleSpec(count=2), 1.0),
         "purity-state": lambda bad: bc.purity(bad, 0.0, params),
+        "wavefunction-state": lambda bad: bc.wavefunction(bad, [0.0], 0.0),
+        "density_matrix_grid-state": lambda bad: bc.density_matrix_grid(bad, [0.0], [0.0], 0.0, params),
+        "integrate_trajectory-state": lambda bad: bc.integrate_trajectory(bad, 0.0, 1.0),
+        "asymptotic_density-state": lambda bad: bc.asymptotic_density(bad, [0.0]),
         "run-config": lambda bad: bc.run(bad),
     }
 
