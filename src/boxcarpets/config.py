@@ -19,7 +19,7 @@ from .decoherence import DEFAULT_GAMMA, DecoherenceParams
 from .energy import FitSpec
 from .errors import ConfigError, DomainError
 from .flow import EnsembleSpec
-from .spectral import CavityConfig, InputSignalSpec, _check_bool, _check_count, _check_real, _check_times
+from .spectral import CavityConfig, InputSignalSpec, _check_bool, _check_count, _check_real, _check_spec, _check_times
 
 PRODUCT_NAMES = ("carpet", "trajectories", "densmat", "purity", "sweep", "fit", "decaymap")
 
@@ -270,6 +270,7 @@ def _text(value) -> str:
 
 def serialize_config(config: RunConfig) -> str:
     """Emit configuration text that parses back to an equal ``RunConfig``."""
+    _check_spec(config, RunConfig, "run configuration")
     blocks: dict[str, list[str]] = {}
     for section, key, attr, *_ in _FIELDS:
         block = blocks.setdefault(section, [f"[{section}]"])
@@ -283,6 +284,7 @@ def serialize_config(config: RunConfig) -> str:
 
 def apply_overrides(config: RunConfig, **overrides) -> RunConfig:
     """Apply CLI-style overrides, revalidating the affected pieces."""
+    _check_spec(config, RunConfig, "run configuration")
     unknown = sorted(set(overrides) - set(_OVERRIDES))
     if unknown:
         raise ConfigError(f"unknown override {', '.join(unknown)}; expected one of {', '.join(_OVERRIDES)}")

@@ -33,6 +33,7 @@ DEFAULT_GAMMA = 2.0 / (5.0 * np.pi)
 
 def localization_rate(cfg: CavityConfig) -> float:
     """Standard spatial localization rate for this cavity, 2 pi hbar / (m L^3)."""
+    _check_spec(cfg, CavityConfig, "localization-rate cavity")
     return 2.0 * np.pi * cfg.hbar / (cfg.m * cfg.L**3)
 
 
@@ -67,6 +68,7 @@ def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityCon
     """Coherence decay rate of the (alpha, alpha') pair, gamma * |E' - E| / hbar."""
     a = _check_count(alpha, "mode index", 1)
     b = _check_count(alpha_prime, "mode index", 1)
+    _check_spec(cfg, CavityConfig, "beta cavity")
     return _check_params(params).gamma * _beat_unit(cfg) * abs(b**2 - a**2)
 
 
@@ -81,6 +83,7 @@ def damping_factor(
 ) -> float:
     """Pair damping exp(-beta t - Lambda (x - x')^2 t); equals 1 at t = 0."""
     t = _check_real(t, "time", 0)
+    _check_spec(cfg, CavityConfig, "damping-factor cavity")
     _check_positions([_check_real(x, "position x"), _check_real(x_prime, "position x_prime")], cfg)
     lam = _check_params(params).effective_lambda(cfg)
     exponent = beta(alpha, alpha_prime, params, cfg) * t + lam * (x - x_prime) ** 2 * t

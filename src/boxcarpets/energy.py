@@ -22,9 +22,9 @@ log-timescales, and Levenberg-Marquardt moves the log-timescales on the
 projected residual with its exact Jacobian, both from one SVD of the
 design per point.  The Levenberg-Marquardt program is plain numpy and
 steps many problems at once, with the designs factored as stacks.  A fit
-runs its restarts in rounds of 4, each round one batch (in a sweep, over
-every center not yet finished), and stops once 2 restarts agree on its
-best rms: most curves confirm their minimum in the first round.
+runs its restarts in pairs, each pair one batch (in a sweep, over every
+center not yet finished), and stops once 2 restarts agree on its best rms:
+most curves confirm their minimum with their first pair.
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ _MIN_FIT_SAMPLES = 50
 class FitSpec:
     """The fit's purity curve, ``samples`` >= 50 times over ``span_tau`` times
     tau, and its starts, all but the first jittered from ``seed``.
-    ``restarts`` is a cap, run in rounds of 4: a curve stops after the round
-    in which 2 of its restarts agree on its best rms."""
+    ``restarts`` is a cap, run in pairs: a curve stops after the pair with
+    which 2 of its restarts agree on its best rms."""
 
     span_tau: float = 10.0
     samples: int = 200
@@ -87,6 +87,7 @@ def purity(state: SpectralState, t, params: DecoherenceParams):
 
 def purity_asymptote(state: SpectralState) -> float:
     """Long-time purity limit, the sum of squared populations."""
+    _check_spec(state, SpectralState, "purity-asymptote state")
     return float(np.sum(state.populations**2))
 
 
@@ -98,6 +99,7 @@ def purity_via_quadrature(
     The spatial damping term is excluded (the closed form has none), so only
     ``params.gamma`` enters.
     """
+    _check_spec(state, SpectralState, "quadrature purity state")
     points = _check_count(points, "quadrature points", 3)
     x = np.linspace(-state.cfg.half_width, state.cfg.half_width, points)
     bare = DecoherenceParams(gamma=_check_params(params).gamma)
@@ -179,9 +181,9 @@ _BLOCK = 64
 _XTOL = _FTOL = 1e-14
 _GTOL = 1e-8
 _MAX_EVALS = 4000
-# restarts per round of a fit, and the relative rms gap within which two
-# restarts confirm a curve's minimum and finish it
-_ROUND = 4
+# restarts per round of a fit (a pair), and the relative rms gap within
+# which two restarts confirm a curve's minimum and finish it
+_ROUND = 2
 _AGREE = 1e-9
 
 
@@ -368,12 +370,12 @@ def _check_fittable(curve: PurityCurve) -> None:
 
 
 def _fit_restarts(curves: list[PurityCurve], restarts: int, seed: int):
-    """Up to ``restarts`` restarts of every curve, in rounds of ``_ROUND``.
+    """Up to ``restarts`` restarts of every curve, in pairs.
 
     The curves must share their sample count.  Restart 0 starts at
     log-spaced timescales over the curve's span, the others at jittered
-    copies drawn from ``seed``.  Round k runs restarts k _ROUND ...
-    (k + 1) _ROUND - 1, the last round what is left under the cap, as one
+    copies drawn from ``seed``.  Round k runs the pair of restarts 2k and
+    2k + 1, the last round what is left under the cap, as one
     Levenberg-Marquardt batch over the curves not yet finished.  A curve
     finishes after a round in which at least 2 of its finite restarts so far
     lie within ``_AGREE`` (relative) of its best rms.  Problems in a batch
@@ -439,9 +441,9 @@ def fit_purity(curve: PurityCurve, fit: FitSpec = FitSpec()) -> PurityFit:
     the linear design, and Levenberg-Marquardt refines the log-timescales
     on the projected residual with its exact Golub-Pereyra Jacobian (no
     finite differences), taken from the same SVD.  The restarts, from
-    log-spaced initial guesses jittered by ``fit.seed``, run in rounds of 4,
-    each round stepping together as one batch, until 2 of them agree on the
-    best rms within a relative 1e-9 or ``fit.restarts`` have run; the
+    log-spaced initial guesses jittered by ``fit.seed``, run in pairs, each
+    pair stepping together as one batch, until 2 of them agree on the best
+    rms within a relative 1e-9 or ``fit.restarts`` have run; the
     restart with the smallest rms wins, the first on ties.  Raises
     ``DomainError`` for a ``fit`` that is not a ``FitSpec``, and
     ``FitFailure`` (best candidate attached) when no restart produces a
@@ -456,6 +458,7 @@ def fit_purity(curve: PurityCurve, fit: FitSpec = FitSpec()) -> PurityFit:
 
 def correlation_matrix(state: SpectralState) -> np.ndarray:
     """Mode-pair correlation matrix c_a c_a' (the t = 0 coherences)."""
+    _check_spec(state, SpectralState, "correlation-matrix state")
     return np.outer(state.coeffs, state.coeffs)
 
 

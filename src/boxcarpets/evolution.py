@@ -27,6 +27,7 @@ def frequency(alpha: int, alpha_prime: int, cfg: CavityConfig) -> float:
     b = _check_count(alpha_prime, "mode index", 1)
     if b < a:
         raise DomainError(f"pair must be ordered alpha' >= alpha, got ({a}, {b})")
+    _check_spec(cfg, CavityConfig, "frequency cavity")
     return _beat_unit(cfg) * (b**2 - a**2)
 
 
@@ -107,6 +108,7 @@ def carpet(
 ) -> CarpetGrid:
     """Evaluate a density or velocity carpet on ``grid`` in one field-map call."""
     _check_spec(state, SpectralState, "carpet state")
+    _check_spec(grid, SpaceTimeGrid, "carpet grid")
     if quantity not in ("density", "velocity"):
         raise DomainError(f"quantity must be 'density' or 'velocity', got {quantity!r}")
     if quantity == "density":

@@ -252,6 +252,8 @@ class EnsembleSpec:
 
 def ensemble_seeds(spec: EnsembleSpec, signal: InputSignalSpec) -> np.ndarray:
     """Resolve seed positions for ``spec`` against the signal support."""
+    _check_spec(spec, EnsembleSpec, "ensemble spec")
+    _check_spec(signal, InputSignalSpec, "ensemble signal")
     lobes = signal.support()
     if spec.seeds is not None:
         seeds = np.asarray(spec.seeds, dtype=float)
@@ -322,6 +324,7 @@ def integrate_ensemble(
     reported per trajectory through its status.
     """
     _check_spec(state, SpectralState, "ensemble state")
+    _check_spec(spec, EnsembleSpec, "ensemble spec")
     if state.signal is not None:
         seeds = ensemble_seeds(spec, state.signal)
     elif spec.seeds is None:

@@ -27,6 +27,7 @@ from .spectral import SpectralState, _check_spec, decompose, revival_times
 
 
 def build_state(config: RunConfig) -> SpectralState:
+    _check_spec(config, RunConfig, "run configuration")
     state = decompose(config.signal, config.cavity, config.n_modes)
     return state.renormalized() if config.renormalize else state
 

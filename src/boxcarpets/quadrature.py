@@ -6,7 +6,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DomainError
-from .spectral import CavityConfig, SpectralState, _check_array, _check_count, _check_positions, mode_values
+from .spectral import (CavityConfig, SpectralState, _check_array, _check_count, _check_positions, _check_spec,
+                       mode_values)
 
 
 def simpson_weights(x: np.ndarray) -> np.ndarray:
@@ -50,6 +51,7 @@ def decompose_numeric(x: np.ndarray, signal: np.ndarray, cfg: CavityConfig, N: i
     the box with at least 3 points; the signal is taken as zero outside the
     sampled range.
     """
+    _check_spec(cfg, CavityConfig, "numeric decomposition cavity")
     x = _check_positions(x, cfg)
     signal = _check_array(signal, "signal samples")
     if x.shape != signal.shape:

@@ -60,6 +60,7 @@ class RevivalTimes:
 
 def revival_times(cfg: CavityConfig) -> RevivalTimes:
     """T_rev = 4 m L^2 / (pi hbar) and tau = T_rev / 8."""
+    _check_spec(cfg, CavityConfig, "revival-times cavity")
     t_rev = 4.0 * cfg.m * cfg.L**2 / (np.pi * cfg.hbar)
     return RevivalTimes(t_revival=t_rev, tau=t_rev / 8.0)
 
@@ -96,6 +97,7 @@ class Mode:
 def mode(alpha: int, cfg: CavityConfig) -> Mode:
     """Build the mode with index ``alpha`` (1-based) for the given cavity."""
     alpha = _check_count(alpha, "mode index", 1)
+    _check_spec(cfg, CavityConfig, "mode cavity")
     k = alpha * np.pi / cfg.L
     E = (cfg.hbar * k) ** 2 / (2.0 * cfg.m)
     parity = "even" if alpha % 2 == 1 else "odd"
@@ -113,18 +115,21 @@ def eigenmode(md: Mode, x, cfg: CavityConfig):
     Even-parity modes are sqrt(2/L) cos(kx), odd-parity sqrt(2/L) sin(kx).
     Positions outside [-L/2, L/2] raise ``DomainError``.
     """
+    _check_spec(md, Mode, "eigenmode mode")
     out = mode_values([md.alpha], x, cfg)[:, 0]
     return out if np.ndim(x) else float(out[0])
 
 
 def mode_values(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
     """Matrix of mode amplitudes, shape (len(x), len(alphas))."""
+    _check_spec(cfg, CavityConfig, "mode-values cavity")
     phi, _ = _ModeBasis(alphas, cfg.L)(_check_positions(x, cfg))
     return phi
 
 
 def mode_slopes(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
     """Matrix of spatial derivatives of the modes, same shape as mode_values."""
+    _check_spec(cfg, CavityConfig, "mode-slopes cavity")
     _, dphi = _ModeBasis(alphas, cfg.L)(_check_positions(x, cfg))
     return dphi
 
@@ -217,6 +222,7 @@ class InputSignalSpec:
 
 def input_signal(spec: InputSignalSpec, x):
     """Sample the signal profile at position(s) ``x`` (zero outside its support)."""
+    _check_spec(spec, InputSignalSpec, "input signal")
     xv = np.atleast_1d(_check_array(x, "positions"))
     out = np.zeros_like(xv)
     amp = np.sqrt(2.0 / spec.w)
@@ -279,6 +285,7 @@ class SpectralState:
 
 def norm_deficit(state: SpectralState) -> float:
     """Probability lost to truncation: 1 - sum of populations, in [0, 1]."""
+    _check_spec(state, SpectralState, "norm-deficit state")
     deficit = 1.0 - float(np.sum(state.populations))
     if deficit < -1e-12:
         raise DomainError(f"state norm exceeds unity by {-deficit:.3e}")
@@ -317,6 +324,7 @@ def decompose(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> Spectral
 
 def oracle_grid(cfg: CavityConfig, points: int = 4001) -> np.ndarray:
     """Uniform box-spanning grid used for quadrature cross-checks."""
+    _check_spec(cfg, CavityConfig, "oracle-grid cavity")
     points = _check_count(points, "oracle grid points", 3)
     return np.linspace(-cfg.half_width, cfg.half_width, points)
 

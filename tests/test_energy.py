@@ -479,7 +479,7 @@ def _poison_first_call(monkeypatch, rows):
 
 def test_fit_restart_errors(state0, rev, ref_params, monkeypatch):
     curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
-    clean = energy._fit_restarts([curve], 4, 0)[0]
+    (clean,) = _one_batch([curve], 4, 0, energy._levenberg_marquardt)
 
     def raising(error):
         def svd(*args, **kwargs):
@@ -492,10 +492,12 @@ def test_fit_restart_errors(state0, rev, ref_params, monkeypatch):
         with pytest.raises(RuntimeError, match="svd failed"):
             bc.fit_purity(curve)
     # a factorization that does not converge ends only its restart: the
-    # stacked SVD fails as a whole, and the others are factored again alone
+    # stacked SVD fails as a whole, and the others are factored again alone;
+    # restart 0 agrees with no other in round 1, so round 2 runs
     with monkeypatch.context() as m:
         _poison_first_call(m, [1])
         rms, theta, coef = energy._fit_restarts([curve], 4, 0)[0]
+    assert len(rms) == 4
     assert np.isnan(rms[1]) and np.all(np.isnan(theta[1])) and np.all(np.isnan(coef[1]))
     for got, want in zip((rms, theta, coef), clean):
         assert np.array_equal(np.delete(got, 1, axis=0), np.delete(want, 1, axis=0))
@@ -544,8 +546,8 @@ def _recording(monkeypatch, lm):
     return batches
 
 
-@pytest.mark.parametrize("cap, rounds", [(1, [1]), (2, [2]), (5, [4, 1]), (6, [4, 2]), (20, [4] * 5)],
-                         ids=["1", "2", "4+1", "4+2", "5x4"])
+@pytest.mark.parametrize("cap, rounds", [(1, [1]), (2, [2]), (5, [2, 2, 1]), (6, [2] * 3), (20, [2] * 10)],
+                         ids=["1", "2", "2+2+1", "3x2", "10x2"])
 def test_rounds_that_never_agree_give_the_bits_of_one_batch(state0, rev, ref_params, monkeypatch, cap, rounds):
     curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
     apart = _never_agree(energy._levenberg_marquardt, [0])
@@ -572,12 +574,12 @@ def _scripted(monkeypatch, script):
     "script, ran",
     [
         # two restarts within 1e-9 of the best: done after round 1
-        ([[1.0, 1.0 + 5e-10, 2.0, 3.0]], 4),
-        # pairwise apart by more than 1e-9: round 2 runs, and its 1 + 5e-10 agrees with round 1's best
-        ([[1.0 + 9e-9, 1.0 + 6e-9, 1.0 + 3e-9, 1.0], [2.0, 1.0 + 5e-10, 3.0, 4.0]], 8),
+        ([[1.0 + 5e-10, 1.0]], 2),
+        # apart by more than 1e-9: round 2 runs, and its 1 + 5e-10 agrees with round 1's best
+        ([[1.0 + 3e-9, 1.0], [2.0, 1.0 + 5e-10]], 4),
         # a NaN restart never counts toward the two, nor does an all-NaN round warn
-        ([[1.0, np.nan, np.nan, 2.0], [np.nan] * 4, [np.nan, 1.0, 3.0, 4.0]], 12),
-        ([[np.nan] * 4] * 5, 20),
+        ([[1.0, np.nan], [np.nan] * 2, [np.nan, 2.0], [np.nan, 1.0]], 8),
+        ([[np.nan] * 2] * 10, 20),
     ],
     ids=["round-1", "round-2", "nan", "all-nan"],
 )
@@ -587,8 +589,8 @@ def test_a_curve_stops_once_two_restarts_agree(state0, rev, ref_params, monkeypa
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rms, theta, coef = energy._fit_restarts([curve], 20, 0)[0]
-    assert len(batches) == ran // 4 and len(rms) == len(theta) == len(coef) == ran
-    assert np.allclose(rms, np.concatenate(script[:ran // 4]), rtol=1e-15, atol=0.0, equal_nan=True)
+    assert len(batches) == ran // 2 and len(rms) == len(theta) == len(coef) == ran
+    assert np.allclose(rms, np.concatenate(script[:ran // 2]), rtol=1e-15, atol=0.0, equal_nan=True)
 
 
 def test_a_curve_that_stops_leaves_the_others_untouched(state0, state20, rev, ref_params, monkeypatch):
@@ -596,10 +598,10 @@ def test_a_curve_that_stops_leaves_the_others_untouched(state0, state20, rev, re
     lm = energy._levenberg_marquardt
     alone = energy._fit_restarts(curves[:1], 20, 0)[0]
     (never,) = _one_batch(curves[1:], 20, 0, _never_agree(lm, [0]))
-    # curve 0 stops after round 1; curve 1 never agrees and runs all 5
+    # curve 0 stops after round 1; curve 1 never agrees and runs all 10
     batches = _recording(monkeypatch, _never_agree(lm, [1]))
     got = energy._fit_restarts(curves, 20, 0)
-    assert [b.tolist() for b in batches] == [[0] * 4 + [1] * 4] + [[1] * 4] * 4
+    assert [b.tolist() for b in batches] == [[0] * 2 + [1] * 2] + [[1] * 2] * 9
     for result, want in zip(got, (alone, never)):
         for g, w in zip(result, want):
             assert np.array_equal(g, w)
@@ -645,11 +647,13 @@ def test_rounds_find_the_minimum_of_all_restarts():
             assert np.allclose(scales, every_scales, rtol=1e-7, atol=0.0)
             ran.append(len(rms))
     # most curves confirm their minimum in round 1; fits at roundoff run every round
-    assert ran.count(4) > len(cases) / 2
+    assert ran.count(2) > len(cases) / 2
 
 
-def test_default_sweep_projects_a_fifth_of_the_designs(cfg, ref_params, monkeypatch):
-    # one batch of all 20 restarts projected 20,475 designs on this sweep
+@pytest.mark.parametrize("kind", ["single", "double"])
+def test_default_sweeps_project_a_tenth_of_the_designs(cfg, ref_params, monkeypatch, kind):
+    # one batch of all 20 restarts projected 20,475 (single) and 20,199
+    # (double) designs on these sweeps, and rounds of 4 restarts 4,095 and 4,009
     project = energy._project
     designs = []
 
@@ -658,10 +662,10 @@ def test_default_sweep_projects_a_fifth_of_the_designs(cfg, ref_params, monkeypa
         return project(theta, *args)
 
     monkeypatch.setattr(energy, "_project", counting)
-    signal = bc.InputSignalSpec("single")
+    signal = bc.InputSignalSpec(kind)
     rows = bc.sweep_x0(signal, bc.SweepSpec().values(signal, cfg), cfg, ref_params)
     assert all(row.error is None for row in rows)
-    assert 0 < sum(designs) < 5000
+    assert 0 < sum(designs) < 2100
 
 
 def test_fit_rejects_non_finite_steps_before_factoring(state0, rev, ref_params, monkeypatch):
@@ -746,12 +750,12 @@ def test_sweep_shapes_and_trends(cfg, ref_params):
 
 def test_sweep_keeps_a_failed_center_to_its_row(cfg, rev, ref_params, monkeypatch):
     xs = [0.0, 6.0, 12.5]
-    four = bc.FitSpec(restarts=4)
-    clean = bc.sweep_x0(bc.InputSignalSpec(), xs, cfg, ref_params, four)
+    two = bc.FitSpec(restarts=2)
+    clean = bc.sweep_x0(bc.InputSignalSpec(), xs, cfg, ref_params, two)
     # every restart of the center at 6 meets a design that cannot be
-    # factored; the sweep stacks the centers in order, 4 restarts each
-    _poison_first_call(monkeypatch, [4, 5, 6, 7])
-    rows = bc.sweep_x0(bc.InputSignalSpec(), xs, cfg, ref_params, four)
+    # factored; the sweep stacks the centers in order, 2 restarts each
+    _poison_first_call(monkeypatch, [2, 3])
+    rows = bc.sweep_x0(bc.InputSignalSpec(), xs, cfg, ref_params, two)
     assert rows[1] == bc.SweepRow(x0=6.0, error="no restart converged")
     assert rows[0] == clean[0] and rows[2] == clean[2]
     assert all(r.error is None for r in clean)

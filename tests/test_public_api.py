@@ -8,6 +8,7 @@ import importlib
 import inspect
 import pkgutil
 import re
+import typing
 
 import numpy as np
 import pytest
@@ -142,6 +143,68 @@ def test_a_wrongly_typed_argument_is_a_domain_error(name, bad):
     # each of these used to raise AttributeError from inside the call
     with pytest.raises(bc.DomainError, match=f"must be an instance of .*, got {re.escape(repr(bad))}$"):
         _typed_argument_calls()[name](bad)
+
+
+def _spec_arguments():
+    """(function name, parameter name, class) of every parameter of a function
+    that ``boxcarpets`` exports whose annotation is one of the package's classes."""
+    found = []
+    for name, obj in sorted(vars(bc).items()):
+        if name.startswith("_") or not inspect.isfunction(obj):
+            continue
+        for argument, hint in typing.get_type_hints(obj).items():
+            if argument != "return" and inspect.isclass(hint) and hint.__module__.startswith("boxcarpets"):
+                found.append((name, argument, hint))
+    return found
+
+
+# a valid value for each required argument that is not a spec, by name; an
+# argument annotated float takes the first entry
+_PLAIN_ARGUMENTS = {
+    "alpha": 1, "alpha_prime": 3, "alphas": [1, 2, 3], "x": [-1.0, 0.0, 1.0], "x_prime": [-1.0, 0.0, 1.0],
+    "signal": [0.5, 1.0, 0.5], "x0": 0.0, "t": 1.0, "t_end": 1.0, "t_max": 1.0, "times": [1.0], "centers": [0.0],
+}
+
+
+def _valid_specs():
+    cfg = bc.CavityConfig()
+    signal = bc.InputSignalSpec("single", 0.0, 10.0)
+    params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA)
+    state = bc.decompose(signal, cfg, 8)
+    return {
+        bc.CavityConfig: cfg,
+        bc.InputSignalSpec: signal,
+        bc.SpectralState: state,
+        bc.DecoherenceParams: params,
+        bc.EnsembleSpec: bc.EnsembleSpec(count=2),
+        bc.Mode: bc.mode(1, cfg),
+        bc.RunConfig: bc.RunConfig(),
+        bc.FitSpec: bc.FitSpec(),
+        bc.PurityCurve: bc.purity_curve(state, 1.0, params, 50),
+        bc.SpaceTimeGrid: bc.SpaceTimeGrid([0.0, 1.0], [0.0, 1.0]),
+    }
+
+
+@pytest.mark.parametrize("name, argument, spec", _spec_arguments(), ids=lambda v: getattr(v, "__name__", v))
+def test_every_spec_argument_of_the_api_is_type_checked(name, argument, spec):
+    # found from the signatures, so a function exported later is covered too;
+    # 25 of these used to raise AttributeError given None
+    function = getattr(bc, name)
+    hints, valid = typing.get_type_hints(function), _valid_specs()
+    kwargs = {}
+    for parameter in inspect.signature(function).parameters.values():
+        hint = hints.get(parameter.name)
+        if parameter.name == argument:
+            kwargs[argument] = None
+        elif parameter.kind is parameter.VAR_KEYWORD or parameter.default is not parameter.empty:
+            continue
+        elif hint in valid:
+            kwargs[parameter.name] = valid[hint]
+        else:
+            value = _PLAIN_ARGUMENTS[parameter.name]
+            kwargs[parameter.name] = np.ravel(value)[0].item() if hint is float else value
+    with pytest.raises(bc.DomainError, match=f"{spec.__name__}, got None$"):
+        function(**kwargs)
 
 
 @pytest.mark.parametrize("bad", ["x", bc.CavityConfig()], ids=["str", "cavity"])
