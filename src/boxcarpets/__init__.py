@@ -62,7 +62,7 @@ from .flow import (
 )
 from .heatmap import DIVERGING, SEQUENTIAL, render_heatmap
 from .products import build_state, run
-from .quadrature import decompose_numeric, simpson_integral, simpson_weights
+from .quadrature import decompose_numeric, simpson_weights
 from .spectral import (
     CavityConfig,
     InputSignalSpec,
@@ -70,7 +70,6 @@ from .spectral import (
     RevivalTimes,
     SpectralState,
     decompose,
-    eigenenergy,
     eigenmode,
     input_signal,
     mode,

@@ -15,7 +15,7 @@ from functools import reduce
 
 import numpy as np
 
-from .decoherence import DEFAULT_GAMMA, DecoherenceParams
+from .decoherence import DEFAULT_GAMMA, DecoherenceParams, _check_params
 from .energy import FitSpec
 from .errors import ConfigError, DomainError
 from .flow import EnsembleSpec
@@ -114,6 +114,14 @@ class RunConfig:
     output: OutputSpec = field(default_factory=OutputSpec)
 
     def __post_init__(self):
+        _check_spec(self.cavity, CavityConfig, "run configuration cavity")
+        _check_spec(self.signal, InputSignalSpec, "run configuration signal")
+        _check_params(self.deco)
+        _check_spec(self.grid, GridSpec, "run configuration grid")
+        _check_spec(self.ensemble, EnsembleSpec, "run configuration ensemble")
+        _check_spec(self.sweep, SweepSpec, "run configuration sweep")
+        _check_spec(self.fit, FitSpec, "run configuration fit")
+        _check_spec(self.output, OutputSpec, "run configuration output")
         self.signal.validate(self.cavity)
         object.__setattr__(self, "n_modes", _check_count(self.n_modes, "modes count", 1))
         object.__setattr__(self, "renormalize", _check_bool(self.renormalize, "modes renormalize"))

@@ -10,16 +10,8 @@ Metadata and the tables with text columns (the fit parameters, the sweep
 and the trajectories' ``.meta`` sidecar) call ``fmt`` value by value.
 Every all-numeric table (carpets, density-matrix planes, trajectory
 ensembles, mode matrices, purity and fit curves, and the axis lines) goes
-through ``_format_rows``, which converts a block of rows at once: each
-value is scaled by a power of ten held as a double-double, with
-Veltkamp's split and Dekker's exact two-product (Dekker, Numer. Math. 18
-(1971) 224), which gives its 17 correctly rounded digits; a table of byte
-layouts spells them out by the ``%g`` rules.  Zeros stay on this route.
-A value whose rounding is in doubt (its fraction within ``_TIE_TOL`` of
-one half, or its scaled value next to a power of ten), nan and inf go to
-``fmt`` inside the same call, so the bytes never depend on the route.  The
-writers format 8 rows at a time, so a large grid is never held as text in
-memory.
+through the bulk formatter ``_format_rows``, a block of rows at a time
+(``_write_grid``), with the same bytes.
 """
 
 from __future__ import annotations
@@ -143,7 +135,17 @@ def _scale(a, k):
 
 
 def _format_rows(first, rows) -> bytes:
-    """Lines 'first_i,row_i...\n', every value written as ``fmt`` writes it."""
+    """Lines 'first_i,row_i...\n', every value written as ``fmt`` writes it.
+
+    Each value is scaled by a power of ten held as a double-double
+    (``_scale``), with Veltkamp's split and Dekker's exact two-product
+    (Dekker, Numer. Math. 18 (1971) 224), which gives its 17 correctly
+    rounded digits; a table of byte layouts (``_LAYOUTS``) spells them out
+    by the ``%g`` rules.  Zeros stay on this route.  A value whose rounding
+    is in doubt (its fraction within ``_TIE_TOL`` of one half, or its scaled
+    value next to a power of ten), nan and inf go to ``fmt`` inside the same
+    call, so the bytes never depend on the route.
+    """
     rows = np.asarray(rows, dtype=float)
     block = np.empty((rows.shape[0], rows.shape[1] + 1))
     block[:, 0] = first
@@ -313,16 +315,16 @@ def write_sweep(rows, path, meta: dict | None = None) -> None:
     _write(path, lines)
 
 
-def standard_meta(cfg: CavityConfig, signal: InputSignalSpec | None, N: int, params: DecoherenceParams) -> dict:
+def standard_meta(cfg: CavityConfig, signal: InputSignalSpec, N: int, params: DecoherenceParams) -> dict:
     """Run parameters echoed into every exported file."""
-    meta = {
+    return {
         "m": fmt(cfg.m),
         "hbar": fmt(cfg.hbar),
         "L": fmt(cfg.L),
         "N": N,
         "gamma": fmt(_check_params(params).gamma),
         "lambda": fmt(params.effective_lambda(cfg)),
+        "kind": signal.kind,
+        "x0": fmt(signal.x0),
+        "w": fmt(signal.w),
     }
-    if signal is not None:
-        meta.update({"kind": signal.kind, "x0": fmt(signal.x0), "w": fmt(signal.w)})
-    return meta

@@ -12,8 +12,14 @@ so the probability density relaxes toward the bare population mixture
 ``asymptotic_density`` instead of localizing.  The spatial term does not
 keep the populations: it leaves the density on x = x' untouched and keeps
 rho a density matrix (a Schur product with a positive definite kernel equal
-to 1 on the diagonal), but it adds hbar^2 Lambda t / m of energy per unit
-trace.
+to 1 on the diagonal), so its position purity is at most the energy purity;
+but it adds hbar^2 Lambda t / m of energy per unit trace, because it
+localizes without dissipating.
+
+No quantity has a zero-rate path of its own: at gamma = 0, Lambda = 0 or
+t = 0 every damping factor of ``_PairKernel``, ``_BeatSeries`` and
+``density_matrix_grid`` is exactly 1, so the damped products give the
+coherent bits.
 """
 
 from __future__ import annotations
@@ -81,7 +87,7 @@ def damping_factor(
     params: DecoherenceParams,
     cfg: CavityConfig,
 ) -> float:
-    """Pair damping exp(-beta t - Lambda (x - x')^2 t); equals 1 at t = 0."""
+    """Pair damping exp(-beta t - Lambda (x - x')^2 t)."""
     t = _check_real(t, "time", 0)
     _check_spec(cfg, CavityConfig, "damping-factor cavity")
     _check_positions([_check_real(x, "position x"), _check_real(x_prime, "position x_prime")], cfg)
@@ -108,10 +114,7 @@ class _PairKernel:
     exp(-gamma t |E_a - E_b| / hbar).  The density is the x = x' reduction
     of phi M phi^T through Re M, the flux reduces Im M against the mode
     slopes, and the density matrix keeps the whole of M.  Everything that
-    does not depend on t is formed once per state.  The damping rates
-    |E_a - E_b| / hbar are ``beta``'s exact integer beats
-    |alpha_a^2 - alpha_b^2| times ``_beat_unit``.  Zero rates and t = 0 go
-    through the same product: their damping factor is exactly 1.
+    does not depend on t is formed once per state.
     """
 
     def __init__(self, state: SpectralState, gamma: float):
@@ -181,11 +184,10 @@ class _BeatSeries:
         self.half_width = cfg.half_width
 
     def coefficients(self, t: float, flux: bool = False):
-        """C(t), and with ``flux`` also S(t), each of length ``size``.  A zero
-        rate gamma t takes the same sums undamped: its damping factor is exactly 1."""
+        """C(t), and with ``flux`` also S(t), each of length ``size``."""
         omega, minus, plus, w = self.omega, self.minus, self.plus, self.w
         rate = self.gamma * t
-        if rate:
+        if rate:  # the underflow cut divides by the rate
             p = int(np.searchsorted(omega, _EXP_UNDERFLOW / rate, side="right"))
             omega, minus, plus = omega[:p], minus[:p], plus[:p]
             w = w[:p] * np.exp(-rate * omega)
@@ -300,12 +302,11 @@ def density_map(
 ) -> np.ndarray:
     """Damped pair-sum density on the (t, x) grid; row j holds the profile at times[j].
 
-    Sums populations plus all pairwise coherence terms, folded onto the
-    beat wavenumbers (``_BeatSeries``); the spatial damping rate ``params.lam``
-    never enters because the density lives on the x = x' diagonal.  The
-    rows are reduced against the grid's table in fixed blocks of 32
-    (``_row_blocks``), so row j has the same bits whatever other times come
-    with times[j], and in whatever order.
+    Sums populations plus all pairwise coherence terms as a beat-wavenumber
+    series (``_BeatSeries``); the spatial damping rate ``params.lam`` never
+    enters because the density lives on the x = x' diagonal.  The rows are
+    reduced in blocks of ``_ROW_BLOCK`` (``_row_blocks``), so row j has the
+    same bits whatever other times come with times[j], and in whatever order.
     """
     _check_spec(state, SpectralState, "density map state")
     xv = _check_positions(x, state.cfg)
@@ -322,10 +323,9 @@ def asymptotic_density(state: SpectralState, x):
     """Long-time density: the populations' share of the density series.
 
     That is the bare population-weighted sum of squared modes, the
-    ``_BeatSeries.base`` coefficients alone, reduced in the same fixed-shape
-    block as a ``density_map`` row.  So every ``density_map`` row at a time
-    where each pair's damping has underflowed equals it bit for bit, whatever
-    other times share the map.
+    ``_BeatSeries.base`` coefficients alone, reduced by ``_row_blocks`` like
+    a ``density_map`` row.  So every ``density_map`` row at a time where
+    each pair's damping has underflowed equals it bit for bit.
     """
     _check_spec(state, SpectralState, "asymptotic density state")
     xv = _check_positions(x, state.cfg)
@@ -366,9 +366,8 @@ def density_matrix_grid(
 ) -> DensityMatrixGrid:
     """Evaluate rho(x, x'; t) on the tensor grid of the two position axes.
 
-    The mode sum carries the pair phases and energy damping; the spatial
-    damping factorizes out as exp(-Lambda (x - x')^2 t) on the grid.  Zero
-    rates and t = 0 go through the same products: each factor is exactly 1.
+    The mode sum carries the pair phases and energy damping (``_PairKernel``);
+    the spatial damping factorizes out as exp(-Lambda (x - x')^2 t) on the grid.
     """
     _check_spec(state, SpectralState, "density matrix state")
     t = _check_real(t, "time", 0)

@@ -1,30 +1,11 @@
 """Energy-domain observables: purity decay, its triple-exponential fit,
 correlation matrices, and the pair decay-time map.
 
-The purity Tr(rho^2) of a damped state has the closed form
-
-    chi(t) = sum_a p_a^2 + 2 sum_{a'<a} p_a p_a' exp(-2 beta_aa' t),
-
-which decays from (sum p)^2 toward chi_inf = sum p^2.  With the modes in
-order of energy the kernel exp(-2 beta_aa' t) is semiseparable: it is the
-product of the damping factors of the steps between neighbouring modes.  So
-one forward sweep, S_b = (S_{b-1} + p_{b-1}) exp(-2 gamma t omega_{b-1,b}),
-gives S_b = sum_{a<b} p_a exp(-2 beta_ab t) and chi = sum p^2 + 2 p . S in
-O(N) per time instead of O(N^2).  The step beats omega come from the exact
-integer alpha_b^2 - alpha_{b-1}^2 times ``spectral._beat_unit``, the same
-unit as ``beta``; a step whose damping underflows to zero restarts the sum.
-A quadrature route integrating |rho(x, x'; t)|^2 over the box square
-provides the independent cross-check.  Decay curves are summarized by
-fitting a baseline plus three exponentials with distinct timescales.  The
-fit is a variable projection (Golub & Pereyra 1973): the baseline and
-amplitudes are the least-squares solution of the linear design for given
-log-timescales, and Levenberg-Marquardt moves the log-timescales on the
-projected residual with its exact Jacobian, both from one SVD of the
-design per point.  The Levenberg-Marquardt program is plain numpy and
-steps many problems at once, with the designs factored as stacks.  A fit
-runs its restarts in pairs, each pair one batch (in a sweep, over every
-center not yet finished), and stops once 2 restarts agree on its best rms:
-most curves confirm their minimum with their first pair.
+The purity Tr(rho^2) of a damped state decays from (sum p)^2 toward
+chi_inf = sum p^2 (``purity``); ``purity_via_quadrature`` integrates
+|rho(x, x'; t)|^2 over the box square as an independent cross-check.
+Decay curves are summarized by a baseline plus three exponentials with
+distinct timescales (``fit_purity``).
 """
 
 from __future__ import annotations
@@ -46,8 +27,7 @@ _MIN_FIT_SAMPLES = 50
 class FitSpec:
     """The fit's purity curve, ``samples`` >= 50 times over ``span_tau`` times
     tau, and its starts, all but the first jittered from ``seed``.
-    ``restarts`` is a cap, run in pairs: a curve stops after the pair with
-    which 2 of its restarts agree on its best rms."""
+    ``restarts`` caps the restarts that ``_fit_restarts`` runs."""
 
     span_tau: float = 10.0
     samples: int = 200
@@ -63,17 +43,22 @@ class FitSpec:
 def purity(state: SpectralState, t, params: DecoherenceParams):
     """Closed-form purity at time(s) ``t``; spatial damping does not enter.
 
-    One forward sweep over the populated modes, in order of energy, carries
-    S_b(t) = sum_{a<b} p_a exp(-2 beta_ab t) for all times at once; then
-    chi = sum p^2 + 2 p . S.
+        chi(t) = sum_a p_a^2 + 2 sum_{a<b} p_a p_b exp(-2 beta_ab t)
+
+    With the modes in order of energy the kernel exp(-2 beta_ab t) is
+    semiseparable: it is the product of the damping factors of the steps
+    between neighbouring populated modes.  So one forward sweep,
+    S_b = (S_{b-1} + p_{b-1}) exp(-2 gamma t omega_{b-1,b}), carries
+    S_b = sum_{a<b} p_a exp(-2 beta_ab t) for all times at once, and
+    chi = sum p^2 + 2 p . S in O(N) per time instead of O(N^2).  A step
+    whose damping underflows to zero restarts the sum.
     """
     _check_spec(state, SpectralState, "purity state")
     t_arr = _check_times(t if np.ndim(t) else [t], "purity times")
     p = state.populations
     alpha = state.alphas[p != 0.0]
     p = p[alpha - 1]
-    # damping of each step between neighbouring populated modes, from the
-    # exact integer beat alpha_b^2 - alpha_{b-1}^2; one row per step
+    # damping of each step between neighbouring populated modes, one row per step
     rates = (2.0 * _check_params(params).gamma * _beat_unit(state.cfg)) * np.diff(alpha**2)
     damping = np.multiply.outer(-rates, t_arr)
     np.exp(damping, out=damping)
@@ -181,8 +166,7 @@ _BLOCK = 64
 _XTOL = _FTOL = 1e-14
 _GTOL = 1e-8
 _MAX_EVALS = 4000
-# restarts per round of a fit (a pair), and the relative rms gap within
-# which two restarts confirm a curve's minimum and finish it
+# restarts per round and relative agreement tolerance of ``_fit_restarts``
 _ROUND = 2
 _AGREE = 1e-9
 
@@ -436,15 +420,9 @@ def fit_purity(curve: PurityCurve, fit: FitSpec = FitSpec()) -> PurityFit:
     """Fit a baseline plus three exponentials to a purity curve.
 
     The onset time is pinned to the first sample, removing its degeneracy
-    with the amplitudes.  Variable projection: for each candidate triple of
-    log-timescales the baseline and amplitudes come from one SVD solve of
-    the linear design, and Levenberg-Marquardt refines the log-timescales
-    on the projected residual with its exact Golub-Pereyra Jacobian (no
-    finite differences), taken from the same SVD.  The restarts, from
-    log-spaced initial guesses jittered by ``fit.seed``, run in pairs, each
-    pair stepping together as one batch, until 2 of them agree on the best
-    rms within a relative 1e-9 or ``fit.restarts`` have run; the
-    restart with the smallest rms wins, the first on ties.  Raises
+    with the amplitudes.  The fit is a variable projection (``_project``)
+    minimized by ``_levenberg_marquardt`` from the restarts of
+    ``_fit_restarts``, and ``_best_fit`` picks the winner.  Raises
     ``DomainError`` for a ``fit`` that is not a ``FitSpec``, and
     ``FitFailure`` (best candidate attached) when no restart produces a
     valid, strictly ordered fit.
@@ -463,12 +441,10 @@ def correlation_matrix(state: SpectralState) -> np.ndarray:
 
 
 def decay_time_map(cfg: CavityConfig, params: DecoherenceParams, N: int = 50) -> np.ndarray:
-    """Pair decay times 1 / beta_aa'; the diagonal never decays (inf).
+    """Pair decay times 1 / ``beta``; the diagonal never decays (inf).
 
     Independent of any input signal: only the mode energies and
-    ``params.gamma`` enter, and gamma = 0 is a ``DomainError``.  The rates
-    are ``beta``'s, gamma times the exact integer beat |alpha'^2 - alpha^2|
-    in units of ``_beat_unit``.
+    ``params.gamma`` enter, and gamma = 0 is a ``DomainError``.
     """
     _check_spec(cfg, CavityConfig, "decay-time map cavity")
     gamma = _check_real(_check_params(params).gamma, "decay-time map gamma", 0, strict=True)
@@ -505,9 +481,8 @@ def sweep_x0(
     """Asymptotic purity and fitted decay times across signal centers.
 
     Each row moves ``signal`` to one of the 1-D ``centers`` and fits its
-    curve as ``fit`` says; each round of restarts is one batch over every
-    center whose fit is not yet confirmed (see ``fit_purity``).  The purity
-    depends on ``params.gamma`` alone.
+    curve as ``fit_purity`` does, with the restarts of every center in one
+    ``_fit_restarts`` call.  The purity depends on ``params.gamma`` alone.
     ``renormalize``, a bool, rescales each truncated state to unit norm, as
     ``RunConfig.renormalize`` does for the other products.  A truncated or
     overlapping center, or a failed fit, gets an error row and the sweep
@@ -539,8 +514,7 @@ def sweep_x0(
             continue
         pending.append((len(rows), x0, chi_inf, curve))
         rows.append(None)
-    # the restarts of every valid center in shared rounds; a center whose
-    # fit fails gets an error row
+    # a center whose fit fails gets an error row
     fits = _fit_restarts([curve for *_, curve in pending], fit.restarts, fit.seed)
     for (i, x0, chi_inf, curve), result in zip(pending, fits):
         try:

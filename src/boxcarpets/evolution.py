@@ -89,6 +89,7 @@ class CarpetGrid:
     quantity: str
 
     def __post_init__(self):
+        _check_spec(self.grid, SpaceTimeGrid, "carpet grid")
         v = _check_array(self.values, "carpet values")
         if v.shape != (self.grid.t.size, self.grid.x.size):
             raise DomainError("carpet values must have shape (len(t), len(x))")

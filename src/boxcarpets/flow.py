@@ -15,23 +15,12 @@ x are two reductions of that one pair field, and F's closed form holds at
 any gamma.
 
 A coherent (gamma = 0) streamline keeps the probability to its left
-constant, F(x(t), t) = F(x0, 0); those paths are solved as quantiles of F,
-with no time stepping.  The coherent state repeats with the period
-T_p = T_rev / g, g the gcd of its integer beats alpha_b^2 - alpha_a^2
-(T_p = tau for one parity class), and its real coefficients make F even in
-t, so F is the same at t, T_p - t and t + T_p.  Each sample time is folded
-onto [0, T_p / 2] and the quantile is solved once per distinct folded time.
-Damped streamlines do not carry F: the energy damping delocalizes the
-density without a flux that transports it, and it is not periodic, so the
-damped route does not fold.
-
-Damped paths are integrated.  Near density nodes the field diverges.  The
-integrator treats a density below ``DENSITY_FLOOR`` as a node-proximity
-signal: a stage that meets it fails the step like its error test, so the
-controller shrinks the step.  A member that still fails at the step floor,
-or has no valid slope where a step starts, is returned truncated with status
-``step-floor-hit`` instead of blowing up.  In both routes a seed whose
-density is below the floor stops at t = 0 with that status.
+constant, F(x(t), t) = F(x0, 0); those paths are solved as quantiles of F
+(``_quantile_batch``), with no time stepping.  Damped streamlines do not
+carry F: the energy damping delocalizes the density without a flux that
+transports it, so damped paths are integrated (``_integrate_batch``).
+Near density nodes the field diverges; a member that cannot go on there is
+returned truncated with status ``step-floor-hit`` instead of blowing up.
 """
 
 from __future__ import annotations
@@ -77,8 +66,7 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
     At gamma = 0 each row is two mode sums, psi and its slope, from one
     evaluation of the basis: |psi|^2 keeps its relative accuracy where the
     density is small.  Damped rows are beat-wavenumber series
-    (``_BeatSeries``), summed from the nearer wall and reduced in the fixed
-    row blocks of ``_row_blocks``.
+    (``_BeatSeries``) reduced by ``_row_blocks``.
     """
     _require_support(state)
     gamma = _check_params(params).gamma
@@ -287,14 +275,10 @@ def integrate_trajectory(
 
     Any seed inside the box is accepted, also one outside the signal
     support.  At gamma = 0 the path is the quantile of the closed-form
-    cumulative probability at each distinct folded time, solved to the
-    position tolerance ``tol * 1e-2``: F repeats with the state's period
-    T_p and is even in t, so a sample time t is solved at
-    min(t mod T_p, T_p - t mod T_p).  For gamma > 0 it comes from adaptive
-    Dormand-Prince stepping, and the samples from its dense output.  The
-    steps are taken at relative tolerance ``tol / 10``, so that the samples,
-    which the interpolant fills about 7x less accurately than the steps,
-    are about as accurate as steps at ``tol`` would be.  The path either
+    cumulative probability (``_quantile_batch``), solved to the position
+    tolerance ``tol * 1e-2``.  For gamma > 0 it comes from adaptive
+    Dormand-Prince stepping (``_integrate_batch``), whose samples are about
+    as accurate as steps at the relative tolerance ``tol``.  The path either
     reaches ``t_end`` (status 'completed') or is truncated at a node with
     status 'step-floor-hit'; at gamma = 0 only a seed on a node (density
     below ``DENSITY_FLOOR``) is, at t = 0.
@@ -314,14 +298,10 @@ def integrate_ensemble(
     """Integrate an ensemble of streamlines on a common sample-time grid.
 
     Seeds are resolved against the signal support (``ensemble_seeds``).
-    Trajectories never interact.  At gamma = 0 every member is solved at
-    each distinct folded time from the conservation of the probability to
-    its left (see ``integrate_trajectory``), with no time stepping.  For
-    gamma > 0 they are advanced together with a shared adaptive step whose
-    per-step error is bounded by ``tol / 10`` for every member
-    individually; the sample times do not limit the step and are filled
-    from the dense output (see ``integrate_trajectory``).  Failures are
-    reported per trajectory through its status.
+    Trajectories never interact: each member is what
+    ``integrate_trajectory`` gives it to ``tol``, and for gamma > 0 the
+    members share one adaptive step whose error test holds for each of them.
+    Failures are reported per trajectory through its status.
     """
     _check_spec(state, SpectralState, "ensemble state")
     _check_spec(spec, EnsembleSpec, "ensemble spec")
@@ -379,14 +359,10 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
 def _quantile_batch(field, x0, sample_times, xtol):
     """Coherent streamlines as quantiles: solve F(x, t) = F(x0, 0) once per distinct folded time.
 
-    Same return pair as ``_integrate_batch``.  Where F has the period
-    ``field.period`` (gamma = 0), it is also even in t, because the
-    coefficients are real: F at t, T_p - t and t + T_p agree.  Each sample
-    time then folds onto [0, T_p / 2] (``_fold_times``), and the distinct
-    folded times are solved in increasing order, each warm-started from the
-    last, and copied back to every sample.  A damped F is not folded.  A
-    seed whose density is below the node floor stops at t = 0; every other
-    member completes.
+    Same return pair as ``_integrate_batch``.  The distinct folded times of
+    ``_fold_times`` are solved in increasing order, each warm-started from
+    the last, and copied back to every sample.  A seed whose density is
+    below the node floor stops at t = 0; every other member completes.
     """
     n = x0.size
     recorded = np.full((sample_times.size, n), np.nan)
@@ -409,10 +385,13 @@ def _quantile_batch(field, x0, sample_times, xtol):
 def _fold_times(times, period):
     """The distinct folded sample times in increasing order, and each sample's index among them.
 
-    A time t folds to min(r, period - r) with r = t mod period; a folded
-    time within 1e-13 period of 0 is exactly 0, and folded times within
-    1e-13 period of their neighbour are one.  A period of 0.0 (a stationary
-    state) folds every time to 0; None (damped) folds none.
+    A coherent F repeats with the period T_p = ``_PairField.period``, and
+    the real coefficients make it even in t, so F is the same at t,
+    T_p - t and t + T_p: a time t folds onto [0, T_p / 2] as
+    min(r, T_p - r) with r = t mod T_p.  A folded time within 1e-13 T_p of 0
+    is exactly 0, and folded times within 1e-13 T_p of their neighbour are
+    one.  A period of 0.0 (a stationary state) folds every time to 0; None
+    (damped) folds none.
     """
     if period is None:
         folded, tol = times, 0.0
@@ -524,7 +503,6 @@ def _integrate_batch(field, y0, sample_times, t_end, rtol, atol, h_start, h_floo
                 break
 
         if hit.any():
-            # node proximity: the flagged members fail the step like its error test
             ratios = np.where(hit, np.inf, 0.0)
         else:
             y5 = yi  # the last stage input is the 5th-order solution

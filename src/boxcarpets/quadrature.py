@@ -38,11 +38,6 @@ def simpson_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def simpson_integral(y: np.ndarray, x: np.ndarray) -> float:
-    """Convenience wrapper: integrate samples y over the grid x."""
-    return float(simpson_weights(x) @ np.asarray(y, dtype=float))
-
-
 def decompose_numeric(x: np.ndarray, signal: np.ndarray, cfg: CavityConfig, N: int = 50) -> SpectralState:
     """Project sampled signal values onto the mode basis by Simpson quadrature.
 

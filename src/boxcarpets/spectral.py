@@ -80,7 +80,13 @@ def _coherent_period(state: SpectralState) -> float:
 
 
 def _beat_unit(cfg: CavityConfig) -> float:
-    """(E_alpha' - E_alpha) / hbar per unit of alpha'^2 - alpha^2."""
+    """(E_alpha' - E_alpha) / hbar per unit of alpha'^2 - alpha^2.
+
+    Every beat and pair damping rate of the package is this unit times the
+    exact integer alpha'^2 - alpha^2, so that each route (``beta``, the pair
+    kernel, the beat series, the purity and ``decay_time_map``) gets the
+    same rates.
+    """
     return cfg.hbar * np.pi**2 / (2.0 * cfg.m * cfg.L**2)
 
 
@@ -102,11 +108,6 @@ def mode(alpha: int, cfg: CavityConfig) -> Mode:
     E = (cfg.hbar * k) ** 2 / (2.0 * cfg.m)
     parity = "even" if alpha % 2 == 1 else "odd"
     return Mode(alpha=alpha, parity=parity, k=k, E=E)
-
-
-def eigenenergy(alpha: int, cfg: CavityConfig) -> float:
-    """Energy of mode ``alpha``, ``mode(alpha, cfg).E``: (hbar k)^2 / (2 m)."""
-    return mode(alpha, cfg).E
 
 
 def eigenmode(md: Mode, x, cfg: CavityConfig):

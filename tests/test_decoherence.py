@@ -127,7 +127,7 @@ def test_spatial_factor_heats_the_state(state0, cfg, rev, lam):
     x = np.linspace(-cfg.half_width, cfg.half_width, 401)
     alphas = np.arange(1, 121)
     wphi = bc.simpson_weights(x)[:, None] * bc.mode_values(alphas, x, cfg)
-    levels = np.array([bc.eigenenergy(int(a), cfg) for a in alphas])
+    levels = np.array([bc.mode(int(a), cfg).E for a in alphas])
     e0 = float(state0.populations @ state0.energies)
     trace = 1.0 - bc.norm_deficit(state0)
     heating = trace * cfg.hbar**2 * params.effective_lambda(cfg) / cfg.m
@@ -295,7 +295,7 @@ def _double_loop_density_and_velocity(state, x, t, params):
     for a in support:
         for b in support:
             weight = state.coeffs[a - 1] * state.coeffs[b - 1] * bc.damping_factor(a, b, 0.0, 0.0, t, params, cfg)
-            phase = (bc.eigenenergy(a, cfg) - bc.eigenenergy(b, cfg)) * t / cfg.hbar
+            phase = (bc.mode(a, cfg).E - bc.mode(b, cfg).E) * t / cfg.hbar
             den += weight * np.cos(phase) * phi[a] * phi[b]
             num -= weight * np.sin(phase) * dphi[a] * phi[b]
     return den, (cfg.hbar / cfg.m) * num / den

@@ -709,3 +709,29 @@ def test_coherent_members_at_nodes(cfg, rev):
     assert tr.status == "completed"
     assert np.array_equal(tr.times, samples)
     assert np.all(tr.positions == 0.0)
+
+
+@pytest.mark.parametrize("x0", [20.0, 7.0])
+def test_coherent_streamlines_obey_the_mirror_revival(cfg, rev, x0):
+    # at T_rev / 2 every mode alpha has turned its phase by (-1)^alpha, so
+    # psi(x, T_rev / 2) = -psi(-x, 0): the density is the mirror image of
+    # the initial one, and F(x, T_rev / 2) = tr R - F0(-x).  These states
+    # have the period T_rev, so T_rev / 2 is the edge of the fold, and the
+    # member seeded at s sits at -Q0(tr R - F0(s)), Q0 the quantile of F0
+    state = bc.decompose(bc.InputSignalSpec("single", x0, 10.0), cfg, 50)
+    assert spectral._coherent_period(state) == rev.t_revival
+    field = flow._PairField(state, 0.0)
+    spec = bc.EnsembleSpec(count=20)
+    half = rev.t_revival / 2.0
+    run = bc.integrate_ensemble(state, spec, half, sample_times=np.array([0.0, half]))
+    assert all(tr.status == "completed" for tr in run)
+    seeds = bc.ensemble_seeds(spec, state.signal)
+    target = field.total - field.cumulative(seeds, 0.0)[0]
+    # the quantile of F0 by plain bisection over the box
+    lo, hi = np.full(seeds.size, -cfg.half_width), np.full(seeds.size, cfg.half_width)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        below = field.cumulative(mid, 0.0)[0] < target
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    mirrored = -0.5 * (lo + hi)
+    assert np.max(np.abs(np.array([tr.positions[-1] for tr in run]) - mirrored)) <= 1e-10

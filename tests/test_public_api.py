@@ -2,8 +2,10 @@
 always a ``DecoherenceParams`` (its default is the coherent model, never
 None), the fit settings always a ``FitSpec``, and an ensemble is seeded
 explicitly exactly when it has seeds.  A cavity, signal, state or curve
-argument of the wrong type is a ``DomainError``, as a bad damping model is."""
+argument, or a spec field, of the wrong type is a ``DomainError``, as a bad
+damping model is."""
 
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -163,6 +165,7 @@ def _spec_arguments():
 _PLAIN_ARGUMENTS = {
     "alpha": 1, "alpha_prime": 3, "alphas": [1, 2, 3], "x": [-1.0, 0.0, 1.0], "x_prime": [-1.0, 0.0, 1.0],
     "signal": [0.5, 1.0, 0.5], "x0": 0.0, "t": 1.0, "t_end": 1.0, "t_max": 1.0, "times": [1.0], "centers": [0.0],
+    "coeffs": [1.0], "values": [[0.0, 0.0], [0.0, 0.0]], "quantity": "density",
 }
 
 
@@ -205,6 +208,43 @@ def test_every_spec_argument_of_the_api_is_type_checked(name, argument, spec):
             kwargs[parameter.name] = np.ravel(value)[0].item() if hint is float else value
     with pytest.raises(bc.DomainError, match=f"{spec.__name__}, got None$"):
         function(**kwargs)
+
+
+def _spec_fields():
+    """(class name, field name, class, optional) of every field of a dataclass
+    that ``boxcarpets`` exports whose annotation is one of the package's
+    classes, or, with ``optional``, one of them or None."""
+    found = []
+    for name, obj in sorted(vars(bc).items()):
+        if name.startswith("_") or not (inspect.isclass(obj) and dataclasses.is_dataclass(obj)):
+            continue
+        hints = typing.get_type_hints(obj)
+        for field in dataclasses.fields(obj):
+            options = typing.get_args(hints[field.name]) or (hints[field.name],)
+            specs = [o for o in options if inspect.isclass(o) and o.__module__.startswith("boxcarpets")]
+            if len(specs) == 1 and set(options) <= {specs[0], type(None)}:
+                found.append((name, field.name, specs[0], type(None) in options))
+    return found
+
+
+@pytest.mark.parametrize(
+    "name, field, spec, optional", _spec_fields(), ids=lambda v: v.__name__ if inspect.isclass(v) else str(v)
+)
+def test_every_spec_field_of_the_api_is_type_checked(name, field, spec, optional):
+    # found from the annotations, so a field added later is covered too; 9 of
+    # these used to construct, or raise AttributeError, given None
+    cls, valid = getattr(bc, name), _valid_specs()
+    hints = typing.get_type_hints(cls)
+    kwargs = {field: None}
+    for f in dataclasses.fields(cls):
+        if f.name != field and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+            hint = hints[f.name]
+            kwargs[f.name] = valid[hint] if hint in valid else _PLAIN_ARGUMENTS[f.name]
+    if optional:
+        assert getattr(cls(**kwargs), field) is None
+    else:
+        with pytest.raises(bc.DomainError, match=f"{spec.__name__}, got None$"):
+            cls(**kwargs)
 
 
 @pytest.mark.parametrize("bad", ["x", bc.CavityConfig()], ids=["str", "cavity"])
