@@ -21,7 +21,7 @@ import numpy as np
 from .decoherence import DecoherenceParams, _check_params
 from .errors import DomainError
 from .evolution import CarpetGrid
-from .spectral import CavityConfig, InputSignalSpec
+from .spectral import CavityConfig, InputSignalSpec, _check_spec
 
 
 def fmt(value: float) -> str:
@@ -237,6 +237,7 @@ def _meta_line(pairs: dict) -> str:
 
 def write_carpet(cp: CarpetGrid, path, meta: dict | None = None) -> None:
     """First data row lists the x grid, each following row is t then values."""
+    _check_spec(cp, CarpetGrid, "written carpet")
     head = _meta_line({"quantity": cp.quantity, **(meta or {})}) + "\n"
     _write_grid(path, head.encode() + _grid_line("t", cp.grid.x), cp.grid.t, cp.values)
 
@@ -317,6 +318,8 @@ def write_sweep(rows, path, meta: dict | None = None) -> None:
 
 def standard_meta(cfg: CavityConfig, signal: InputSignalSpec, N: int, params: DecoherenceParams) -> dict:
     """Run parameters echoed into every exported file."""
+    _check_spec(cfg, CavityConfig, "metadata cavity")
+    _check_spec(signal, InputSignalSpec, "metadata signal")
     return {
         "m": fmt(cfg.m),
         "hbar": fmt(cfg.hbar),

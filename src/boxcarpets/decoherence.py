@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_count, _check_positions, _check_real,
-                       _check_spec, _check_times, _ModeBasis)
+from .spectral import (CavityConfig, SpectralState, _beat_unit, _check_array, _check_count, _check_positions,
+                       _check_real, _check_spec, _check_times, _ModeBasis)
 
 #: Damping control reproducing beta * tau = (alpha'^2 - alpha^2) / 10.
 DEFAULT_GAMMA = 2.0 / (5.0 * np.pi)
@@ -345,9 +345,14 @@ class DensityMatrixGrid:
     values: np.ndarray
 
     def __post_init__(self):
+        x, x_prime = _check_array(self.x, "density-matrix x"), _check_array(self.x_prime, "density-matrix x_prime")
+        t = _check_real(self.t, "density-matrix t", 0)
         v = np.asarray(self.values)
-        if v.shape != (np.size(self.x), np.size(self.x_prime)):
+        if v.shape != (x.size, x_prime.size):
             raise DomainError("density-matrix values must have shape (len(x), len(x_prime))")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "x_prime", x_prime)
+        object.__setattr__(self, "t", t)
 
 
 def density_matrix(state: SpectralState, x: float, x_prime: float, t: float, params: DecoherenceParams) -> complex:

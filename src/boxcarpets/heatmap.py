@@ -29,6 +29,9 @@ DIVERGING = (
     (1.00, (255, 30, 0)),
 )
 
+# image rows rendered per block
+_BLOCK_ROWS = 64
+
 
 def render_heatmap(values: np.ndarray, stops, lo: float, hi: float) -> bytes:
     """Render a 2-D field as a binary pixmap (P6, 8-bit), bottom row first.
@@ -56,11 +59,16 @@ def render_heatmap(values: np.ndarray, stops, lo: float, hi: float) -> bytes:
         where = [(int(i), int(j)) for i, j in zip(*np.nonzero(~finite))][:8]
         raise DomainError(f"non-finite heatmap values at indices {where}")
 
-    u = (v[::-1] - lo) / (hi - lo) if hi > lo else np.full_like(v, 0.5)  # first data row at the bottom
     rgb = np.array([c for _, c in stops], dtype=float)
     height, width = v.shape
+    flipped = v[::-1]  # first data row at the bottom
     pixels = np.empty((height, width, 3), dtype=np.uint8)
-    for i in range(3):
-        pixels[..., i] = np.rint(np.interp(u, pos, rgb[:, i]))
+    # every step is elementwise, so a block of rows gets the bits of the whole
+    # field while its float temporaries stay O(_BLOCK_ROWS x width)
+    for start in range(0, height, _BLOCK_ROWS):
+        rows = flipped[start:start + _BLOCK_ROWS]
+        u = (rows - lo) / (hi - lo) if hi > lo else np.full_like(rows, 0.5)
+        for i in range(3):
+            pixels[start:start + _BLOCK_ROWS, :, i] = np.rint(np.interp(u, pos, rgb[:, i]))
     header = f"P6\n{width} {height}\n255\n".encode("ascii")
-    return header + pixels.tobytes()
+    return b"".join((header, pixels.data))  # one copy of the pixmap, not two

@@ -398,7 +398,8 @@ def _check_array(values, what: str) -> np.ndarray:
             raise DomainError(f"{what} must be a real number in every entry, got {bad[0]!r}")
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf":
-        raise DomainError(f"{what} must be real numbers, got an array of dtype {arr.dtype}")
+        got = repr(values) if arr.ndim == 0 else f"an array of dtype {arr.dtype}"
+        raise DomainError(f"{what} must be real numbers, got {got}")
     arr = arr.astype(float, copy=False)
     if not np.isfinite(arr).all():
         raise DomainError(f"{what} must be finite")

@@ -249,6 +249,19 @@ def test_density_matrix_grid_rectangular_axes(state0, rev, loc_params):
         assert grid.values[i, j] == pytest.approx(point, abs=1e-15)
 
 
+@pytest.mark.parametrize(
+    "x, t, message",
+    [
+        pytest.param(None, 0.0, "density-matrix x must be real numbers, got None", id="axes-None"),
+        pytest.param([0.0], "x", "density-matrix t must be a real number, got 'x'", id="time-str"),
+    ],
+)
+def test_density_matrix_grid_checks_its_numbers(x, t, message):
+    # np.size(None) is 1 and t went unchecked, so both used to construct
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        bc.DensityMatrixGrid(x, x, t, [[1.0]])
+
+
 def test_density_matrix_grid_of_the_zero_state(cfg, rev, loc_params):
     zero = make_state(cfg, np.zeros(4))
     x = np.linspace(-20.0, 20.0, 7)

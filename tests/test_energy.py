@@ -303,6 +303,20 @@ def test_purity_fit_validation():
         bc.PurityFit(chi0=-0.1, amplitudes=(0.1, 0.1, 0.1), timescales=(1.0, 2.0, 3.0), t0=0.0, residual=0.0)
 
 
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        pytest.param({"t0": None, "residual": None}, "fit onset t0 must be a real number, got None", id="t0-None"),
+        pytest.param({"chi0": None}, "fit baseline must be a real number, got None", id="chi0-None"),
+    ],
+)
+def test_purity_fit_checks_its_numbers(fields, message):
+    # the first used to construct, the second to raise TypeError from a comparison
+    good = {"chi0": 0.5, "amplitudes": (0.1, 0.2, 0.3), "timescales": (1.0, 2.0, 3.0), "t0": 0.0, "residual": 0.0}
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        bc.PurityFit(**(good | fields))
+
+
 def test_projection_jacobian_matches_central_differences(state0, rev, ref_params):
     curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
     dt, vals = curve.times, curve.values
@@ -666,6 +680,36 @@ def test_default_sweeps_project_a_tenth_of_the_designs(cfg, ref_params, monkeypa
     rows = bc.sweep_x0(signal, bc.SweepSpec().values(signal, cfg), cfg, ref_params)
     assert all(row.error is None for row in rows)
     assert 0 < sum(designs) < 2100
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_fit_bits_do_not_depend_on_the_block_size(cfg, rev, ref_params, monkeypatch, block):
+    # problems in a stack are independent, so any block gives the default's bits
+    signal = bc.InputSignalSpec("single", 0.0, 10.0)
+    curves = [bc.purity_curve(bc.decompose(bc.InputSignalSpec("single", x0, 10.0), cfg, 50), 10 * rev.tau, ref_params)
+              for x0 in bc.SweepSpec().values(signal, cfg).tolist()]
+    assert 2 * len(curves) > 64  # round 1 spans more than one block, at 64 too
+    want = energy._fit_restarts(curves, 20, 0)
+    monkeypatch.setattr(energy, "_BLOCK", block)
+    got = energy._fit_restarts(curves, 20, 0)
+    for result, expected in zip(got, want, strict=True):
+        for g, w in zip(result, expected, strict=True):
+            assert np.array_equal(g, w, equal_nan=True)
+
+
+@pytest.mark.parametrize("samples, mib", [(200, 1.3), (4000, 20.0)], ids=["default", "4000-samples"])
+def test_sweep_heap_peak_is_a_few_blocks(cfg, ref_params, samples, mib):
+    # measured: 2.4 and 44.2 MiB with blocks of 64 problems, 1.0 and 16.9 MiB with 16
+    signal = bc.InputSignalSpec("single")
+    centers = bc.SweepSpec().values(signal, cfg)
+    tracemalloc.start()
+    try:
+        rows = bc.sweep_x0(signal, centers, cfg, ref_params, bc.FitSpec(samples=samples))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(row.error is None for row in rows)
+    assert peak <= mib * 2**20
 
 
 def test_fit_rejects_non_finite_steps_before_factoring(state0, rev, ref_params, monkeypatch):

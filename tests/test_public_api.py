@@ -8,6 +8,7 @@ damping model is."""
 import dataclasses
 import importlib
 import inspect
+import os
 import pkgutil
 import re
 import typing
@@ -148,15 +149,16 @@ def test_a_wrongly_typed_argument_is_a_domain_error(name, bad):
 
 
 def _spec_arguments():
-    """(function name, parameter name, class) of every parameter of a function
-    that ``boxcarpets`` exports whose annotation is one of the package's classes."""
+    """(function, parameter name, class) of every parameter of a public function
+    of the package or of one of its modules whose annotation is one of the
+    package's classes."""
     found = []
-    for name, obj in sorted(vars(bc).items()):
-        if name.startswith("_") or not inspect.isfunction(obj):
+    for _, obj in sorted(_public_callables().items()):
+        if not inspect.isfunction(obj):
             continue
         for argument, hint in typing.get_type_hints(obj).items():
             if argument != "return" and inspect.isclass(hint) and hint.__module__.startswith("boxcarpets"):
-                found.append((name, argument, hint))
+                found.append((obj, argument, hint))
     return found
 
 
@@ -165,7 +167,7 @@ def _spec_arguments():
 _PLAIN_ARGUMENTS = {
     "alpha": 1, "alpha_prime": 3, "alphas": [1, 2, 3], "x": [-1.0, 0.0, 1.0], "x_prime": [-1.0, 0.0, 1.0],
     "signal": [0.5, 1.0, 0.5], "x0": 0.0, "t": 1.0, "t_end": 1.0, "t_max": 1.0, "times": [1.0], "centers": [0.0],
-    "coeffs": [1.0], "values": [[0.0, 0.0], [0.0, 0.0]], "quantity": "density",
+    "coeffs": [1.0], "values": [[0.0, 0.0], [0.0, 0.0]], "quantity": "density", "N": 8, "path": os.devnull,
 }
 
 
@@ -188,11 +190,10 @@ def _valid_specs():
     }
 
 
-@pytest.mark.parametrize("name, argument, spec", _spec_arguments(), ids=lambda v: getattr(v, "__name__", v))
-def test_every_spec_argument_of_the_api_is_type_checked(name, argument, spec):
-    # found from the signatures, so a function exported later is covered too;
-    # 25 of these used to raise AttributeError given None
-    function = getattr(bc, name)
+@pytest.mark.parametrize("function, argument, spec", _spec_arguments(), ids=lambda v: getattr(v, "__name__", v))
+def test_every_spec_argument_of_the_api_is_type_checked(function, argument, spec):
+    # found from the signatures, so a function added later is covered too;
+    # 28 of these used to raise AttributeError given None
     hints, valid = typing.get_type_hints(function), _valid_specs()
     kwargs = {}
     for parameter in inspect.signature(function).parameters.values():
