@@ -20,9 +20,7 @@ from .decoherence import (
     DecoherenceParams,
     DensityMatrixGrid,
     asymptotic_density,
-    damping_factor,
     beta,
-    density_matrix,
     density_matrix_grid,
     localization_rate,
 )
@@ -37,7 +35,6 @@ from .energy import (
     purity,
     purity_asymptote,
     purity_curve,
-    purity_via_quadrature,
     sweep_x0,
 )
 from .errors import CarpetError, ConfigError, DomainError, FitFailure, NodeProximityError
@@ -62,7 +59,6 @@ from .flow import (
 )
 from .heatmap import DIVERGING, SEQUENTIAL, render_heatmap
 from .products import build_state, run
-from .quadrature import decompose_numeric, simpson_weights
 from .spectral import (
     CavityConfig,
     InputSignalSpec,
@@ -70,13 +66,9 @@ from .spectral import (
     RevivalTimes,
     SpectralState,
     decompose,
-    eigenmode,
-    input_signal,
     mode,
     mode_values,
-    mode_slopes,
     norm_deficit,
-    oracle_grid,
     revival_times,
 )
 

@@ -78,24 +78,6 @@ def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityCon
     return _check_params(params).gamma * _beat_unit(cfg) * abs(b**2 - a**2)
 
 
-def damping_factor(
-    alpha: int,
-    alpha_prime: int,
-    x: float,
-    x_prime: float,
-    t: float,
-    params: DecoherenceParams,
-    cfg: CavityConfig,
-) -> float:
-    """Pair damping exp(-beta t - Lambda (x - x')^2 t)."""
-    t = _check_real(t, "time", 0)
-    _check_spec(cfg, CavityConfig, "damping-factor cavity")
-    _check_positions([_check_real(x, "position x"), _check_real(x_prime, "position x_prime")], cfg)
-    lam = _check_params(params).effective_lambda(cfg)
-    exponent = beta(alpha, alpha_prime, params, cfg) * t + lam * (x - x_prime) ** 2 * t
-    return float(np.exp(-exponent))
-
-
 # ----------------------------------------------------------------------
 # Pair-sum evaluation machinery shared by densities and velocity fields
 # ----------------------------------------------------------------------
@@ -353,13 +335,6 @@ class DensityMatrixGrid:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "x_prime", x_prime)
         object.__setattr__(self, "t", t)
-
-
-def density_matrix(state: SpectralState, x: float, x_prime: float, t: float, params: DecoherenceParams) -> complex:
-    """Density-matrix element rho(x, x'; t) under the damping model."""
-    x, x_prime = _check_real(x, "position x"), _check_real(x_prime, "position x_prime")
-    grid = density_matrix_grid(state, np.array([x]), np.array([x_prime]), t, params)
-    return complex(grid.values[0, 0])
 
 
 def density_matrix_grid(

@@ -2,10 +2,8 @@
 correlation matrices, and the pair decay-time map.
 
 The purity Tr(rho^2) of a damped state decays from (sum p)^2 toward
-chi_inf = sum p^2 (``purity``); ``purity_via_quadrature`` integrates
-|rho(x, x'; t)|^2 over the box square as an independent cross-check.
-Decay curves are summarized by a baseline plus three exponentials with
-distinct timescales (``fit_purity``).
+chi_inf = sum p^2 (``purity``).  Decay curves are summarized by a
+baseline plus three exponentials with distinct timescales (``fit_purity``).
 """
 
 from __future__ import annotations
@@ -14,9 +12,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _check_params, density_matrix_grid
+from .decoherence import DecoherenceParams, _check_params
 from .errors import DomainError, FitFailure
-from .quadrature import simpson_weights
 from .spectral import (CavityConfig, InputSignalSpec, SpectralState, _beat_unit, _check_array, _check_axis,
                        _check_bool, _check_count, _check_real, _check_spec, _check_times, _is_real, decompose,
                        revival_times)
@@ -75,23 +72,6 @@ def purity_asymptote(state: SpectralState) -> float:
     """Long-time purity limit, the sum of squared populations."""
     _check_spec(state, SpectralState, "purity-asymptote state")
     return float(np.sum(state.populations**2))
-
-
-def purity_via_quadrature(
-    state: SpectralState, t: float, params: DecoherenceParams, points: int = 400
-) -> float:
-    """Oracle purity: Simpson quadrature of |rho(x, x'; t)|^2 over the box square.
-
-    The spatial damping term is excluded (the closed form has none), so only
-    ``params.gamma`` enters.
-    """
-    _check_spec(state, SpectralState, "quadrature purity state")
-    points = _check_count(points, "quadrature points", 3)
-    x = np.linspace(-state.cfg.half_width, state.cfg.half_width, points)
-    bare = DecoherenceParams(gamma=_check_params(params).gamma)
-    grid = density_matrix_grid(state, x, x, t, bare)
-    w = simpson_weights(x)
-    return float(w @ np.abs(grid.values) ** 2 @ w)
 
 
 @dataclass(frozen=True, eq=False)
@@ -154,7 +134,7 @@ class PurityFit:
             values = getattr(self, name)
             if not (isinstance(values, tuple) and len(values) == 3 and all(map(_is_real, values))):
                 raise DomainError(f"fit {name} must be a tuple of three real numbers, got {values!r}")
-        ts = self.timescales
+        ts = tuple(_check_real(s, "fit timescale") for s in self.timescales)
         if not (0.0 < ts[0] < ts[1] < ts[2]):
             raise DomainError("fit timescales must be positive and strictly increasing")
         if self.chi0 <= 0.0:
@@ -191,6 +171,13 @@ def _timescales(theta):
     # design column is the constant one: no warning, same values
     with np.errstate(over="ignore"):
         return np.exp(theta)
+
+
+def _finite_rms(rms, theta):
+    """``rms`` with NaN for each restart whose timescales are not all finite:
+    one that could not be factored, or whose slowest timescale overflowed and
+    so has a second constant design column."""
+    return np.where(np.all(np.isfinite(_timescales(theta)), axis=-1), rms, np.nan)
 
 
 def _factor(X):
@@ -376,12 +363,13 @@ def _fit_restarts(curves: list[PurityCurve], restarts: int, seed: int):
     copies drawn from ``seed``.  Round k runs the pair of restarts 2k and
     2k + 1, the last round what is left under the cap, as one
     Levenberg-Marquardt batch over the curves not yet finished.  A curve
-    finishes after a round in which at least 2 of its finite restarts so far
-    lie within ``_AGREE`` (relative) of its best rms.  Problems in a batch
-    are independent, so a curve that runs every round gets the bits of one
-    batch of all its restarts.  Returns per curve, for the restarts that
-    ran, in order, the rms (n,), log-timescales (n, 3) and coefficients
-    (n, 4), NaN for a restart whose design could not be factored.
+    finishes after a round in which at least 2 of its restarts so far with
+    finite timescales (``_finite_rms``) lie within ``_AGREE`` (relative) of
+    its best rms.  Problems in a batch are independent, so a curve that runs
+    every round gets the bits of one batch of all its restarts.  Returns per
+    curve, for the restarts that ran, in order, the rms (n,), log-timescales
+    (n, 3) and coefficients (n, 4), NaN for a restart whose design could not
+    be factored.
     """
     if not curves:
         return []
@@ -402,8 +390,8 @@ def _fit_restarts(curves: list[PurityCurve], restarts: int, seed: int):
         rms[active, lo:hi] = np.sqrt(F / dt.shape[1]).reshape(len(active), -1)
         theta[active, lo:hi] = th.reshape(len(active), -1, 3)
         coef[active, lo:hi] = c.reshape(len(active), -1, 4)
-        # NaN, an unfactored restart, never agrees; fmin skips it silently
-        seen = rms[active, :hi]
+        # NaN never agrees; fmin skips it silently
+        seen = _finite_rms(rms[active, :hi], theta[active, :hi])
         best = np.fmin.reduce(seen, axis=1)
         agree = np.count_nonzero(seen - best[:, None] <= _AGREE * best[:, None], axis=1) >= 2
         ran[active[agree]] = hi
@@ -415,7 +403,9 @@ def _fit_restarts(curves: list[PurityCurve], restarts: int, seed: int):
 
 def _best_fit(t0: float, rms, theta, coef) -> PurityFit:
     """The fit of the restart with the smallest rms, the first on ties; one that
-    ``PurityFit`` rejects is a ``FitFailure`` with the candidate attached."""
+    ``PurityFit`` rejects is a ``FitFailure`` with the candidate attached.
+    Restarts without finite timescales (``_finite_rms``) are skipped."""
+    rms = _finite_rms(rms, theta)
     if np.all(np.isnan(rms)):
         raise FitFailure("no restart converged")
     best = int(np.nanargmin(rms))

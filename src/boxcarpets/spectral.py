@@ -9,8 +9,7 @@ its real projection coefficients onto that basis (a ``SpectralState``).
 
 A signal is a weighted list of half-cosine lobes of width w
 (``InputSignalSpec.lobes``): one lobe centered at x0, or the even mirror
-pair at -x0 and +x0.  ``decompose`` sums one closed form over the lobes;
-``quadrature.decompose_numeric`` provides the route used to cross-check it.
+pair at -x0 and +x0.  ``decompose`` sums one closed form over the lobes.
 
 Every real argument of the package is checked here: scalars by
 ``_check_real``, arrays by ``_check_array`` (positions and times build on
@@ -110,29 +109,11 @@ def mode(alpha: int, cfg: CavityConfig) -> Mode:
     return Mode(alpha=alpha, parity=parity, k=k, E=E)
 
 
-def eigenmode(md: Mode, x, cfg: CavityConfig):
-    """Evaluate a normalized box mode at position(s) ``x``.
-
-    Even-parity modes are sqrt(2/L) cos(kx), odd-parity sqrt(2/L) sin(kx).
-    Positions outside [-L/2, L/2] raise ``DomainError``.
-    """
-    _check_spec(md, Mode, "eigenmode mode")
-    out = mode_values([md.alpha], x, cfg)[:, 0]
-    return out if np.ndim(x) else float(out[0])
-
-
 def mode_values(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
     """Matrix of mode amplitudes, shape (len(x), len(alphas))."""
     _check_spec(cfg, CavityConfig, "mode-values cavity")
     phi, _ = _ModeBasis(alphas, cfg.L)(_check_positions(x, cfg))
     return phi
-
-
-def mode_slopes(alphas: np.ndarray, x, cfg: CavityConfig) -> np.ndarray:
-    """Matrix of spatial derivatives of the modes, same shape as mode_values."""
-    _check_spec(cfg, CavityConfig, "mode-slopes cavity")
-    _, dphi = _ModeBasis(alphas, cfg.L)(_check_positions(x, cfg))
-    return dphi
 
 
 class _ModeBasis:
@@ -219,18 +200,6 @@ class InputSignalSpec:
         """Intervals where the signal is nonzero, one per lobe."""
         h = self.w / 2.0
         return tuple((c - h, c + h) for c, _ in self.lobes)
-
-
-def input_signal(spec: InputSignalSpec, x):
-    """Sample the signal profile at position(s) ``x`` (zero outside its support)."""
-    _check_spec(spec, InputSignalSpec, "input signal")
-    xv = np.atleast_1d(_check_array(x, "positions"))
-    out = np.zeros_like(xv)
-    amp = np.sqrt(2.0 / spec.w)
-    for c, weight in spec.lobes:
-        mask = np.abs(xv - c) <= spec.w / 2.0
-        out[mask] += weight * amp * np.cos(np.pi * (xv[mask] - c) / spec.w)
-    return out if np.ndim(x) else float(out[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -321,13 +290,6 @@ def decompose(spec: InputSignalSpec, cfg: CavityConfig, N: int = 50) -> Spectral
         terms.append(weight * np.where(resonant, at_resonance, detuned))
     # starting from the first term (not from zeros) keeps the sign of -0.0
     return SpectralState(cfg, sum(terms[1:], terms[0]), spec)
-
-
-def oracle_grid(cfg: CavityConfig, points: int = 4001) -> np.ndarray:
-    """Uniform box-spanning grid used for quadrature cross-checks."""
-    _check_spec(cfg, CavityConfig, "oracle-grid cavity")
-    points = _check_count(points, "oracle grid points", 3)
-    return np.linspace(-cfg.half_width, cfg.half_width, points)
 
 
 def _check_count(value, what: str, least: int) -> int:

@@ -3,6 +3,8 @@ import pytest
 
 import boxcarpets as bc
 
+import oracles
+
 
 @pytest.fixture(scope="session")
 def cfg():
@@ -45,8 +47,13 @@ def loc_params():
 
 @pytest.fixture(scope="session")
 def box_grid(cfg):
-    return bc.oracle_grid(cfg)
+    return oracles.oracle_grid(cfg)
 
 
 def make_state(cfg, coeffs):
     return bc.SpectralState(cfg=cfg, coeffs=np.asarray(coeffs, dtype=float))
+
+
+def density_element(state, x, x_prime, t, params):
+    """rho(x, x'; t): ``density_matrix_grid`` on one-point axes."""
+    return complex(bc.density_matrix_grid(state, [x], [x_prime], t, params).values[0, 0])

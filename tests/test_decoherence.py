@@ -8,7 +8,8 @@ from boxcarpets import decoherence, flow
 from boxcarpets.decoherence import density_map
 from boxcarpets.errors import DomainError
 
-from conftest import make_state
+import oracles
+from conftest import density_element, make_state
 
 
 def test_params_validation():
@@ -41,27 +42,28 @@ def test_localization_rate(cfg):
 
 
 def test_damping_factor_values(cfg, rev, ref_params):
-    assert bc.damping_factor(4, 4, 3.0, 3.0, 17.0, ref_params, cfg) == 1.0
-    got = bc.damping_factor(1, 3, 1.0, 1.0, rev.tau, ref_params, cfg)
+    # the reference gamma and the cavity's localization rate, in the oracle's pair damping
+    gamma, lam = ref_params.gamma, bc.localization_rate(cfg)
+    assert oracles.damping_factor(4, 4, 3.0, 3.0, 17.0, gamma, 0.0, cfg) == 1.0
+    got = oracles.damping_factor(1, 3, 1.0, 1.0, rev.tau, gamma, 0.0, cfg)
     assert got == pytest.approx(np.exp(-0.8), rel=1e-12)
-    loc = bc.DecoherenceParams(gamma=0.0, lam="formula")
-    got = bc.damping_factor(2, 2, 12.5, -12.5, rev.tau, loc, cfg)
+    got = oracles.damping_factor(2, 2, 12.5, -12.5, rev.tau, 0.0, lam, cfg)
     assert got == pytest.approx(np.exp(-12.5), rel=1e-12)
 
 
-def test_damping_factor_rejects_negative_time(cfg, ref_params):
-    with pytest.raises(DomainError):
-        bc.damping_factor(1, 2, 0.0, 0.0, -1.0, ref_params, cfg)
+def test_damping_factor_rejects_negative_time(state0, ref_params):
+    # the package applies the pair damping in density_matrix_grid alone
+    with pytest.raises(DomainError, match="time must be >= 0"):
+        bc.density_matrix_grid(state0, [0.0], [0.0], -1.0, ref_params)
 
 
 def test_damping_monotone_in_time_gamma_lambda(cfg):
     args = (1, 4, 2.0, -3.0)
-    base = bc.DecoherenceParams(gamma=0.2, lam=1e-4)
-    f = [bc.damping_factor(*args, t, base, cfg) for t in (1.0, 5.0, 25.0)]
+    f = [oracles.damping_factor(*args, t, 0.2, 1e-4, cfg) for t in (1.0, 5.0, 25.0)]
     assert f[0] > f[1] > f[2]
-    g = [bc.damping_factor(*args, 10.0, bc.DecoherenceParams(gamma=gm, lam=1e-4), cfg) for gm in (0.1, 0.2, 0.4)]
+    g = [oracles.damping_factor(*args, 10.0, gm, 1e-4, cfg) for gm in (0.1, 0.2, 0.4)]
     assert g[0] > g[1] > g[2]
-    l = [bc.damping_factor(*args, 10.0, bc.DecoherenceParams(gamma=0.2, lam=lv), cfg) for lv in (0.0, 1e-4, 1e-3)]
+    l = [oracles.damping_factor(*args, 10.0, 0.2, lv, cfg) for lv in (0.0, 1e-4, 1e-3)]
     assert l[0] > l[1] > l[2]
 
 
@@ -78,7 +80,7 @@ def test_damping_calibration(cfg, rev, ref_params):
 
 def test_density_matrix_initial_product(state0, ref_params):
     for x, xp in ((3.0, -1.0), (0.0, 2.5), (-4.0, -4.0)):
-        got = bc.density_matrix(state0, x, xp, 0.0, ref_params)
+        got = density_element(state0, x, xp, 0.0, ref_params)
         want = bc.wavefunction(state0, x, 0.0) * np.conj(bc.wavefunction(state0, xp, 0.0))
         assert got == pytest.approx(want, abs=1e-12)
         assert abs(got.imag) < 1e-12
@@ -108,7 +110,7 @@ def test_spatial_factor_lowers_the_position_purity(request, rev, ref_params, loc
     # half-wavelength of mode 50 make the Lambda = 0 purity chi itself
     state = request.getfixturevalue(which)
     x = np.linspace(-state.cfg.half_width, state.cfg.half_width, 401)
-    w = bc.simpson_weights(x)
+    w = oracles.simpson_weights(x)
     for t in np.array([0.5, 2.0, 8.0]) * rev.tau:
         chi = bc.purity(state, t, loc_params)
         unlocalized = bc.density_matrix_grid(state, x, x, t, ref_params).values
@@ -126,7 +128,7 @@ def test_spatial_factor_heats_the_state(state0, cfg, rev, lam):
     params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA, lam=lam)
     x = np.linspace(-cfg.half_width, cfg.half_width, 401)
     alphas = np.arange(1, 121)
-    wphi = bc.simpson_weights(x)[:, None] * bc.mode_values(alphas, x, cfg)
+    wphi = oracles.simpson_weights(x)[:, None] * bc.mode_values(alphas, x, cfg)
     levels = np.array([bc.mode(int(a), cfg).E for a in alphas])
     e0 = float(state0.populations @ state0.energies)
     trace = 1.0 - bc.norm_deficit(state0)
@@ -143,15 +145,15 @@ def test_spatial_factor_heats_the_state(state0, cfg, rev, lam):
 
 def test_secondary_diagonal_persists_without_spatial_damping(state0, rev, ref_params):
     t = 20.0 * rev.tau
-    anti = abs(bc.density_matrix(state0, 10.0, -10.0, t, ref_params).real)
-    main = abs(bc.density_matrix(state0, 10.0, 10.0, t, ref_params).real)
+    anti = abs(density_element(state0, 10.0, -10.0, t, ref_params).real)
+    main = abs(density_element(state0, 10.0, 10.0, t, ref_params).real)
     assert anti > 0.1 * main
 
 
 def test_spatial_damping_removes_secondary_diagonal(state0, rev, loc_params):
     t = 20.0 * rev.tau
-    now = abs(bc.density_matrix(state0, 10.0, -10.0, t, loc_params))
-    start = abs(bc.density_matrix(state0, 10.0, -10.0, 0.0, loc_params))
+    now = abs(density_element(state0, 10.0, -10.0, t, loc_params))
+    start = abs(density_element(state0, 10.0, -10.0, 0.0, loc_params))
     assert now < 1e-4 * start
 
 
@@ -234,7 +236,7 @@ def test_asymptotic_density_is_the_late_density_row(request, cfg, which):
 
 
 def test_asymptotic_density_trace(state20, box_grid):
-    w = bc.simpson_weights(box_grid)
+    w = oracles.simpson_weights(box_grid)
     total = w @ bc.asymptotic_density(state20, box_grid)
     assert total == pytest.approx(float(np.sum(state20.populations)), abs=1e-9)
 
@@ -245,7 +247,7 @@ def test_density_matrix_grid_rectangular_axes(state0, rev, loc_params):
     grid = bc.density_matrix_grid(state0, x, xp, rev.tau, loc_params)
     assert grid.values.shape == (11, 7)
     for i, j in ((0, 0), (5, 3), (10, 6)):
-        point = bc.density_matrix(state0, float(x[i]), float(xp[j]), rev.tau, loc_params)
+        point = density_element(state0, float(x[i]), float(xp[j]), rev.tau, loc_params)
         assert grid.values[i, j] == pytest.approx(point, abs=1e-15)
 
 
@@ -298,16 +300,16 @@ def test_single_mode_density_never_decoheres(cfg, rev, ref_params):
 
 
 def _double_loop_density_and_velocity(state, x, t, params):
-    """Density and velocity summed pair by pair from the scalar public pieces."""
+    """Density and velocity summed pair by pair from the oracles' modes, slopes and pair damping."""
     cfg = state.cfg
     support = [int(a) for a in state.alphas if state.coeffs[a - 1] != 0.0]
-    phi = {a: bc.eigenmode(bc.mode(a, cfg), x, cfg) for a in support}
-    dphi = {a: bc.mode_slopes([a], x, cfg)[:, 0] for a in support}
+    phi, dphi = (dict(zip(support, values.T)) for values in oracles.modes(support, x, cfg))
     den = np.zeros_like(x)
     num = np.zeros_like(x)
     for a in support:
         for b in support:
-            weight = state.coeffs[a - 1] * state.coeffs[b - 1] * bc.damping_factor(a, b, 0.0, 0.0, t, params, cfg)
+            damping = oracles.damping_factor(a, b, 0.0, 0.0, t, params.gamma, 0.0, cfg)
+            weight = state.coeffs[a - 1] * state.coeffs[b - 1] * damping
             phase = (bc.mode(a, cfg).E - bc.mode(b, cfg).E) * t / cfg.hbar
             den += weight * np.cos(phase) * phi[a] * phi[b]
             num -= weight * np.sin(phase) * dphi[a] * phi[b]

@@ -14,6 +14,7 @@ import boxcarpets as bc
 from boxcarpets import energy
 from boxcarpets.errors import DomainError, FitFailure
 
+import oracles
 from conftest import make_state
 
 CHI_INF_X0_ZERO = 0.23465451543055765  # sum of squared populations, N = 50
@@ -127,14 +128,15 @@ def test_purity_never_builds_a_mode_pair_matrix(wide_state, rev, ref_params):
 def test_quadrature_oracle_agreement(state0, rev, ref_params):
     for t in (0.0, rev.tau):
         closed = bc.purity(state0, t, ref_params)
-        quad = bc.purity_via_quadrature(state0, t, ref_params, points=400)
+        quad = oracles.purity_via_quadrature(state0, t, ref_params.gamma, points=400)
         assert abs(closed - quad) < 2e-3
 
 
 def test_quadrature_oracle_ignores_spatial_rate(state0, rev, ref_params, loc_params):
-    a = bc.purity_via_quadrature(state0, rev.tau, ref_params, points=200)
-    b = bc.purity_via_quadrature(state0, rev.tau, loc_params, points=200)
-    assert a == b
+    # the oracle integrates rho without the spatial factor, which the closed form leaves out too
+    closed = bc.purity(state0, rev.tau, loc_params)
+    assert closed == bc.purity(state0, rev.tau, ref_params)
+    assert abs(closed - oracles.purity_via_quadrature(state0, rev.tau, loc_params.gamma, points=200)) < 2e-3
 
 
 # -- correlation matrix and decay map ----------------------------------------
@@ -290,6 +292,46 @@ def test_a_best_restart_that_purity_fit_rejects_is_a_fit_failure(state0, rev, re
     assert all(np.isnan(row.t1) and np.isnan(row.residual) for row in rows)
 
 
+@pytest.mark.parametrize(
+    "overflowed, rounds, residual",
+    [([[0]], 2, 1.0 + 5e-10), ([[0, 1], []], 2, 1.0), ([[0, 1]], 10, None)],
+    ids=["first", "first-round", "all"],
+)
+def test_a_restart_whose_timescale_overflowed_never_wins(state0, rev, ref_params, monkeypatch, overflowed, rounds,
+                                                         residual):
+    # the restarts of a round agree, and the first has the smaller rms, but
+    # round k overflows the slowest log-timescale of the restarts in
+    # overflowed[k] (the last entry for later rounds): their design column is
+    # a second constant one, not a fit with t3 = inf, so they neither win nor
+    # count toward the two restarts that end the rounds
+    finite = np.log([1.0, 10.0, 100.0])
+    batches = []
+
+    def lm(theta0, curve, dt, vals, floor):
+        theta = np.tile(finite, (len(theta0), 1))
+        theta[overflowed[min(len(batches), len(overflowed) - 1)], 2] = 720.0
+        batches.append(len(theta0))
+        F = np.square([1.0, 1.0 + 5e-10]) * dt.shape[1]
+        return theta, np.tile([0.2, 0.1, 0.1, 0.1], (len(theta0), 1)), F
+
+    monkeypatch.setattr(energy, "_levenberg_marquardt", lm)
+    curve = bc.purity_curve(state0, 10 * rev.tau, ref_params)
+    if residual is None:
+        with pytest.raises(FitFailure, match="^no restart converged$"):
+            bc.fit_purity(curve)
+    else:
+        fit = bc.fit_purity(curve)
+        assert fit.timescales == tuple(np.exp(finite)) and fit.residual == pytest.approx(residual, rel=1e-15)
+    assert len(batches) == rounds
+    batches.clear()
+    (row,) = bc.sweep_x0(bc.InputSignalSpec("single", 0.0, 10.0), [0.0], bc.CavityConfig(), ref_params)
+    assert len(batches) == rounds
+    if residual is None:
+        assert row.error == "no restart converged"
+    else:
+        assert row.error is None and (row.t1, row.t2, row.t3) == fit.timescales
+
+
 def test_fit_needs_enough_samples(rev):
     curve = _synthetic_curve(0.2, (0.3, 0.3, 0.2), (1.0, 10.0, 100.0), 1000.0, n=20)
     with pytest.raises(DomainError):
@@ -308,10 +350,11 @@ def test_purity_fit_validation():
     [
         pytest.param({"t0": None, "residual": None}, "fit onset t0 must be a real number, got None", id="t0-None"),
         pytest.param({"chi0": None}, "fit baseline must be a real number, got None", id="chi0-None"),
+        pytest.param({"timescales": (1.0, 2.0, np.inf)}, "fit timescale must be finite, got inf", id="t3-inf"),
     ],
 )
 def test_purity_fit_checks_its_numbers(fields, message):
-    # the first used to construct, the second to raise TypeError from a comparison
+    # the first and the last used to construct, the second to raise TypeError from a comparison
     good = {"chi0": 0.5, "amplitudes": (0.1, 0.2, 0.3), "timescales": (1.0, 2.0, 3.0), "t0": 0.0, "residual": 0.0}
     with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         bc.PurityFit(**(good | fields))

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 import boxcarpets as bc
 from boxcarpets.errors import DomainError
 
+import oracles
 from conftest import make_state
 
 
@@ -26,8 +27,8 @@ def test_wavefunction_initial_truncation(cfg, state0, box_grid):
     # Parseval: the L2 gap between the truncated state and the input profile
     # is exactly the norm deficit.
     psi = bc.wavefunction(state0, box_grid, 0.0)
-    target = bc.input_signal(state0.signal, box_grid)
-    gap = bc.simpson_weights(box_grid) @ np.abs(psi - target) ** 2
+    target = oracles.input_signal(state0.signal, box_grid)
+    gap = oracles.simpson_weights(box_grid) @ np.abs(psi - target) ** 2
     assert gap == pytest.approx(bc.norm_deficit(state0), abs=1e-6)
 
 
@@ -124,7 +125,7 @@ def test_even_parity_class_revives_at_tau_odd_class_at_two_tau(cfg, rev):
 
 
 def test_unit_trace_is_time_independent(state20, box_grid, rev, ref_params):
-    w = bc.simpson_weights(box_grid)
+    w = oracles.simpson_weights(box_grid)
     norm = float(np.sum(state20.populations))
     for t in (0.0, 0.9 * rev.tau, 4.0 * rev.tau):
         coherent = w @ bc.probability_density(state20, box_grid, t)

@@ -7,6 +7,7 @@ from boxcarpets import flow, spectral
 from boxcarpets.decoherence import density_map
 from boxcarpets.flow import _integrate_batch
 
+import oracles
 from conftest import make_state
 
 
@@ -39,7 +40,7 @@ def test_velocity_against_flux_ratio(state20, cfg, rev):
     t = 0.77 * rev.tau
     psi = bc.wavefunction(state20, x, t)
     u = state20.coeffs * np.exp(-1j * state20.energies * t / cfg.hbar)
-    dpsi = bc.mode_slopes(state20.alphas, x, cfg) @ u
+    dpsi = oracles.modes(state20.alphas, x, cfg)[1] @ u
     rho = np.abs(psi) ** 2
     mask = rho > 1e-6
     j_over_rho = (cfg.hbar / cfg.m) * (np.conj(psi) * dpsi).imag[mask] / rho[mask]
@@ -75,7 +76,7 @@ def test_velocity_parity_branches_match_flux_ratio(cfg, rev, coeffs, gamma):
     t = 0.37 * rev.tau
     psi = bc.wavefunction(state, x, t)
     u = state.coeffs * np.exp(-1j * state.energies * t / cfg.hbar)
-    dpsi = bc.mode_slopes(state.alphas, x, cfg) @ u
+    dpsi = oracles.modes(state.alphas, x, cfg)[1] @ u
     rho = np.abs(psi) ** 2
     mask = rho > 1e-6
     jr = (cfg.hbar / cfg.m) * (np.conj(psi) * dpsi).imag[mask] / rho[mask]

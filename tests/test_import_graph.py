@@ -1,10 +1,13 @@
 """Module structure of the package: relative imports sit at module level, the
-modules import each other without a cycle, and no definition lacks a caller."""
+modules import each other without a cycle, and no definition lacks a caller.
+The tests' oracles import numpy and the standard library only."""
 
 import ast
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "boxcarpets"
+ORACLES = Path(__file__).resolve().parent / "oracles.py"
 
 
 def _modules():
@@ -64,3 +67,16 @@ def test_every_module_level_definition_is_named_somewhere():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in named
     ]
     assert not unused, f"definitions with no caller: {unused}"
+
+
+def test_the_oracles_import_numpy_and_the_standard_library_only():
+    # a reference that ran through the package's evaluators would share their faults
+    imported = set()
+    for node in ast.walk(ast.parse(ORACLES.read_text(), filename=str(ORACLES))):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or "").split(".")[0])
+    assert "numpy" in imported
+    foreign = sorted(imported - {"numpy"} - sys.stdlib_module_names)
+    assert not foreign, f"tests/oracles.py imports {foreign}"

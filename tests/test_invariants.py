@@ -11,6 +11,8 @@ import pytest
 import boxcarpets as bc
 from boxcarpets.decoherence import density_map
 
+import oracles
+
 PROBES = 40
 
 
@@ -66,7 +68,7 @@ def test_invariants_hold_across_the_parameter_space(case):
     # can only lower it
     alpha_max = int(state.alphas[state.coeffs != 0.0].max())
     xs = np.linspace(-cfg.half_width, cfg.half_width, 4 * alpha_max + 1)
-    w = bc.simpson_weights(xs)
+    w = oracles.simpson_weights(xs)
     bare = bc.DecoherenceParams(gamma=gamma)
     for t in np.array([0.37, 1.7]) * rev.tau:
         chi = bc.purity(state, t, bare)
@@ -134,7 +136,7 @@ def _fractional_revival(state, p, q, points=128):
     M = q * -(-points // q)
     x = np.linspace(-cfg.half_width, cfg.half_width, M + 1)
     psi0 = bc.mode_values(state.alphas, x, cfg) @ state.coeffs
-    slope0 = bc.mode_slopes(state.alphas, x, cfg) @ state.coeffs
+    slope0 = oracles.modes(state.alphas, x, cfg)[1] @ state.coeffs
     # one period of 2M steps: psi0 is odd in theta, its slope even
     period = (np.concatenate([psi0, -psi0[-2:0:-1]]), np.concatenate([slope0, slope0[-2:0:-1]]))
     a = np.arange(q)

@@ -71,13 +71,10 @@ def _damping_model_calls():
     grid = bc.SpaceTimeGrid(x, [0.0, 1.0])
     return {
         "boxcarpets.decoherence.beta": lambda p: bc.beta(1, 3, p, cfg),
-        "boxcarpets.decoherence.damping_factor": lambda p: bc.damping_factor(1, 3, 0.0, 1.0, 1.0, p, cfg),
         "boxcarpets.decoherence.density_map": lambda p: decoherence.density_map(state, x, [1.0], p),
-        "boxcarpets.decoherence.density_matrix": lambda p: bc.density_matrix(state, 0.0, 1.0, 1.0, p),
         "boxcarpets.decoherence.density_matrix_grid": lambda p: bc.density_matrix_grid(state, x, x, 1.0, p),
         "boxcarpets.energy.purity": lambda p: bc.purity(state, 1.0, p),
         "boxcarpets.energy.purity_curve": lambda p: bc.purity_curve(state, 1.0, p),
-        "boxcarpets.energy.purity_via_quadrature": lambda p: bc.purity_via_quadrature(state, 1.0, p, points=5),
         "boxcarpets.energy.decay_time_map": lambda p: bc.decay_time_map(cfg, p, 8),
         "boxcarpets.energy.sweep_x0": lambda p: bc.sweep_x0(signal, [0.0], cfg, p, N=8),
         "boxcarpets.evolution.carpet": lambda p: bc.carpet(state, grid, params=p),
@@ -166,7 +163,7 @@ def _spec_arguments():
 # argument annotated float takes the first entry
 _PLAIN_ARGUMENTS = {
     "alpha": 1, "alpha_prime": 3, "alphas": [1, 2, 3], "x": [-1.0, 0.0, 1.0], "x_prime": [-1.0, 0.0, 1.0],
-    "signal": [0.5, 1.0, 0.5], "x0": 0.0, "t": 1.0, "t_end": 1.0, "t_max": 1.0, "times": [1.0], "centers": [0.0],
+    "x0": 0.0, "t": 1.0, "t_end": 1.0, "t_max": 1.0, "times": [1.0], "centers": [0.0],
     "coeffs": [1.0], "values": [[0.0, 0.0], [0.0, 0.0]], "quantity": "density", "N": 8, "path": os.devnull,
 }
 
@@ -182,7 +179,6 @@ def _valid_specs():
         bc.SpectralState: state,
         bc.DecoherenceParams: params,
         bc.EnsembleSpec: bc.EnsembleSpec(count=2),
-        bc.Mode: bc.mode(1, cfg),
         bc.RunConfig: bc.RunConfig(),
         bc.FitSpec: bc.FitSpec(),
         bc.PurityCurve: bc.purity_curve(state, 1.0, params, 50),
