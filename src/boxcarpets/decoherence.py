@@ -16,10 +16,14 @@ to 1 on the diagonal), so its position purity is at most the energy purity;
 but it adds hbar^2 Lambda t / m of energy per unit trace, because it
 localizes without dissipating.
 
-No quantity has a zero-rate path of its own: at gamma = 0, Lambda = 0 or
-t = 0 every damping factor of ``_PairKernel``, ``_BeatSeries`` and
-``density_matrix_grid`` is exactly 1, so the damped products give the
-coherent bits.
+At gamma = 0, Lambda = 0 or t = 0 every damping factor of ``_PairKernel``,
+``_BeatSeries`` and ``density_matrix_grid`` is exactly 1, so the damped
+products give the coherent bits.  The one zero-rate path is the velocity at
+fixed points (``flow._velocity_rows``): at gamma = 0 it sums psi and its
+slope, not the beat series, since |psi|^2 keeps its relative accuracy where
+the density is small.  So ``velocity_map`` at gamma = 0 and at 1e-300
+differs, by ~1e-9 of max|v| where the density is above 1e-6 of its row
+maximum.
 """
 
 from __future__ import annotations
@@ -83,32 +87,59 @@ def beta(alpha: int, alpha_prime: int, params: DecoherenceParams, cfg: CavityCon
 # ----------------------------------------------------------------------
 
 
-def _support(state: SpectralState):
-    """Coefficients and mode basis restricted to modes with nonzero coefficients."""
-    idx = np.nonzero(state.coeffs)[0]
-    return state.coeffs[idx], _ModeBasis(idx + 1, state.cfg.L)
+#: Density below which the velocity hbar/m * flux / density is set to 0 (a node).
+DENSITY_FLOOR = 1e-12
+
+
+def _flux_ratio(hm: float, num: np.ndarray, den: np.ndarray):
+    """Velocity hbar/m * num / den, and the mask of node-floor points where it is set to 0."""
+    bad = den < DENSITY_FLOOR
+    v = hm * num / np.where(bad, 1.0, den)
+    v[bad] = 0.0
+    return v, bad
 
 
 class _PairKernel:
-    """Damped pair matrix of one state over its support modes.
+    """Damped pair matrix of one state over its support modes, and its reductions.
 
     ``kernel(t)`` returns M_ab(t) = c_a c_b exp(-i (E_a - E_b) t / hbar)
-    exp(-gamma t |E_a - E_b| / hbar).  The density is the x = x' reduction
-    of phi M phi^T through Re M, the flux reduces Im M against the mode
-    slopes, and the density matrix keeps the whole of M.  Everything that
-    does not depend on t is formed once per state.
+    exp(-gamma t |E_a - E_b| / hbar); the density matrix keeps the whole of
+    M.  The integrators reduce M at points that move on every call, at any
+    gamma.  ``velocity`` reduces Re M and Im M against the support modes
+    and slopes at the points, and returns the velocities together with a
+    mask of positions whose density sits below the node floor (velocity
+    forced to zero there).  ``cumulative`` is the probability F(x, t) to the
+    left of x and its density.  With y = x + L/2, R = Re M(t) and
+    B_ab = A_ab / k_b, where A_ab = 1/(k_a - k_b) - 1/(k_a + k_b) off the
+    diagonal and 0 on it,
+
+        F = y tr(R) / L - sum_a R_aa phi_a phi'_a / (2 k_a^2) + sum_ab phi_a (R o B)_ab phi'_b
+
+    and dF/dx = rho = phi R phi^T.  The energy damping leaves the diagonal
+    of R at c^2 for every t and gamma, so F(L/2) = tr R is conserved.
+    Everything that does not depend on t is formed once per state.
     """
 
     def __init__(self, state: SpectralState, gamma: float):
         cfg = state.cfg
-        self.c, self.basis = _support(state)
-        populated = state.coeffs != 0.0
-        self.Eh = state.energies[populated] / cfg.hbar
+        alpha = state.support
+        self.c = state.coeffs[alpha - 1]
+        self.basis = _ModeBasis(alpha, cfg.L)
+        self.Eh = state.energies[alpha - 1] / cfg.hbar
         self.gamma = gamma
         # complex once here, so that no call casts it again
         self.W = np.outer(self.c, self.c).astype(complex)
-        square = state.alphas[populated] ** 2
-        self.absdEh = _beat_unit(cfg) * np.abs(square[:, None] - square[None, :])
+        self.absdEh = _beat_unit(cfg) * np.abs(alpha[:, None] ** 2 - alpha[None, :] ** 2)
+        self.hm = cfg.hbar / cfg.m
+        k = self.basis.k
+        with np.errstate(divide="ignore"):
+            A = 1.0 / (k[:, None] - k[None, :]) - 1.0 / (k[:, None] + k[None, :])
+        np.fill_diagonal(A, 0.0)
+        self.B = A / k[None, :]
+        self.diag = self.c**2 / (2.0 * k**2)
+        self.total = float(np.sum(self.c**2))  # tr R, conserved
+        self.half_width = cfg.half_width
+        self._t = None
 
     def __call__(self, t: float) -> np.ndarray:
         z = np.exp(-1j * self.Eh * t)
@@ -116,6 +147,28 @@ class _PairKernel:
         M *= np.exp((-self.gamma * t) * self.absdEh)
         M *= self.W
         return M
+
+    def velocity(self, x: np.ndarray, t: float):
+        phi, dphi = self.basis(x)
+        M = self(t)
+        den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
+        num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
+        return _flux_ratio(self.hm, num, den)
+
+    def cumulative(self, x: np.ndarray, t: float):
+        if t != self._t:
+            R = self(t).real
+            # one product gives both reductions: [R | R o B]
+            self._RB = np.hstack([R, R * self.B])
+            self._t = t
+        phi, dphi = self.basis(x)
+        n = self.diag.size
+        P = phi @ self._RB
+        rho = (P[:, :n] * phi).sum(axis=1)
+        y = x + self.half_width
+        F = y * (self.total / (2.0 * self.half_width)) - (phi * dphi) @ self.diag
+        F += (P[:, n:] * dphi).sum(axis=1)
+        return F, rho
 
 
 # exp(-x) is exactly 0.0 in double precision for every x above this
@@ -147,7 +200,7 @@ class _BeatSeries:
 
     def __init__(self, state: SpectralState, gamma: float):
         cfg = state.cfg
-        alpha = state.alphas[state.coeffs != 0.0]
+        alpha = state.support
         c = state.coeffs[alpha - 1]
         sc = np.where(alpha // 2 % 2 == 0, c, -c)
         a, b = np.triu_indices(alpha.size, 1)

@@ -53,9 +53,8 @@ def purity(state: SpectralState, t, params: DecoherenceParams):
     """
     _check_spec(state, SpectralState, "purity state")
     t_arr = _check_times(t if np.ndim(t) else [t], "purity times")
-    p = state.populations
-    alpha = state.alphas[p != 0.0]
-    p = p[alpha - 1]
+    alpha = state.support
+    p = state.populations[alpha - 1]
     # damping of each step between neighbouring populated modes, one row per step
     rates = (2.0 * _check_params(params).gamma * _beat_unit(state.cfg)) * np.diff(alpha**2)
     damping = np.multiply.outer(-rates, t_arr)

@@ -9,10 +9,10 @@ rule checked by ``noncrossing_check``).
 The field has one route per kind of point.  At fixed points (``velocity``
 and ``velocity_map``, which share one row function) a row is two mode sums
 of psi at gamma = 0 and a beat-wavenumber series when damped.  Points that
-move on every call reduce the pair matrix (``_PairField``): the damped
-integrator's velocity and the cumulative probability F(x, t) to the left of
-x are two reductions of that one pair field, and F's closed form holds at
-any gamma.
+move on every call reduce the pair matrix (``decoherence._PairKernel``):
+the damped integrator's velocity and the cumulative probability F(x, t) to
+the left of x are two reductions of that one matrix, and F's closed form
+holds at any gamma.
 
 A coherent (gamma = 0) streamline keeps the probability to its left
 constant, F(x(t), t) = F(x0, 0); those paths are solved as quantiles of F
@@ -29,12 +29,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .decoherence import DecoherenceParams, _BeatSeries, _check_params, _PairKernel, _row_blocks, _support
+from .decoherence import (DENSITY_FLOOR, DecoherenceParams, _BeatSeries, _check_params, _flux_ratio, _PairKernel,
+                          _row_blocks)
 from .errors import CarpetError, DomainError, NodeProximityError
 from .spectral import (InputSignalSpec, SpectralState, _check_array, _check_axis, _check_count, _check_positions,
-                       _check_real, _check_spec, _check_times, _coherent_period, revival_times)
+                       _check_real, _check_spec, _check_times, _coherent_period, _ModeBasis, revival_times)
 
-DENSITY_FLOOR = 1e-12
 _QUANTILE_ITERATIONS = 200  # per solve; bisection alone needs ~40 across the box
 
 # Dormand-Prince 5(4) pair; the propagated solution is 5th order and the
@@ -74,9 +74,10 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
     rows = np.empty((times.size, xv.size))
     bad = np.empty(rows.shape, dtype=bool)
     if gamma == 0.0:
-        c, basis = _support(state)
-        Eh = state.energies[state.coeffs != 0.0] / state.cfg.hbar
-        phi, dphi = basis(xv)
+        alpha = state.support
+        c = state.coeffs[alpha - 1]
+        Eh = state.energies[alpha - 1] / state.cfg.hbar
+        phi, dphi = _ModeBasis(alpha, state.cfg.L)(xv)
         for j, t in enumerate(times):
             u = c * np.exp(-1j * Eh * float(t))
             ur = u.view(float).reshape(-1, 2)  # (real, imag) columns: no complex cast of phi
@@ -91,76 +92,9 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
     return rows, bad
 
 
-def _flux_ratio(hm: float, num: np.ndarray, den: np.ndarray):
-    """Velocity hbar/m * num / den, and the mask of node-floor points where it is set to 0."""
-    bad = den < DENSITY_FLOOR
-    v = hm * num / np.where(bad, 1.0, den)
-    v[bad] = 0.0
-    return v, bad
-
-
 def _require_support(state: SpectralState) -> None:
-    if not np.any(state.coeffs):
+    if not state.support.size:
         raise DomainError("velocity field undefined for a state with no nonzero coefficients")
-
-
-class _PairField:
-    """The pair matrix of ``_PairKernel`` reduced at points that move on every call.
-
-    Two reductions of one kernel, at any gamma.  ``velocity`` is the
-    integrator's field: it reduces Re M and Im M against the support modes
-    and slopes at the points, and returns the velocities together with a
-    mask of positions whose density sits below the node floor (velocity
-    forced to zero there).  ``cumulative`` is the probability F(x, t) to the
-    left of x and its density.  With y = x + L/2, R = Re M(t) and
-    B_ab = A_ab / k_b, where A_ab = 1/(k_a - k_b) - 1/(k_a + k_b) off the
-    diagonal and 0 on it,
-
-        F = y tr(R) / L - sum_a R_aa phi_a phi'_a / (2 k_a^2) + sum_ab phi_a (R o B)_ab phi'_b
-
-    and dF/dx = rho = phi R phi^T.  The energy damping leaves the diagonal
-    of R at c^2 for every t and gamma, so only the off-diagonal part is
-    rebuilt per time and F(L/2) = tr R is conserved.  ``period`` is the
-    period of F in t: ``spectral._coherent_period`` at gamma = 0, and None
-    when damped, since the damping is not periodic.
-    """
-
-    def __init__(self, state: SpectralState, gamma: float):
-        _require_support(state)
-        self.kernel = _PairKernel(state, gamma)
-        self.hm = state.cfg.hbar / state.cfg.m
-        k = self.kernel.basis.k
-        with np.errstate(divide="ignore"):
-            A = 1.0 / (k[:, None] - k[None, :]) - 1.0 / (k[:, None] + k[None, :])
-        np.fill_diagonal(A, 0.0)
-        self.B = A / k[None, :]
-        self.diag = self.kernel.c**2 / (2.0 * k**2)
-        self.total = float(np.sum(self.kernel.c**2))  # tr R, conserved
-        self.half_width = state.cfg.half_width
-        self.period = _coherent_period(state) if gamma == 0.0 else None
-        self._t = None
-
-    def velocity(self, x: np.ndarray, t: float):
-        phi, dphi = self.kernel.basis(x)
-        M = self.kernel(t)
-        den = ((phi @ np.ascontiguousarray(M.real)) * phi).sum(axis=1)
-        num = ((dphi @ np.ascontiguousarray(M.imag)) * phi).sum(axis=1)
-        return _flux_ratio(self.hm, num, den)
-
-    def cumulative(self, x: np.ndarray, t: float):
-        if t != self._t:
-            R = self.kernel(t).real
-            # one product gives both reductions: [R | R o B]
-            self._RB = np.hstack([R, R * self.B])
-            self._t = t
-        phi, dphi = self.kernel.basis(x)
-        n = self.diag.size
-        P = phi @ self._RB
-        rho = (P[:, :n] * phi).sum(axis=1)
-        y = x + self.half_width
-        F = y * (self.total / (2.0 * self.half_width)) - (phi * dphi) @ self.diag
-        F += (P[:, n:] * dphi).sum(axis=1)
-        return F, rho
 
 
 def velocity(state: SpectralState, x, t: float, params: DecoherenceParams = DecoherenceParams()):
@@ -326,13 +260,14 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     if sample_times[0] < 0.0 or sample_times[-1] > t_end * (1 + 1e-12):
         raise DomainError("sample_times must lie within [0, t_end]")
 
-    field = _PairField(state, params.gamma)
+    _require_support(state)
+    kernel = _PairKernel(state, params.gamma)
     if params.gamma == 0.0:
-        recorded, freeze_time = _quantile_batch(field, seeds, sample_times, tol * 1e-2)
+        recorded, freeze_time = _quantile_batch(kernel, seeds, sample_times, _coherent_period(state), tol * 1e-2)
     else:
         tau = revival_times(state.cfg).tau
         recorded, freeze_time = _integrate_batch(
-            field.velocity,
+            kernel.velocity,
             seeds,
             sample_times,
             t_end=t_end,
@@ -356,26 +291,27 @@ def _integrate(state, seeds, t_end, params, tol, sample_times) -> list[Trajector
     return trajectories
 
 
-def _quantile_batch(field, x0, sample_times, xtol):
+def _quantile_batch(kernel, x0, sample_times, period, xtol):
     """Coherent streamlines as quantiles: solve F(x, t) = F(x0, 0) once per distinct folded time.
 
-    Same return pair as ``_integrate_batch``.  The distinct folded times of
-    ``_fold_times`` are solved in increasing order, each warm-started from
+    Same return pair as ``_integrate_batch``.  ``period`` is the period of
+    the coherent F (``spectral._coherent_period``).  The distinct folded
+    times of ``_fold_times`` are solved in increasing order, each warm-started from
     the last, and copied back to every sample.  A seed whose density is
     below the node floor stops at t = 0; every other member completes.
     """
     n = x0.size
     recorded = np.full((sample_times.size, n), np.nan)
     freeze_time = np.full(n, np.inf)
-    target, rho0 = field.cumulative(x0, 0.0)
+    target, rho0 = kernel.cumulative(x0, 0.0)
     live = rho0 >= DENSITY_FLOOR
     freeze_time[~live] = 0.0
-    folded, group = _fold_times(sample_times, field.period)
+    folded, group = _fold_times(sample_times, period)
     x, target = x0[live], target[live]
     solved = np.empty((folded.size, x.size))
     for j, t in enumerate(folded):
         if t > 0.0 and x.size:
-            x = _solve_quantile(field, x, target, float(t), xtol)
+            x = _solve_quantile(kernel, x, target, float(t), xtol)
         solved[j] = x
     recorded[:, live] = solved[group]
     recorded[sample_times <= 0.0] = x0  # also a seed on a node
@@ -385,17 +321,14 @@ def _quantile_batch(field, x0, sample_times, xtol):
 def _fold_times(times, period):
     """The distinct folded sample times in increasing order, and each sample's index among them.
 
-    A coherent F repeats with the period T_p = ``_PairField.period``, and
-    the real coefficients make it even in t, so F is the same at t,
+    A coherent F repeats with the period T_p (``spectral._coherent_period``),
+    and the real coefficients make it even in t, so F is the same at t,
     T_p - t and t + T_p: a time t folds onto [0, T_p / 2] as
     min(r, T_p - r) with r = t mod T_p.  A folded time within 1e-13 T_p of 0
     is exactly 0, and folded times within 1e-13 T_p of their neighbour are
-    one.  A period of 0.0 (a stationary state) folds every time to 0; None
-    (damped) folds none.
+    one.  A period of 0.0 (a stationary state) folds every time to 0.
     """
-    if period is None:
-        folded, tol = times, 0.0
-    elif period == 0.0:
+    if period == 0.0:
         folded, tol = np.zeros_like(times), 0.0
     else:
         r = np.mod(times, period)
@@ -410,7 +343,7 @@ def _fold_times(times, period):
     return ordered[first], group
 
 
-def _solve_quantile(field, x, target, t, xtol):
+def _solve_quantile(kernel, x, target, t, xtol):
     """Vectorized safeguarded Newton for F(x, t) = target, warm-started at ``x``.
 
     F increases with x (dF/dx = rho >= 0), so the sign of each residual
@@ -421,16 +354,16 @@ def _solve_quantile(field, x, target, t, xtol):
     when its bracket is narrower than ``xtol``.  A Newton step that leaves
     the bracket is replaced by bisection.
     """
-    hw = field.half_width
+    hw = kernel.half_width
     x = x.copy()
     lo = np.full(x.size, -hw)
     hi = np.full(x.size, hw)
     # roundoff of F grows with the y tr(R) / L term
-    floor_scale = 4.0 * np.finfo(float).eps * field.total / (2.0 * hw)
+    floor_scale = 4.0 * np.finfo(float).eps * kernel.total / (2.0 * hw)
     todo = np.arange(x.size)
     for _ in range(_QUANTILE_ITERATIONS):
         xi = x[todo]
-        F, rho = field.cumulative(xi, t)
+        F, rho = kernel.cumulative(xi, t)
         r = F - target[todo]
         lo_i = np.where(r < 0.0, xi, lo[todo])
         hi_i = np.where(r > 0.0, xi, hi[todo])

@@ -178,13 +178,13 @@ def run(config: RunConfig, parallelism: int = 1) -> dict:
 
     Products run one after another and share one ``_Run``.  ``parallelism``
     is accepted for compatibility and ignored.  Returns the manifest:
-    per-product file lists, sha256 checksums, and any per-product failure
-    messages (callers map failures to a nonzero exit).
+    per-product lists of absolute file paths, sha256 checksums, and any
+    per-product failure messages (callers map failures to a nonzero exit).
     """
     _check_spec(config, RunConfig, "run configuration")
     if not config.output.products:
         raise CarpetError("no products requested")
-    out = Path(config.output.directory)
+    out = Path(config.output.directory).resolve()
     out.mkdir(parents=True, exist_ok=True)
     shared = _Run(config, out)
 

@@ -73,7 +73,7 @@ def _coherent_period(state: SpectralState) -> float:
     modes (8 for one parity class, where T_p = tau).  With one populated
     mode g is 0: no beat, and every time is a period.
     """
-    square = state.alphas[state.coeffs != 0.0] ** 2
+    square = state.support**2
     g = math.gcd(*(square - square[:1]).tolist())
     return revival_times(state.cfg).t_revival / g if g else 0.0
 
@@ -232,6 +232,11 @@ class SpectralState:
     @property
     def alphas(self) -> np.ndarray:
         return np.arange(1, self.N + 1)
+
+    @property
+    def support(self) -> np.ndarray:
+        """Indices alpha of the populated modes (nonzero coefficients), increasing."""
+        return self.alphas[self.coeffs != 0.0]
 
     @property
     def wavenumbers(self) -> np.ndarray:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import boxcarpets as bc
-from boxcarpets import decoherence, flow
+from boxcarpets import decoherence, spectral
 from boxcarpets.decoherence import density_map
 from boxcarpets.errors import DomainError
 
@@ -205,8 +205,8 @@ def test_zero_rates_take_the_damped_path_bit_for_bit(request, rev, which, t_tau)
         assert density_map(state, x, [t], zero).tobytes() == density_map(state, x, [t], tiny).tobytes()
         dm_zero = bc.density_matrix_grid(state, x, x[::3], t, zero).values
         assert dm_zero.tobytes() == bc.density_matrix_grid(state, x, x[::3], t, tiny).values.tobytes()
-    # the pair field takes only the energy rate
-    zero, tiny = flow._PairField(state, 0.0), flow._PairField(state, 1e-300)
+    # the pair kernel's reductions take only the energy rate
+    zero, tiny = decoherence._PairKernel(state, 0.0), decoherence._PairKernel(state, 1e-300)
     for got, want in zip(zero.cumulative(x, t) + zero.velocity(x, t), tiny.cumulative(x, t) + tiny.velocity(x, t)):
         assert got.tobytes() == want.tobytes()
 
@@ -286,6 +286,23 @@ def test_pair_kernel_rates_are_the_exact_beats(request, cfg, which):
     expected = np.array([[bc.beta(int(a), int(b), unit, cfg) for b in alpha] for a in alpha])
     assert np.array_equal(kernel.absdEh, expected)
     assert np.array_equal(kernel.Eh, state.energies[populated] / cfg.hbar)
+
+
+def test_every_pair_sum_reads_one_support(cfg, rev):
+    # populated modes 1, 4 and 6, not contiguous
+    state = make_state(cfg, [0.6, 0.0, 0.0, 0.7, 0.0, 0.1])
+    assert state.support.tolist() == [1, 4, 6]
+    kernel = decoherence._PairKernel(state, bc.DEFAULT_GAMMA)
+    assert np.allclose(kernel.basis.k, state.support * np.pi / cfg.L, rtol=1e-15, atol=0.0)
+    assert np.array_equal(kernel.basis.k, state.wavenumbers[state.support - 1])
+    assert kernel.c.tolist() == [0.6, 0.7, 0.1]
+    series = decoherence._BeatSeries(state, bc.DEFAULT_GAMMA)
+    assert series.size == 2 * 6 + 1 and series.minus.size == 3
+    # the beats 16 - 1 and 36 - 1 have the gcd 5
+    assert spectral._coherent_period(state) == rev.t_revival / 5
+    # the purity sweeps the steps 1 -> 4 -> 6: chi(0) = (sum p)^2
+    params = bc.DecoherenceParams(gamma=bc.DEFAULT_GAMMA)
+    assert bc.purity(state, 0.0, params) == pytest.approx(0.86**2, rel=1e-15)
 
 
 def test_single_mode_density_never_decoheres(cfg, rev, ref_params):

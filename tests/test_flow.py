@@ -3,7 +3,7 @@ import pytest
 
 import boxcarpets as bc
 from boxcarpets.errors import DomainError, NodeProximityError
-from boxcarpets import flow, spectral
+from boxcarpets import decoherence, flow, spectral
 from boxcarpets.decoherence import density_map
 from boxcarpets.flow import _integrate_batch
 
@@ -515,7 +515,7 @@ def test_coherent_quantiles_match_the_ode_oracle(cfg, rev, kind, x0):
     assert all(tr.status == "completed" for tr in run)
     assert bc.noncrossing_check(run).ok
     reference, freeze = _integrate_batch(
-        flow._PairField(state, 0.0).velocity,
+        decoherence._PairKernel(state, 0.0).velocity,
         seeds,
         samples,
         t_end=t_end,
@@ -541,14 +541,14 @@ def test_coherent_ensemble_work_is_sample_bound(monkeypatch):
     t_end = default.grid.t_max_tau * bc.revival_times(default.cavity).tau
     samples = np.linspace(0.0, t_end, default.grid.t_points)
     calls = 0
-    evaluate = flow._PairField.cumulative
+    evaluate = decoherence._PairKernel.cumulative
 
     def counted(self, x, t):
         nonlocal calls
         calls += 1
         return evaluate(self, x, t)
 
-    monkeypatch.setattr(flow._PairField, "cumulative", counted)
+    monkeypatch.setattr(decoherence._PairKernel, "cumulative", counted)
     for config, bound in ((default, 1_000), (bc.apply_overrides(default, x0=20.0), 3_500)):
         calls = 0
         run = bc.integrate_ensemble(bc.build_state(config), config.ensemble, t_end, sample_times=samples)
@@ -564,17 +564,16 @@ def test_coherent_cumulative_repeats_with_the_period_and_is_even_in_time(cfg, re
     state = bc.decompose(bc.InputSignalSpec(kind, x0, 10.0), cfg, 50)
     period = spectral._coherent_period(state)
     assert period == pytest.approx(rev.t_revival / periods_per_revival, rel=1e-15)
-    field = flow._PairField(state, 0.0)
-    assert field.period == period
+    kernel = decoherence._PairKernel(state, 0.0)
     x = np.linspace(-cfg.half_width, cfg.half_width, 2001)
 
     def defect(trial):
         worst = 0.0
         for t in np.array([0.0, 0.13, 0.37, 0.5, 0.81, 2.6]) * trial:
-            F = field.cumulative(x, t)[0].copy()
+            F = kernel.cumulative(x, t)[0].copy()
             for image in (trial - t, t + trial, t + 3.0 * trial):
-                worst = max(worst, float(np.max(np.abs(field.cumulative(x, image)[0] - F))))
-        return worst / field.total
+                worst = max(worst, float(np.max(np.abs(kernel.cumulative(x, image)[0] - F))))
+        return worst / kernel.total
 
     assert defect(period) <= 1e-12
     # half the period is not one: the fold needs the exact gcd
@@ -586,17 +585,16 @@ def test_coherent_period_is_the_revival_time_over_the_beat_gcd(cfg, rev):
     for coeffs, g in (([0.6, 0.8], 3), ([0.0, 0.6, 0.0, 0.8], 12), ([0.6, 0.0, 0.6, 0.0, 0.5], 8)):
         assert spectral._coherent_period(make_state(cfg, coeffs)) == rev.t_revival / g
     assert spectral._coherent_period(make_state(cfg, [0.0, 0.0, 1.0])) == 0.0
-    assert flow._PairField(make_state(cfg, [0.6, 0.8]), bc.DEFAULT_GAMMA).period is None
 
 
 def _sequential_quantiles(state, seeds, samples, xtol):
     """The unfolded reference: one warm-started quantile solve per sample time, in time order."""
-    field = flow._PairField(state, 0.0)
-    target = field.cumulative(seeds, 0.0)[0]
+    kernel = decoherence._PairKernel(state, 0.0)
+    target = kernel.cumulative(seeds, 0.0)[0]
     x, rows = seeds, []
     for t in samples:
         if t > 0.0:
-            x = flow._solve_quantile(field, x, target, float(t), xtol)
+            x = flow._solve_quantile(kernel, x, target, float(t), xtol)
         rows.append(x)
     return np.array(rows)
 
@@ -653,14 +651,14 @@ def test_folded_quantiles_match_the_sequential_solve(rev, grid):
 def test_damped_cumulative_integrates_the_density(cfg, rev, ref_params, kind, x0):
     # the closed form of F holds at gamma > 0: dF/dx is density_map and F(L/2) the trace
     state = bc.decompose(bc.InputSignalSpec(kind, x0, 10.0), cfg, 50)
-    field = flow._PairField(state, ref_params.gamma)
+    kernel = decoherence._PairKernel(state, ref_params.gamma)
     x = np.linspace(-cfg.half_width, cfg.half_width, 2001)
     h = x[1] - x[0]
     for t in np.array([0.0, 0.37, 1.0, 3.0, 8.0]) * rev.tau:
-        F, rho = field.cumulative(x, t)
+        F, rho = kernel.cumulative(x, t)
         density = density_map(state, x, [t], ref_params)[0]
         assert np.max(np.abs(rho - density)) <= 1e-14
-        assert abs(F[-1] - field.total) <= 1e-14
+        assert abs(F[-1] - kernel.total) <= 1e-14
         # composite Simpson over every odd-length prefix of the grid
         simpson = np.cumsum(h / 3.0 * (density[:-2:2] + 4.0 * density[1:-1:2] + density[2::2]))
         assert np.max(np.abs(F[2::2] - simpson)) <= 1e-9
@@ -676,20 +674,21 @@ def test_damped_streamlines_do_not_transport_the_probability():
     def transport_defect(params):
         run = bc.integrate_ensemble(state, config.ensemble, t_end, params=params)
         assert len(run) == 20 and all(tr.status == "completed" for tr in run)
-        field = flow._PairField(state, params.gamma)
-        start = field.cumulative(np.array([tr.positions[0] for tr in run]), 0.0)[0]
-        end = field.cumulative(np.array([tr.positions[-1] for tr in run]), t_end)[0]
+        kernel = decoherence._PairKernel(state, params.gamma)
+        start = kernel.cumulative(np.array([tr.positions[0] for tr in run]), 0.0)[0]
+        end = kernel.cumulative(np.array([tr.positions[-1] for tr in run]), t_end)[0]
         return float(np.max(np.abs(end - start)))
 
     assert config.deco.gamma > 0.0
     assert transport_defect(config.deco) > 0.02
     assert transport_defect(bc.DecoherenceParams()) <= 1e-12
     # the quantile solver run on the damped cumulative does carry it
-    field = flow._PairField(state, config.deco.gamma)
+    kernel = decoherence._PairKernel(state, config.deco.gamma)
     seeds = bc.ensemble_seeds(config.ensemble, config.signal)
-    recorded, freeze = flow._quantile_batch(field, seeds, np.array([0.0, t_end]), 1e-10)
-    assert np.all(np.isinf(freeze))
-    defect = field.cumulative(recorded[-1], t_end)[0] - field.cumulative(seeds, 0.0)[0]
+    target, rho = kernel.cumulative(seeds, 0.0)
+    assert np.all(rho >= flow.DENSITY_FLOOR)
+    solved = flow._solve_quantile(kernel, seeds, target, t_end, 1e-10)
+    defect = kernel.cumulative(solved, t_end)[0] - kernel.cumulative(seeds, 0.0)[0]
     assert np.max(np.abs(defect)) <= 1e-12
 
 
@@ -721,18 +720,18 @@ def test_coherent_streamlines_obey_the_mirror_revival(cfg, rev, x0):
     # member seeded at s sits at -Q0(tr R - F0(s)), Q0 the quantile of F0
     state = bc.decompose(bc.InputSignalSpec("single", x0, 10.0), cfg, 50)
     assert spectral._coherent_period(state) == rev.t_revival
-    field = flow._PairField(state, 0.0)
+    kernel = decoherence._PairKernel(state, 0.0)
     spec = bc.EnsembleSpec(count=20)
     half = rev.t_revival / 2.0
     run = bc.integrate_ensemble(state, spec, half, sample_times=np.array([0.0, half]))
     assert all(tr.status == "completed" for tr in run)
     seeds = bc.ensemble_seeds(spec, state.signal)
-    target = field.total - field.cumulative(seeds, 0.0)[0]
+    target = kernel.total - kernel.cumulative(seeds, 0.0)[0]
     # the quantile of F0 by plain bisection over the box
     lo, hi = np.full(seeds.size, -cfg.half_width), np.full(seeds.size, cfg.half_width)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        below = field.cumulative(mid, 0.0)[0] < target
+        below = kernel.cumulative(mid, 0.0)[0] < target
         lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
     mirrored = -0.5 * (lo + hi)
     assert np.max(np.abs(np.array([tr.positions[-1] for tr in run]) - mirrored)) <= 1e-10

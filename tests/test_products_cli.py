@@ -314,6 +314,36 @@ def test_cli_rejects_the_removed_jobs_flag(tmp_path):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_cli_manifest_paths_open_from_any_directory(tmp_path, monkeypatch, capsys):
+    # a relative --out used to be listed as given, relative to the run's directory
+    run_dir, elsewhere = tmp_path / "run", tmp_path / "elsewhere"
+    run_dir.mkdir()
+    elsewhere.mkdir()
+    monkeypatch.chdir(run_dir)
+    assert main(["decaymap", "--out", "o/dm", "--config", _small_cfg_file(tmp_path)]) == 0
+    monkeypatch.chdir(elsewhere)
+    manifest = json.loads((run_dir / "o" / "dm" / "manifest.json").read_text())
+    files = [Path(f) for fs in manifest["products"].values() for f in fs]
+    assert [f.name for f in files] == ["decay_times.csv", "decay_times.ppm"]
+    for f in files:
+        assert f.is_absolute()
+        assert products._sha256(f) == manifest["checksums"][f.name]
+    assert f"wrote {run_dir.resolve() / 'o' / 'dm' / 'decay_times.csv'}" in capsys.readouterr().out
+    # the configuration keeps the directory as it was given
+    assert "dir = o/dm" in manifest["config"]
+
+
+def test_readme_python_blocks_run():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    text = readme.read_text()
+    blocks = list(re.finditer(r"```python\n(.*?)```", text, flags=re.S))
+    assert blocks, "README.md has no python block"
+    for block in blocks:
+        # padded so that a traceback names the README line
+        code = "\n" * text.count("\n", 0, block.start(1)) + block.group(1)
+        exec(compile(code, str(readme), "exec"), {})
+
+
 def test_readme_global_flags_are_the_cli_flags():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     paragraph = readme[readme.index("Global flags:"):].split("\n\n", 1)[0]
