@@ -24,6 +24,11 @@ slope, not the beat series, since |psi|^2 keeps its relative accuracy where
 the density is small.  So ``velocity_map`` at gamma = 0 and at 1e-300
 differs, by ~1e-9 of max|v| where the density is above 1e-6 of its row
 maximum.
+
+Pairs decay faster the further apart their levels are, so a damped row of
+the beat series folds only the pairs whose damping is above a rounding
+cut: together the dropped ones move the density by at most one double
+epsilon of its mean Sum c^2 / L (``_BeatSeries``).
 """
 
 from __future__ import annotations
@@ -171,8 +176,8 @@ class _PairKernel:
         return F, rho
 
 
-# exp(-x) is exactly 0.0 in double precision for every x above this
-_EXP_UNDERFLOW = 750.0
+# double epsilon: the rounding cut of ``_BeatSeries`` is this share of the mean density
+_EPS = 2.0**-52
 
 
 class _BeatSeries:
@@ -194,8 +199,19 @@ class _BeatSeries:
     subtract it at 2 alpha_a.  A row costs one fold over the pairs plus one
     product with a table built once per grid (``tables``).
 
-    The pairs are sorted by omega, so the ones whose damping underflows to
-    exactly zero form a tail that is skipped without changing a bit.
+    The pairs are sorted by omega (``_pair_order``), so at rate = gamma t > 0
+    the pairs with rate omega > ``cut`` form a tail that is skipped.  A
+    skipped pair moves rho by at most 2 |w| exp(-cut), and
+    sum_{a<b} |w_ab| = ((sum |c|)^2 - sum c^2) / L, so
+
+        cut = ln(2 sum |w| / (eps base_0)),   base_0 = sum c^2 / L,
+
+    with eps = 2^-52 keeps the sum of all skipped density terms below one
+    epsilon of the mean density base_0.  A skipped pair moves the flux
+    numerator by at most |w| exp(-cut) max(k_a, k_b), so the skipped flux
+    terms sum to at most k_max eps base_0 / 2, k_max the largest support
+    wavenumber.  A state with fewer than two populated modes has no pairs
+    and an infinite cut.
     """
 
     def __init__(self, state: SpectralState, gamma: float):
@@ -204,10 +220,9 @@ class _BeatSeries:
         c = state.coeffs[alpha - 1]
         sc = np.where(alpha // 2 % 2 == 0, c, -c)
         a, b = np.triu_indices(alpha.size, 1)
-        beat = alpha[b] ** 2 - alpha[a] ** 2
-        order = np.argsort(beat, kind="stable")
+        beat, order = _pair_order(alpha[b] ** 2 - alpha[a] ** 2, alpha.size)
         a, b = a[order], b[order]
-        self.omega = _beat_unit(cfg) * beat[order]
+        self.omega = _beat_unit(cfg) * beat
         self.minus = alpha[b] - alpha[a]
         self.plus = alpha[a] + alpha[b]
         self.w = (2.0 / cfg.L) * sc[a] * sc[b]
@@ -215,6 +230,11 @@ class _BeatSeries:
         self.base = np.zeros(self.size)
         self.base[0] = np.sum(c**2) / cfg.L
         self.base[2 * alpha] = -(c**2) / cfg.L
+        # sum |w| over a < b, as a sum of nonnegative terms: the closed form
+        # ((sum |c|)^2 - sum c^2) / L cancels when one mode dominates
+        s = np.abs(c)
+        pair_weight = (2.0 / cfg.L) * float(s[1:] @ np.cumsum(s)[:-1])
+        self.cut = float(np.log(2.0 * pair_weight / self.base[0]) - np.log(_EPS)) if pair_weight else np.inf
         self.gamma = gamma
         self.half_width = cfg.half_width
 
@@ -222,8 +242,8 @@ class _BeatSeries:
         """C(t), and with ``flux`` also S(t), each of length ``size``."""
         omega, minus, plus, w = self.omega, self.minus, self.plus, self.w
         rate = self.gamma * t
-        if rate:  # the underflow cut divides by the rate
-            p = int(np.searchsorted(omega, _EXP_UNDERFLOW / rate, side="right"))
+        if rate:  # the pairs past the rounding cut, rate omega > cut, are skipped
+            p = int(np.searchsorted(omega, self.cut / rate, side="right"))
             omega, minus, plus = omega[:p], minus[:p], plus[:p]
             w = w[:p] * np.exp(-rate * omega)
         phase = omega * t
@@ -263,6 +283,28 @@ class _BeatSeries:
         even = sine[0::2]
         np.negative(even, out=even, where=right)
         return table, sine
+
+
+def _pair_order(beat: np.ndarray, modes: int):
+    """The pair beats in increasing order, and the permutation that sorts them.
+
+    Ties keep their pair order, as in a stable argsort: with P = beat.size
+    the keys beat * P + i, i = 0 .. P - 1, are distinct, so one sort of the
+    keys gives both, order = key % P and beat = key // P.  The keys are
+    formed in place: an int64 ``beat`` is overwritten by the sorted beats.
+    The largest key, (max beat + 1) P - 1, must fit in int64; ``modes``
+    names the populated-mode count whose keys do not.
+    """
+    pairs = beat.size
+    if pairs and (int(beat.max()) + 1) * pairs > 2**63:
+        raise DomainError(f"{modes} populated modes: the beat sort keys of their {pairs} pairs overflow int64")
+    key = beat.astype(np.int64, copy=False)
+    key *= pairs
+    key += np.arange(pairs)
+    key.sort()
+    order = key % pairs
+    key //= pairs
+    return key, order
 
 
 # multiples of an angle per block of the angle-addition sine table
@@ -360,7 +402,7 @@ def asymptotic_density(state: SpectralState, x):
     That is the bare population-weighted sum of squared modes, the
     ``_BeatSeries.base`` coefficients alone, reduced by ``_row_blocks`` like
     a ``density_map`` row.  So every ``density_map`` row at a time where
-    each pair's damping has underflowed equals it bit for bit.
+    each pair's damping is past the rounding cut equals it bit for bit.
     """
     _check_spec(state, SpectralState, "asymptotic density state")
     xv = _check_positions(x, state.cfg)

@@ -69,7 +69,8 @@ def _product_carpet(r: _Run) -> list[Path]:
     if quantity == "density":
         stops, lo, hi = SEQUENTIAL, 0.0, float(cp.values.max())
     else:
-        span = float(np.percentile(np.abs(cp.values), 99.5))
+        # np.abs makes a temporary, so the percentile may partition it in place
+        span = float(np.percentile(np.abs(cp.values), 99.5, overwrite_input=True))
         stops, lo, hi = DIVERGING, -span, span
     ppm_path = r.out / f"carpet_{quantity}.ppm"
     ppm_path.write_bytes(render_heatmap(cp.values, stops, lo, hi))

@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -224,7 +225,7 @@ def test_asymptotic_density_symmetry_and_values(state20, state0, box_grid):
 def test_asymptotic_density_is_the_late_density_row(request, cfg, which):
     state = request.getfixturevalue(which)
     params = bc.DecoherenceParams(gamma=0.3)
-    # exp(-800) is 0.0 in double precision: at t_late every pair's damping has underflowed
+    # at t_late every pair has gamma |omega| t >= 800, far past the rounding cut (~40): none is folded
     alpha = state.alphas[state.coeffs != 0.0]
     slowest = min(bc.beta(int(a), int(b), params, cfg) for a, b in zip(alpha[:-1], alpha[1:]))
     t_late = 800.0 / slowest
@@ -405,6 +406,127 @@ def test_carpets_match_long_double_pair_sum(request, cfg, rev, which, gamma):
             # the pointwise field is the same row
             pointwise = bc.velocity(state, x[keep], t, params)
             assert np.max(np.abs(pointwise - ref[keep]) / scale) <= 1e-13
+
+
+# -- the beat series' pair order and rounding cut --------------------------------
+
+
+_RNG = np.random.default_rng(7)
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [
+        pytest.param(np.sort(_RNG.choice(np.arange(1, 400), 90, replace=False)), id="gaps"),
+        pytest.param(np.arange(1, 160, 2), id="odd"),
+        pytest.param(np.sort(_RNG.choice(np.arange(2, 400, 2), 70, replace=False)), id="even-gaps"),
+        pytest.param(np.arange(1, 61), id="contiguous"),
+        pytest.param(np.array([7]), id="one-mode"),
+        pytest.param(np.array([3, 8]), id="two-modes"),
+        pytest.param(np.array([], dtype=np.int64), id="empty"),
+    ],
+)
+def test_distinct_key_pair_order_is_the_stable_argsort(alpha):
+    a, b = np.triu_indices(alpha.size, 1)
+    beat = alpha[b] ** 2 - alpha[a] ** 2
+    sorted_beat, order = decoherence._pair_order(beat.copy(), alpha.size)
+    want = np.argsort(beat, kind="stable")
+    assert np.array_equal(order, want) and np.array_equal(sorted_beat, beat[want])
+    if alpha.size > 40:
+        # e.g. 8^2 - 4^2 = 7^2 - 1^2: equal beats, whose order the stable sort fixes
+        assert np.unique(beat).size < beat.size
+
+
+def test_pair_order_keys_stop_at_int64():
+    # two pairs: the largest key is 2 * max beat + 1, which fits up to 2^63 - 1
+    beat = np.array([2**62 - 1, 0], dtype=np.int64)
+    sorted_beat, order = decoherence._pair_order(beat, 2)
+    assert sorted_beat.tolist() == [0, 2**62 - 1] and order.tolist() == [1, 0]
+    with pytest.raises(DomainError, match="^5 populated modes: "):
+        decoherence._pair_order(np.array([2**62, 0], dtype=np.int64), 5)
+
+
+def _long_double_damped_rows(state, x, times, gamma):
+    """Density and flux numerator sum_ab phi'_a Im M_ab phi_b at each t > 0 in
+    extended precision, from the oracles' modes and slopes, as sums over the
+    pairs a < b whose damping exp(-gamma |omega| t) is above exp(-750): the
+    rest, below 1e-325 of their weight, are under any double."""
+    cfg = state.cfg
+    ld = np.longdouble
+    alpha = state.support
+    c = state.coeffs[alpha - 1].astype(ld)
+    phi, dphi = oracles.modes(alpha, x.astype(ld), cfg)
+    a, b = np.triu_indices(alpha.size, 1)
+    beat = (alpha[b] ** 2 - alpha[a] ** 2).astype(ld)
+    omega = (ld(cfg.hbar) / (2 * ld(cfg.m))) * (np.arccos(ld(-1)) / ld(cfg.L)) ** 2 * beat
+    for t in times:
+        keep = np.flatnonzero(ld(gamma) * omega * ld(t) < 750)
+        i, j, om = a[keep], b[keep], omega[keep]
+        w = c[i] * c[j] * np.exp(-ld(gamma) * om * ld(t))
+        # Re M_ij = Re M_ji = w cos(omega t), Im M_ij = -Im M_ji = w sin(omega t)
+        den = phi**2 @ c**2 + 2 * ((phi[:, i] * phi[:, j]) @ (w * np.cos(om * ld(t))))
+        num = (dphi[:, i] * phi[:, j] - dphi[:, j] * phi[:, i]) @ (w * np.sin(om * ld(t)))
+        yield den, num
+
+
+def test_rounding_cut_keeps_the_wide_spectrum_accuracy_with_less_work(cfg, rev):
+    # the wide-spectrum state: 800 populated modes, 319,600 pairs
+    state = bc.decompose(bc.InputSignalSpec("single", 15.166, 2.0), cfg, 800)
+    gamma = bc.DEFAULT_GAMMA
+    x = np.linspace(-25.0, 25.0, 201)
+    times = np.linspace(0.0, 8.0 * rev.tau, 11)[1:]
+    series = decoherence._BeatSeries(state, gamma)
+    uncut = decoherence._BeatSeries(state, gamma)
+    uncut.cut = np.inf
+    table, sine = series.tables(x, flux=True)
+    eps = 2.0**-52
+    rho_bound = eps * series.base[0]
+    flux_bound = 0.5 * float(state.wavenumbers[-1]) * rho_bound
+    for t, (den, num) in zip(times, _long_double_damped_rows(state, x, times, gamma)):
+        (C, S), (C_all, S_all) = series.coefficients(t, flux=True), uncut.coefficients(t, flux=True)
+        rows = ((C @ table, C_all @ table, den, rho_bound), (S @ sine, S_all @ sine, num, flux_bound))
+        for got, full, want, bound in rows:
+            # the table product may round a changed coefficient into one more unit of the row's largest value
+            slack = np.spacing(np.max(np.abs(full)))
+            assert np.max(np.abs(got - want)) <= np.max(np.abs(full - want)) + bound + slack
+    # the pairs folded on the damped rows, against the fold that stopped only where
+    # exp underflows to 0.0 (past 745.2)
+    folded = sum(np.searchsorted(series.omega, series.cut / (gamma * t), side="right") for t in times)
+    underflow = sum(np.searchsorted(series.omega, 750.0 / (gamma * t), side="right") for t in times)
+    assert 0 < folded < 0.4 * underflow
+
+
+@pytest.mark.parametrize(
+    "coeffs", [[0.0, 0.0, 0.0], [0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8]], ids=["empty", "one-mode", "two-modes"]
+)
+def test_edge_states_fold_without_a_warning(cfg, rev, ref_params, coeffs):
+    state = make_state(cfg, coeffs)
+    x = np.linspace(-24.0, 24.0, 97)
+    # the last time is past the cut of the two-mode pair, gamma omega t ~ 75
+    times = np.array([0.0, 0.37, 3.0, 50.0]) * rev.tau
+    with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
+        warnings.simplefilter("error")
+        series = decoherence._BeatSeries(state, ref_params.gamma)
+        rho = density_map(state, x, times, ref_params)
+        if state.support.size:
+            vel = bc.velocity_map(state, x, times, ref_params)
+        else:
+            with pytest.raises(DomainError, match="no nonzero coefficients"):
+                bc.velocity_map(state, x, times, ref_params)
+    if state.support.size < 2:
+        assert series.cut == np.inf
+        # no pair: every row is the population mixture, and nothing moves
+        assert np.array_equal(rho, np.broadcast_to(bc.asymptotic_density(state, x), rho.shape))
+        if state.support.size:
+            assert not vel.any()
+        return
+    assert series.cut / (ref_params.gamma * times[-1]) < series.omega[0] < series.cut / (ref_params.gamma * times[-2])
+    for j, t in enumerate(times):
+        den, want = _double_loop_density_and_velocity(state, x, t, ref_params)
+        assert np.max(np.abs(rho[j] - den)) < 1e-13
+        mask = den > 1e-4 * den.max()
+        assert np.all(np.abs(vel[j, mask] - want[mask]) <= 1e-14 * (1.0 + np.abs(want[mask])) / den[mask])
+    assert np.array_equal(rho[-1], bc.asymptotic_density(state, x))
 
 
 # -- the sine tables of the beat series ----------------------------------------
