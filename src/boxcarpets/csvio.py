@@ -41,7 +41,12 @@ _TIE_TOL = 1e-12
 # scaled values this close to 1e16 or 1e17 go to fmt, so the decimal
 # exponent never moves in rounding
 _EDGE = 64.0
-_BLOCK_ROWS = 8  # rows per formatted block: its temporaries stay near 2 MB at 1001 columns
+# A formatted block has at least _BLOCK_ROWS rows and, in a narrow table, about
+# _BLOCK_VALUES values, the first column included: a formatter call costs about
+# 100 us besides its values, and its temporaries about 420 bytes per value
+# (3.3 MiB for 8 rows of a 1001-column carpet)
+_BLOCK_ROWS = 8
+_BLOCK_VALUES = 1024
 
 
 def _power_table():
@@ -213,12 +218,13 @@ def _grid_line(label: str, values) -> bytes:
 
 
 def _write_grid(path, head: bytes, first, rows) -> None:
-    """``head`` then the data rows, formatted ``_BLOCK_ROWS`` at a time so
-    that a large grid is never held as text in memory."""
+    """``head`` then the data rows, formatted a block at a time so that a
+    large grid is never held as text in memory."""
+    step = max(_BLOCK_ROWS, _BLOCK_VALUES // (np.shape(rows)[1] + 1))
     with open(path, "wb") as fh:
         fh.write(head)
-        for start in range(0, len(first), _BLOCK_ROWS):
-            stop = start + _BLOCK_ROWS
+        for start in range(0, len(first), step):
+            stop = start + step
             fh.write(_format_rows(first[start:stop], rows[start:stop]))
 
 

@@ -28,7 +28,13 @@ maximum.
 Pairs decay faster the further apart their levels are, so a damped row of
 the beat series folds only the pairs whose damping is above a rounding
 cut: together the dropped ones move the density by at most one double
-epsilon of its mean Sum c^2 / L (``_BeatSeries``).
+epsilon of its mean Sum c^2 / L (``_BeatSeries``).  A series is built for
+the times of one call and forms only the pairs within the cut's horizon
+at the smallest positive time; every row at t > 0 keeps the bits of the
+fold over all pairs.  The t = 0 row folds no pair: it is the
+autocorrelation of the coefficients, which moves the t = 0 row of the
+default density carpets by at most 1.74e-20 of their CSV file's largest
+magnitude (the time axis) against the pair fold.
 """
 
 from __future__ import annotations
@@ -181,7 +187,7 @@ _EPS = 2.0**-52
 
 
 class _BeatSeries:
-    """The pair matrix of one state folded onto its beat wavenumbers.
+    """The pair matrix of one state folded onto its beat wavenumbers, for the times of one call.
 
     With theta = pi (x + L/2) / L every mode is
     phi_a = s_a sqrt(2/L) sin(alpha_a theta), s_a = (-1)^floor(alpha_a / 2),
@@ -212,21 +218,28 @@ class _BeatSeries:
     terms sum to at most k_max eps base_0 / 2, k_max the largest support
     wavenumber.  A state with fewer than two populated modes has no pairs
     and an infinite cut.
+
+    So a series is built for the ``times`` of its call: only the pairs with
+    omega up to the horizon cut / (gamma t_min), t_min the smallest
+    positive time, are formed (``_support_pairs``), and at gamma = 0 the
+    horizon is infinite.  They are the first pairs of the one stable order
+    of all pairs, so every row at t > 0 folds the same pairs in the same
+    order whichever other times come with it; a row at a positive time
+    below t_min would miss pairs.  At t = 0 every phase is 0, and the pair
+    sums are the autocorrelation and the self-convolution of the signed
+    coefficients s_a c_a on the mode-index axis (``resting``): no pair is
+    folded, and the row differs from the pair fold in rounding only.
     """
 
-    def __init__(self, state: SpectralState, gamma: float):
+    def __init__(self, state: SpectralState, gamma: float, times: np.ndarray):
         cfg = state.cfg
         alpha = state.support
         c = state.coeffs[alpha - 1]
         sc = np.where(alpha // 2 % 2 == 0, c, -c)
-        a, b = np.triu_indices(alpha.size, 1)
-        beat, order = _pair_order(alpha[b] ** 2 - alpha[a] ** 2, alpha.size)
-        a, b = a[order], b[order]
-        self.omega = _beat_unit(cfg) * beat
-        self.minus = alpha[b] - alpha[a]
-        self.plus = alpha[a] + alpha[b]
-        self.w = (2.0 / cfg.L) * sc[a] * sc[b]
         self.size = 2 * int(alpha.max(initial=0)) + 1
+        # s_a c_a at index alpha_a of the mode-index axis 0 .. alpha_max
+        self.signed = np.zeros(self.size // 2 + 1)
+        self.signed[alpha] = sc
         self.base = np.zeros(self.size)
         self.base[0] = np.sum(c**2) / cfg.L
         self.base[2 * alpha] = -(c**2) / cfg.L
@@ -237,9 +250,28 @@ class _BeatSeries:
         self.cut = float(np.log(2.0 * pair_weight / self.base[0]) - np.log(_EPS)) if pair_weight else np.inf
         self.gamma = gamma
         self.half_width = cfg.half_width
+        positive = times[times > 0.0]
+        if positive.size:
+            rate = gamma * float(positive.min())
+            horizon = self.cut / rate if rate else np.inf
+        else:
+            horizon = 0.0  # only t = 0 rows, which fold no pair
+        unit = _beat_unit(cfg)
+        a, b = _support_pairs(alpha, horizon / unit)
+        beat, order = _pair_order(alpha[b] ** 2 - alpha[a] ** 2, alpha.size)
+        omega = unit * beat
+        p = int(np.searchsorted(omega, horizon, side="right"))
+        a, b = a[order[:p]], b[order[:p]]
+        self.omega = omega[:p]
+        self.minus = alpha[b] - alpha[a]
+        self.plus = alpha[a] + alpha[b]
+        self.w = (2.0 / cfg.L) * sc[a] * sc[b]
 
     def coefficients(self, t: float, flux: bool = False):
         """C(t), and with ``flux`` also S(t), each of length ``size``."""
+        if t == 0.0:
+            C = self.resting()
+            return (C, np.zeros(self.size)) if flux else C
         omega, minus, plus, w = self.omega, self.minus, self.plus, self.w
         rate = self.gamma * t
         if rate:  # the pairs past the rounding cut, rate omega > cut, are skipped
@@ -256,6 +288,25 @@ class _BeatSeries:
         half_k = np.pi / (4.0 * self.half_width)
         S = half_k * (np.bincount(minus, q * plus, self.size) - np.bincount(plus, q * minus, self.size))
         return C, S
+
+    def resting(self) -> np.ndarray:
+        """C(0), where every pair adds w at alpha_b - alpha_a and subtracts it at alpha_a + alpha_b.
+
+        With v the signed coefficients on the mode-index axis, the first
+        sums are (2/L) sum_i v_i v_(i+n), the autocorrelation at lag n >= 1.
+        The self-convolution (v * v)_n sums the pairs a < b with
+        alpha_a + alpha_b = n twice and c_a^2 at n = 2 alpha_a once, so
+        -(v * v) / L is the pairs' negative terms and the populations'
+        -c_a^2 / L together.
+        """
+        v = self.signed
+        if np.count_nonzero(v) < 2:
+            return self.base.copy()
+        L = 2.0 * self.half_width
+        C = np.convolve(v, v) / -L
+        C[0] = self.base[0]
+        C[1:v.size] += (2.0 / L) * np.correlate(v, v, "full")[v.size:]
+        return C
 
     def tables(self, x: np.ndarray, flux: bool = False):
         """Tables of shape (size, len(x)): rho = C @ table, and with ``flux``
@@ -283,6 +334,29 @@ class _BeatSeries:
         even = sine[0::2]
         np.negative(even, out=even, where=right)
         return table, sine
+
+
+def _support_pairs(alpha: np.ndarray, limit: float):
+    """Index pairs a < b of the support ``alpha`` whose beat alpha_b^2 - alpha_a^2
+    is at most ``limit``, and a few rounding units past it, in the row-major
+    order of ``np.triu_indices``.
+
+    The support is increasing, so each row a takes one run of b, found by
+    one ``searchsorted`` on alpha^2; no pair further out is formed.
+    """
+    n = alpha.size
+    square = alpha**2
+    rows = np.arange(n)
+    bound = limit * (1.0 + 2.0**-49) + 1.0
+    if n and bound < square[-1] - square[0]:
+        stop = np.searchsorted(square, square + int(bound), side="right")
+    else:
+        stop = np.full(n, n)
+    counts = stop - rows - 1
+    a = np.repeat(rows, counts)
+    # b = a + 1 + (position of the pair in its row's run)
+    b = np.arange(a.size) - np.repeat(np.cumsum(counts) - counts - rows - 1, counts)
+    return a, b
 
 
 def _pair_order(beat: np.ndarray, modes: int):
@@ -388,7 +462,7 @@ def density_map(
     _check_spec(state, SpectralState, "density map state")
     xv = _check_positions(x, state.cfg)
     times = _check_times(times)
-    series = _BeatSeries(state, _check_params(params).gamma)
+    series = _BeatSeries(state, _check_params(params).gamma, times)
     out = np.empty((times.size, xv.size))
     coefficients = ((series.coefficients(float(t)),) for t in times)
     for start, stop, (rho,) in _row_blocks(coefficients, (series.tables(xv),)):
@@ -406,9 +480,9 @@ def asymptotic_density(state: SpectralState, x):
     """
     _check_spec(state, SpectralState, "asymptotic density state")
     xv = _check_positions(x, state.cfg)
-    series = _BeatSeries(state, 0.0)
+    series = _BeatSeries(state, 0.0, np.zeros(0))
     _, _, (rho,) = next(_row_blocks([(series.base,)], (series.tables(xv),)))
-    rho = _clamp_density(rho[0])
+    rho = _clamp_density(rho[0].copy())
     return rho if np.ndim(x) else float(rho[0])
 
 
@@ -461,4 +535,4 @@ def _clamp_density(rho: np.ndarray) -> np.ndarray:
     low = float(rho.min()) if rho.size else 0.0
     if low < -1e-12:
         raise DomainError(f"density evaluation produced {low:.3e}; inconsistent state")
-    return np.maximum(rho, 0.0)
+    return np.maximum(rho, 0.0, out=rho)

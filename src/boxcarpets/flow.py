@@ -85,7 +85,7 @@ def _velocity_rows(state: SpectralState, xv: np.ndarray, times: np.ndarray, para
             dre, dim = (dphi @ ur).T
             rows[j], bad[j] = _flux_ratio(hm, re * dim - im * dre, re**2 + im**2)
         return rows, bad
-    series = _BeatSeries(state, gamma)
+    series = _BeatSeries(state, gamma, times)
     coefficients = (series.coefficients(float(t), flux=True) for t in times)
     for start, stop, (den, num) in _row_blocks(coefficients, series.tables(xv, flux=True)):
         rows[start:stop], bad[start:stop] = _flux_ratio(hm, num, den)

@@ -109,6 +109,19 @@ def test_default_density_carpet_rarely_needs_fmt(monkeypatch, tmp_path):
     assert lines[2 + 500] == fmt_rows(grid.t[500:501], cp.values[500:501]).rstrip(b"\n")
 
 
+@pytest.mark.parametrize("columns, block", [(1, 512), (20, 48), (50, 20), (401, 8), (1001, 8)])
+def test_grid_blocks_hold_about_1024_values_and_at_least_8_rows(monkeypatch, tmp_path, columns, block):
+    # a purity curve, a trajectory ensemble, a mode matrix, a densmat plane and a carpet
+    rows = np.random.default_rng(columns).standard_normal((600, columns))
+    first = np.arange(600.0)
+    sizes = []
+    format_rows = csvio._format_rows
+    monkeypatch.setattr(csvio, "_format_rows", lambda f, r: sizes.append(len(f)) or format_rows(f, r))
+    csvio._write_grid(tmp_path / "g.csv", b"head\n", first, rows)
+    assert sizes == [block] * (600 // block) + ([600 % block] if 600 % block else [])
+    assert (tmp_path / "g.csv").read_bytes() == b"head\n" + fmt_rows(first, rows)
+
+
 def test_mode_matrix_keeps_the_sign_of_infinity(tmp_path):
     csvio.write_mode_matrix([[1.0, -np.inf], [np.inf, 0.0]], tmp_path / "m.csv")
     assert (tmp_path / "m.csv").read_text().splitlines()[1:] == ["alpha,1,2", "1,1,-inf", "2,inf,0"]

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -297,7 +298,8 @@ def test_every_pair_sum_reads_one_support(cfg, rev):
     assert np.allclose(kernel.basis.k, state.support * np.pi / cfg.L, rtol=1e-15, atol=0.0)
     assert np.array_equal(kernel.basis.k, state.wavenumbers[state.support - 1])
     assert kernel.c.tolist() == [0.6, 0.7, 0.1]
-    series = decoherence._BeatSeries(state, bc.DEFAULT_GAMMA)
+    # one tau at the default gamma keeps all three pairs within the horizon
+    series = decoherence._BeatSeries(state, bc.DEFAULT_GAMMA, np.array([rev.tau]))
     assert series.size == 2 * 6 + 1 and series.minus.size == 3
     # the beats 16 - 1 and 36 - 1 have the gcd 5
     assert spectral._coherent_period(state) == rev.t_revival / 5
@@ -414,18 +416,18 @@ def test_carpets_match_long_double_pair_sum(request, cfg, rev, which, gamma):
 _RNG = np.random.default_rng(7)
 
 
-@pytest.mark.parametrize(
-    "alpha",
-    [
-        pytest.param(np.sort(_RNG.choice(np.arange(1, 400), 90, replace=False)), id="gaps"),
-        pytest.param(np.arange(1, 160, 2), id="odd"),
-        pytest.param(np.sort(_RNG.choice(np.arange(2, 400, 2), 70, replace=False)), id="even-gaps"),
-        pytest.param(np.arange(1, 61), id="contiguous"),
-        pytest.param(np.array([7]), id="one-mode"),
-        pytest.param(np.array([3, 8]), id="two-modes"),
-        pytest.param(np.array([], dtype=np.int64), id="empty"),
-    ],
-)
+_SUPPORTS = [
+    pytest.param(np.sort(_RNG.choice(np.arange(1, 400), 90, replace=False)), id="gaps"),
+    pytest.param(np.arange(1, 160, 2), id="odd"),
+    pytest.param(np.sort(_RNG.choice(np.arange(2, 400, 2), 70, replace=False)), id="even-gaps"),
+    pytest.param(np.arange(1, 61), id="contiguous"),
+    pytest.param(np.array([7]), id="one-mode"),
+    pytest.param(np.array([3, 8]), id="two-modes"),
+    pytest.param(np.array([], dtype=np.int64), id="empty"),
+]
+
+
+@pytest.mark.parametrize("alpha", _SUPPORTS)
 def test_distinct_key_pair_order_is_the_stable_argsort(alpha):
     a, b = np.triu_indices(alpha.size, 1)
     beat = alpha[b] ** 2 - alpha[a] ** 2
@@ -444,6 +446,87 @@ def test_pair_order_keys_stop_at_int64():
     assert sorted_beat.tolist() == [0, 2**62 - 1] and order.tolist() == [1, 0]
     with pytest.raises(DomainError, match="^5 populated modes: "):
         decoherence._pair_order(np.array([2**62, 0], dtype=np.int64), 5)
+
+
+@pytest.mark.parametrize("alpha", _SUPPORTS)
+def test_beat_series_builds_the_first_pairs_of_the_stable_order(cfg, alpha):
+    coeffs = np.zeros(400)
+    coeffs[alpha - 1] = np.random.default_rng(alpha.size).uniform(0.1, 1.0, alpha.size)
+    state = make_state(cfg, coeffs)
+    # every pair in the stable order of its beats, as the series folds them
+    a, b = np.triu_indices(alpha.size, 1)
+    beat = alpha[b] ** 2 - alpha[a] ** 2
+    order = np.argsort(beat, kind="stable")
+    a, b = a[order], b[order]
+    sc = np.where(alpha // 2 % 2 == 0, 1.0, -1.0) * coeffs[alpha - 1]
+    full = {
+        "omega": spectral._beat_unit(cfg) * beat[order],
+        "minus": alpha[b] - alpha[a],
+        "plus": alpha[a] + alpha[b],
+        "w": (2.0 / cfg.L) * sc[a] * sc[b],
+    }
+    gamma = bc.DEFAULT_GAMMA
+    calls = [(0.0, np.array([0.0, 1.0]), a.size), (gamma, np.array([0.0]), 0)]
+    # horizons at beats of the series itself, where the rounding of cut / (gamma t) decides, and between them
+    cut = decoherence._BeatSeries(state, gamma, np.zeros(0)).cut
+    picks = np.unique(np.minimum([0, a.size // 3, a.size // 3 + 1, a.size - 1], a.size - 1)) if a.size else []
+    for omega in full["omega"][picks]:
+        for target in (omega, omega * (1.0 + 1e-9), omega * (1.0 - 1e-9)):
+            t_min = cut / (gamma * target)
+            keep = int(np.searchsorted(full["omega"], cut / (gamma * t_min), side="right"))
+            calls.append((gamma, np.array([3.0 * t_min, 0.0, t_min]), keep))
+    for g, times, keep in calls:
+        series = decoherence._BeatSeries(state, g, times)
+        for name, want in full.items():
+            got = getattr(series, name)
+            assert got.dtype == want.dtype and got.tobytes() == want[:keep].tobytes(), (name, g, times)
+
+
+@pytest.mark.parametrize("which", ["wide", "state0"])
+def test_rows_keep_their_bits_in_any_time_order(request, rev, ref_params, which):
+    state = request.getfixturevalue(which)
+    x = np.linspace(-25.0, 25.0, 201)
+    times = np.linspace(0.0, 8.0 * rev.tau, 11)
+    rho = density_map(state, x, times, ref_params)
+    vel = bc.velocity_map(state, x, times, ref_params)
+    for order in (np.arange(times.size)[::-1], np.random.default_rng(3).permutation(times.size)):
+        assert density_map(state, x, times[order], ref_params).tobytes() == rho[order].tobytes()
+        assert bc.velocity_map(state, x, times[order], ref_params).tobytes() == vel[order].tobytes()
+    for j, t in enumerate(times):
+        assert density_map(state, x, [t], ref_params).tobytes() == rho[j].tobytes()
+        assert bc.velocity_map(state, x, [t], ref_params).tobytes() == vel[j].tobytes()
+
+
+@pytest.mark.parametrize(
+    "coeffs", [None, [0.6, 0.0, 0.0, 0.7, 0.0, 0.1], [0.0, 0.0, 0.8], [0.6, 0.0, 0.0, 0.8]],
+    ids=["wide-spectrum", "gaps", "one-mode", "two-modes"],
+)
+def test_resting_row_matches_the_long_double_pair_sum(cfg, ref_params, wide, coeffs):
+    # the t = 0 row folds no pair: it is the autocorrelation of the signed coefficients
+    state = wide if coeffs is None else make_state(cfg, coeffs)
+    x = np.unique(np.concatenate([np.linspace(-25.0, 25.0, 201), [-24.99, 0.0, 24.99]]))
+    den, _ = _long_double_density_and_velocity(state, x, 0.0, ref_params.gamma)
+    rho = density_map(state, x, [0.0], ref_params)[0]
+    assert np.max(np.abs(rho - den)) <= 1e-13 * den.max()
+    # a real signal starts at rest
+    assert not bc.velocity_map(state, x, [0.0], ref_params).any()
+
+
+def test_damped_carpet_builds_few_pairs_in_a_small_heap(rev, ref_params, wide):
+    # the wide-spectrum benchmark grid: 1001 points, 101 times over 8 tau
+    x = np.linspace(-25.0, 25.0, 1001)
+    times = np.linspace(0.0, 8.0 * rev.tau, 101)
+    series = decoherence._BeatSeries(wide, ref_params.gamma, times)
+    assert 0 < series.omega.size <= 0.03 * 319_600
+    density_map(wide, x, times, ref_params)  # warm caches outside the trace
+    tracemalloc.start()
+    try:
+        density_map(wide, x, times, ref_params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the density table, the output and 4 MB for everything else
+    assert peak < 8 * (series.size + times.size) * x.size + 4 * 2**20
 
 
 def _long_double_damped_rows(state, x, times, gamma):
@@ -469,15 +552,21 @@ def _long_double_damped_rows(state, x, times, gamma):
         yield den, num
 
 
-def test_rounding_cut_keeps_the_wide_spectrum_accuracy_with_less_work(cfg, rev):
-    # the wide-spectrum state: 800 populated modes, 319,600 pairs
-    state = bc.decompose(bc.InputSignalSpec("single", 15.166, 2.0), cfg, 800)
+@pytest.fixture(scope="module")
+def wide(cfg):
+    """The wide-spectrum state: 800 populated modes, 319,600 pairs."""
+    return bc.decompose(bc.InputSignalSpec("single", 15.166, 2.0), cfg, 800)
+
+
+def test_rounding_cut_keeps_the_wide_spectrum_accuracy_with_less_work(cfg, rev, wide):
+    state = wide
     gamma = bc.DEFAULT_GAMMA
     x = np.linspace(-25.0, 25.0, 201)
     times = np.linspace(0.0, 8.0 * rev.tau, 11)[1:]
-    series = decoherence._BeatSeries(state, gamma)
-    uncut = decoherence._BeatSeries(state, gamma)
-    uncut.cut = np.inf
+    series = decoherence._BeatSeries(state, gamma, times)
+    # every pair, folded at every damped row: an infinite horizon and no cut
+    uncut = decoherence._BeatSeries(state, 0.0, times)
+    uncut.gamma, uncut.cut = gamma, np.inf
     table, sine = series.tables(x, flux=True)
     eps = 2.0**-52
     rho_bound = eps * series.base[0]
@@ -492,7 +581,7 @@ def test_rounding_cut_keeps_the_wide_spectrum_accuracy_with_less_work(cfg, rev):
     # the pairs folded on the damped rows, against the fold that stopped only where
     # exp underflows to 0.0 (past 745.2)
     folded = sum(np.searchsorted(series.omega, series.cut / (gamma * t), side="right") for t in times)
-    underflow = sum(np.searchsorted(series.omega, 750.0 / (gamma * t), side="right") for t in times)
+    underflow = sum(np.searchsorted(uncut.omega, 750.0 / (gamma * t), side="right") for t in times)
     assert 0 < folded < 0.4 * underflow
 
 
@@ -506,7 +595,7 @@ def test_edge_states_fold_without_a_warning(cfg, rev, ref_params, coeffs):
     times = np.array([0.0, 0.37, 3.0, 50.0]) * rev.tau
     with warnings.catch_warnings(), np.errstate(divide="raise", invalid="raise"):
         warnings.simplefilter("error")
-        series = decoherence._BeatSeries(state, ref_params.gamma)
+        series = decoherence._BeatSeries(state, ref_params.gamma, times)
         rho = density_map(state, x, times, ref_params)
         if state.support.size:
             vel = bc.velocity_map(state, x, times, ref_params)
